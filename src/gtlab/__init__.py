@@ -63,19 +63,14 @@ from gtlab.potential import (
     first_order_correction,
     optimal_profile,
     surface_tension,
-    well_eval,
 )
 from gtlab.solve import (
-    NewtonSettings,
     SolveReport,
     disk_signed_distance,
     long_range_potential,
     mixing_energy,
     seed_from_signed_distance,
-    slab_signed_distance,
     solve_conserved,
-    solve_prescribed_force,
-    union_signed_distance,
 )
 
 __all__ = [
@@ -89,7 +84,6 @@ __all__ = [
     "GraphPatch",
     "Grid",
     "KINDS",
-    "NewtonSettings",
     "ProfileTable",
     "ScalarField",
     "SolveReport",
@@ -123,14 +117,10 @@ __all__ = [
     "sample",
     "seed_from_signed_distance",
     "signed_distance",
-    "slab_signed_distance",
     "solve_cmc_graph",
     "solve_conserved",
-    "solve_prescribed_force",
     "surface_tension",
-    "union_signed_distance",
     "verify_subsolution",
-    "well_eval",
     "write_contour_csv",
     "write_report",
     "zero_crossings_1d",

@@ -22,11 +22,16 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 from scipy.spatial import cKDTree
 
 from .field import Grid, ScalarField, laplacian
-from .potential import DoubleWell, ProfileTable, bulk_roots, far_field_values
+from .potential import (
+    DoubleWell,
+    ProfileTable,
+    _banded_newton,
+    bulk_roots,
+    far_field_values,
+)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -117,7 +122,7 @@ class CutoffSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def make_schedule(eps: float, audit_points: int = 10_000) -> CutoffSchedule:
+def make_schedule(eps: float) -> CutoffSchedule:
     """Cutoff schedule with saturation 2 * eps * ln(1/eps), bounds audited.
 
     Requires eps < 1/e so the saturation length exceeds 2 * eps.  The
@@ -131,7 +136,7 @@ def make_schedule(eps: float, audit_points: int = 10_000) -> CutoffSchedule:
     delta = 2.0 * eps * np.log(1.0 / eps)
     schedule = CutoffSchedule(eps=eps, saturation=delta)
 
-    r = np.linspace(-3.0 * delta, 3.0 * delta, audit_points)
+    r = np.linspace(-3.0 * delta, 3.0 * delta, 10_000)
     val = schedule.value(r)
     slope = schedule.slope(r)
     curve = schedule.curve(r)
@@ -245,8 +250,6 @@ def solve_cmc_graph(
     boundary: tuple[float, float],
     curvature: float,
     n_cells: int = 2000,
-    tolerance: float = 1e-9,
-    max_iterations: int = 40,
 ) -> GraphPatch:
     """Height graph of prescribed constant curvature over a base interval.
 
@@ -280,34 +283,19 @@ def solve_cmc_graph(
         dc = (vals[2:] - vals[:-2]) / (2.0 * h)
         return d2 - curvature * (1.0 + dc * dc) ** 1.5
 
-    floor = (8.0 / h**2) * np.finfo(float).eps * max(1.0, float(np.max(np.abs(psi))))
-    f = residual(psi)
-    sup = float(np.max(np.abs(f)))
-    for _ in range(max_iterations):
-        if sup <= max(tolerance, floor):
-            break
-        dc = (psi[2:] - psi[:-2]) / (2.0 * h)
+    def bands(vals: np.ndarray) -> np.ndarray:
+        dc = (vals[2:] - vals[:-2]) / (2.0 * h)
         cross = 3.0 * curvature * dc * np.sqrt(1.0 + dc * dc) / (2.0 * h)
         ab = np.zeros((3, n - 1))
         ab[0, 1:] = 1.0 / h**2 - cross[:-1]
         ab[1, :] = -2.0 / h**2
         ab[2, :-1] = 1.0 / h**2 + cross[1:]
-        du = solve_banded((1, 1), ab, -f)
-        step = 1.0
-        improved = False
-        while step >= 2.0**-20:
-            trial = psi.copy()
-            trial[1:-1] += step * du
-            f_trial = residual(trial)
-            sup_trial = float(np.max(np.abs(f_trial)))
-            if sup_trial < sup:
-                psi, f, sup = trial, f_trial, sup_trial
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    if sup > max(tolerance, floor):
+        return ab
+
+    floor = (8.0 / h**2) * np.finfo(float).eps * max(1.0, float(np.max(np.abs(psi))))
+    threshold = max(1e-9, floor)
+    psi, sup = _banded_newton(psi, residual, bands, threshold, 40)
+    if sup > threshold:
         raise RuntimeError(
             f"curvature graph Newton stalled at residual {sup:.3e}; "
             f"|curvature| * radius = {abs(curvature) * radius:.4g} "
@@ -510,18 +498,20 @@ def asymptotic_gap(
 ) -> list[tuple[float, float, float]]:
     """Per-eps normalized gaps between bulk roots and plateau values.
 
-    For each eps the bulk roots of W'(r) = eps * (8/9) * force are compared
-    against the plateau values of the comparison field at saturation
-    2 * eps * ln(1/eps); rows are (eps, (lam_plus - plateau_plus) / eps,
-    (lam_minus - plateau_minus) / eps).  For positive forcing both gaps are
-    positive with common limit force / 9.
+    For each eps the bulk roots under the forcing (8/9) * force, the roots
+    of W'(r) = eps * (8/9) * force, are compared against the plateau values
+    of the comparison field at saturation 2 * eps * ln(1/eps); rows are
+    (eps, (lam_plus - plateau_plus) / eps, (lam_minus - plateau_minus) / eps).
+    For positive forcing both gaps are positive with common limit force / 9.
     """
     if not (force > 0.0):
         raise ValueError("gap rates are defined for positive forcing")
     rows = []
     for eps in eps_list:
         schedule = make_schedule(float(eps))
-        lam_minus, lam_plus = bulk_roots(well, eps, force)
+        # the barrier argument compares against the bulk state forced at
+        # (8/9) * force, strictly above the (7/9) * force defect bound
+        lam_minus, lam_plus = bulk_roots(well, eps, (8.0 / 9.0) * force)
         beta_minus, beta_plus = far_field_values(
             table, eps, schedule.saturation, force
         )

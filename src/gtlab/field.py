@@ -159,6 +159,21 @@ def sample(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def neumann_symbol(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Per-axis eigenvalues of -lap in the cosine basis of the reflecting grid.
+
+    Axis j holds (4/h^2) sin^2(pi k / 2n), k = 0 .. n-1, shaped to broadcast
+    along that axis; the symbol of -lap is their sum.
+    """
+    out = []
+    for j, n in enumerate(grid.shape):
+        lam = (4.0 / grid.spacing**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+        shape = [1] * grid.ndim
+        shape[j] = n
+        out.append(lam.reshape(shape))
+    return tuple(out)
+
+
 def poisson_neumann(
     source: np.ndarray, grid: Grid, compat_tol: float = 1e-10
 ) -> np.ndarray:
@@ -182,12 +197,7 @@ def poisson_neumann(
         )
     rhs = g - g.mean()
     ghat = dctn(rhs, type=2, norm="ortho")
-    denom = np.zeros(grid.shape)
-    for j, n in enumerate(grid.shape):
-        lam = (4.0 / grid.spacing**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
-        shape = [1] * grid.ndim
-        shape[j] = n
-        denom = denom + lam.reshape(shape)
+    denom = sum(neumann_symbol(grid), np.zeros(grid.shape))
     denom.flat[0] = 1.0
     vhat = ghat / denom
     vhat.flat[0] = 0.0
@@ -197,7 +207,7 @@ def poisson_neumann(
 
 @dataclass
 class ScalarField:
-    """A scalar sample on every cell of a grid, with the operations bound."""
+    """A scalar sample on every cell of a grid, stored as a snapshot."""
 
     grid: Grid
     values: np.ndarray = dataclass_field(repr=False)
@@ -206,29 +216,6 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError("values shape does not match the grid")
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(*grid.mesh()), dtype=float))
-
-    @classmethod
-    def full(cls, grid: Grid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    def laplacian(self) -> np.ndarray:
-        return laplacian(self.values, self.grid.spacing)
-
-    def gradient(self) -> tuple[np.ndarray, ...]:
-        return gradient(self.values, self.grid.spacing)
-
-    def integrate(self) -> float:
-        return integrate(self.values, self.grid)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def sample(self, points: np.ndarray) -> np.ndarray:
-        return sample(self.values, self.grid, points)
 
     def save(self, path) -> None:
         np.savez(

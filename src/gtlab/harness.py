@@ -160,6 +160,46 @@ DEFAULT_CONFIGS = {
 }
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_number, value))
+
+
+def _number_or_list(value) -> bool:
+    return _number(value) or _numbers(value)
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+def _string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _tolerance_map(value) -> bool:
+    return isinstance(value, dict) and _numbers(list(value.values()))
+
+
+# The JSON type each config key accepts: (description, predicate).
+_KEY_TYPES = {
+    "kind": ("a string", _string),
+    "eps": ("a number or a list of numbers", _number_or_list),
+    "grid_k": ("a number or a list of numbers", _number_or_list),
+    "well_scale": ("a number", _number),
+    "radius": ("a number", _number),
+    "center": ("a list of numbers", _numbers),
+    "mass": ("a number or null", _optional(_number)),
+    "force": ("a number", _number),
+    "coupling": ("a number", _number),
+    "tolerances": ("an object of numbers or null", _optional(_tolerance_map)),
+    "out_dir": ("a string or null", _optional(_string)),
+}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """One experiment kind swept over a decreasing list of widths.
@@ -237,6 +277,10 @@ class StudyConfig:
             raise ValueError("config is missing the required key: kind")
         if "eps" not in mapping:
             raise ValueError("config is missing the required key: eps")
+        for key, value in mapping.items():
+            what, accepts = _KEY_TYPES[key]
+            if not accepts(value):
+                raise ValueError(f"config key {key} must be {what}, got {value!r}")
         kwargs = dict(mapping)
         if isinstance(kwargs.get("grid_k"), list):
             kwargs["grid_k"] = tuple(kwargs["grid_k"])
@@ -365,7 +409,11 @@ def _study_profile(config, tol, well, table, eps, k, out, index):
     return metrics, checks
 
 
-def _solve_disk(config, well, table, eps, k, coupling):
+def _solve_disk(config, well, table, eps, k, out, index, coupling):
+    """Solve the seeded disk, measure its main interface, save the snapshot.
+
+    Returns (grid, u, report, lam, contour, kappa).
+    """
     grid = _unit_square(eps, k)
     dist = disk_signed_distance(grid, config.center, config.radius)
     seed = seed_from_signed_distance(table, dist, eps)
@@ -373,19 +421,33 @@ def _solve_disk(config, well, table, eps, k, coupling):
     u, report = solve_conserved(
         well, grid, eps, mass, seed, long_range=coupling
     )
-    return grid, u, report
+    contour = _main_contour(u, grid)
+    kappa = curvature(contour, grid, gradient(u, grid.spacing), window=8.0 * eps)
+    _save_field(out, f"{config.kind}-field-{index:02d}.npz", grid, u)
+    return grid, u, report, float(report.multiplier), contour, kappa
+
+
+def _constant_balance(config, table, contour, kappa, lam, out, index):
+    """sigma * kappa = lam along the contour; writes the interface CSV."""
+    target = np.full(len(contour.points), lam)
+    if out is not None:
+        write_contour_csv(
+            out / f"{config.kind}-interface-{index:02d}.csv",
+            contour,
+            kappa,
+            target,
+            table.sigma,
+        )
+    return curvature_balance(contour, kappa, target, table.sigma)
 
 
 def _study_ch_disk(config, tol, well, table, eps, k, out, index):
-    grid, u, rep = _solve_disk(config, well, table, eps, k, 0.0)
-    contour = _main_contour(u, grid)
-    lam = float(rep.multiplier)
+    grid, u, rep, lam, contour, kappa = _solve_disk(
+        config, well, table, eps, k, out, index, 0.0
+    )
     r_eps = _shoelace_radius(contour.points)
     ratio = lam * r_eps / table.sigma
-    kappa = curvature(contour, grid, gradient(u, grid.spacing), window=8.0 * eps)
-    balance = curvature_balance(
-        contour, kappa, np.full(len(contour.points), lam), table.sigma
-    )
+    balance = _constant_balance(config, table, contour, kappa, lam, out, index)
     metrics = {
         "lambda": lam,
         "r_eps": r_eps,
@@ -396,15 +458,6 @@ def _study_ch_disk(config, tol, well, table, eps, k, out, index):
         "h": grid.spacing,
     }
     checks = {"solver_converged": rep.converged}
-    _save_field(out, f"ch-disk-field-{index:02d}.npz", grid, u)
-    if out is not None:
-        write_contour_csv(
-            out / f"ch-disk-interface-{index:02d}.csv",
-            contour,
-            kappa,
-            np.full(len(contour.points), lam),
-            table.sigma,
-        )
     return metrics, checks
 
 
@@ -433,12 +486,11 @@ def _study_ch_planar(config, tol, well, table, eps, k, out, index):
 
 
 def _study_ok_disk(config, tol, well, table, eps, k, out, index):
-    grid, u, rep = _solve_disk(config, well, table, eps, k, config.coupling)
-    contour = _main_contour(u, grid)
-    lam = float(rep.multiplier)
+    grid, u, rep, lam, contour, kappa = _solve_disk(
+        config, well, table, eps, k, out, index, config.coupling
+    )
     w = long_range_potential(u, grid, config.coupling)
     w_at = sample(w, grid, contour.points)
-    kappa = curvature(contour, grid, gradient(u, grid.spacing), window=8.0 * eps)
     good = ~np.isnan(kappa)
     residual = table.sigma * kappa[good] + w_at[good] - lam
     scale = float(np.max(np.abs(lam - w_at[good])))
@@ -453,7 +505,6 @@ def _study_ok_disk(config, tol, well, table, eps, k, out, index):
         "solver_converged": rep.converged,
         "balance_within": sup <= tol["balance"] * scale,
     }
-    _save_field(out, f"ok-disk-field-{index:02d}.npz", grid, u)
     if out is not None:
         write_contour_csv(
             out / f"ok-disk-interface-{index:02d}.csv",
@@ -497,16 +548,13 @@ def _study_ok_lamellar(config, tol, well, table, eps, k, out, index):
 
 
 def _study_gt_check(config, tol, well, table, eps, k, out, index):
-    grid, u, rep = _solve_disk(config, well, table, eps, k, 0.0)
-    contour = _main_contour(u, grid)
-    lam = float(rep.multiplier)
-    kappa = curvature(contour, grid, gradient(u, grid.spacing), window=8.0 * eps)
-    balance = curvature_balance(
-        contour, kappa, np.full(len(contour.points), lam), table.sigma
+    grid, u, rep, lam, contour, kappa = _solve_disk(
+        config, well, table, eps, k, out, index, 0.0
     )
+    balance = _constant_balance(config, table, contour, kappa, lam, out, index)
     # bulk plateaus continue the wells under the constant forcing lam:
     # roots of W'(r) = eps * lam
-    lam_minus, lam_plus = bulk_roots(well, eps, lam * 9.0 / 8.0)
+    lam_minus, lam_plus = bulk_roots(well, eps, lam)
     dev = bulk_deviation(u, grid, contour.points, 10.0 * eps, lam_plus, lam_minus)
     metrics = {
         "lambda": lam,
@@ -520,15 +568,6 @@ def _study_gt_check(config, tol, well, table, eps, k, out, index):
         "balance_within": balance.sup <= tol["balance"] * lam,
         "bulk_within": dev <= eps * eps,
     }
-    _save_field(out, f"gt-check-field-{index:02d}.npz", grid, u)
-    if out is not None:
-        write_contour_csv(
-            out / f"gt-check-interface-{index:02d}.csv",
-            contour,
-            kappa,
-            np.full(len(contour.points), lam),
-            table.sigma,
-        )
     return metrics, checks
 
 

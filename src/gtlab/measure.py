@@ -2,10 +2,9 @@
 
 The energy density eps|grad u|^2/2 + W(u)/eps concentrates on interfaces as
 eps shrinks; its mass per unit interface length approaches 2*sigma times the
-local sheet count.  This module computes the density, its equipartition
-discrepancy (gradient part minus well part, which vanishes on ideal
-profiles), unit normals, ball masses and the derived multiplicity ratio,
-and the far-from-interface deviation of the field from its bulk plateaus.
+local sheet count.  This module computes the density, ball masses and the
+derived multiplicity ratio, and the far-from-interface deviation of the
+field from its bulk plateaus.
 """
 
 from __future__ import annotations
@@ -46,23 +45,6 @@ class DiffuseMeasure:
             0.5 * self.eps * self._gradient_square()
             + self.well.value(self.values) / self.eps
         )
-
-    def discrepancy(self) -> np.ndarray:
-        """Gradient part minus well part; zero exactly on equipartitioned
-        profiles, so its size measures how far the field is from one."""
-        return (
-            0.5 * self.eps * self._gradient_square()
-            - self.well.value(self.values) / self.eps
-        )
-
-    def normals(self, floor: float = 1e-8) -> tuple[np.ndarray, ...]:
-        """Unit gradient direction; NaN where the gradient is degenerate
-        (below floor relative to its maximum)."""
-        grads = gradient(self.values, self.grid.spacing)
-        mag = np.sqrt(sum(g * g for g in grads))
-        cut = floor * float(np.max(mag)) if np.max(mag) > 0.0 else np.inf
-        safe = np.where(mag >= cut, mag, np.nan)
-        return tuple(g / safe for g in grads)
 
     def mass_in_ball(self, center, radius: float) -> float:
         if radius <= 0.0:

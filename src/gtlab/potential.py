@@ -8,7 +8,7 @@ Associated objects built here:
   truncated line, tabulated on a uniform grid,
 * the first-order profile correction phi1 solving the linearized equation with
   a solvability-projected right-hand side,
-* the near-well roots of W'(lam) = eps * (8/9) * force, used by the bulk
+* the near-well roots of W'(lam) = eps * forcing, used by the bulk
   far-field comparisons.
 """
 
@@ -62,17 +62,6 @@ class DoubleWell:
         """Closed-form optimal profile tanh(scale * r / sqrt(2))."""
         r = np.asarray(r, dtype=float)
         return np.tanh(self.scale * r / SQRT2)
-
-
-def well_eval(well: DoubleWell, r, order: int = 0):
-    """Evaluate W, W', or W'' at r (order 0, 1, 2)."""
-    if order == 0:
-        return well.value(r)
-    if order == 1:
-        return well.derivative(r)
-    if order == 2:
-        return well.second_derivative(r)
-    raise ValueError(f"order must be 0, 1, or 2, got {order}")
 
 
 def surface_tension(well: DoubleWell, n_intervals: int = 1_000_000) -> float:
@@ -240,12 +229,40 @@ class ProfileTable:
         return table
 
 
+def _banded_newton(u, residual, bands, threshold: float, max_iterations: int):
+    """Damped Newton for a two-point problem with fixed end values.
+
+    residual(u) is the residual at the interior nodes of u and bands(u) the
+    (3, len(u) - 2) band array of its tridiagonal Jacobian.  Each step halves
+    down to 2^-20 until the sup residual falls; the loop stops at the
+    threshold, on a step below 8 ulp, or when no damped step helps.
+    Returns (u, sup residual).
+    """
+    f = residual(u)
+    sup = float(np.max(np.abs(f)))
+    for _ in range(max_iterations):
+        if sup <= threshold:
+            break
+        du = solve_banded((1, 1), bands(u), -f)
+        if float(np.max(np.abs(du))) <= 8.0 * np.finfo(float).eps:
+            break
+        step = 1.0
+        while step >= 2.0**-20:
+            trial = u.copy()
+            trial[1:-1] += step * du
+            f_trial = residual(trial)
+            sup_trial = float(np.max(np.abs(f_trial)))
+            if sup_trial < sup:
+                u, f, sup = trial, f_trial, sup_trial
+                break
+            step *= 0.5
+        else:
+            break
+    return u, sup
+
+
 def optimal_profile(
-    well: DoubleWell,
-    half_width: float = 20.0,
-    spacing: float = 5e-4,
-    tolerance: float = 1e-12,
-    max_iterations: int = 50,
+    well: DoubleWell, half_width: float = 20.0, spacing: float = 5e-4
 ) -> ProfileTable:
     """Solve -phi0'' + W'(phi0) = 0 on [-half_width, half_width], tabulated.
 
@@ -279,37 +296,19 @@ def optimal_profile(
     # no matter how many Newton steps run.
     floor = (4.0 / h**2) * float(np.finfo(float).eps)
 
-    f = residual(u)
-    sup = float(np.max(np.abs(f)))
-    for _ in range(max_iterations):
-        if sup <= max(tolerance, floor):
-            break
-        diag = 2.0 / h**2 + well.second_derivative(u[1:-1])
+    def bands(vals: np.ndarray) -> np.ndarray:
         ab = np.zeros((3, m - 1))
         ab[0, 1:] = -1.0 / h**2
-        ab[1, :] = diag
+        ab[1, :] = 2.0 / h**2 + well.second_derivative(vals[1:-1])
         ab[2, :-1] = -1.0 / h**2
-        du = solve_banded((1, 1), ab, -f)
-        if float(np.max(np.abs(du))) <= 8.0 * np.finfo(float).eps:
-            break
-        step = 1.0
-        improved = False
-        while step >= 2.0**-20:
-            trial = u.copy()
-            trial[1:-1] += step * du
-            f_trial = residual(trial)
-            sup_trial = float(np.max(np.abs(f_trial)))
-            if sup_trial < sup:
-                u, f, sup = trial, f_trial, sup_trial
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    if sup > max(tolerance, floor):
+        return ab
+
+    threshold = max(1e-12, floor)
+    u, sup = _banded_newton(u, residual, bands, threshold, 50)
+    if sup > threshold:
         raise RuntimeError(
             f"profile Newton stalled at residual {sup:.3e} "
-            f"(tolerance {tolerance:.1e}, floating-point floor {floor:.1e})"
+            f"(tolerance 1.0e-12, floating-point floor {floor:.1e})"
         )
 
     n = 2 * m + 1
@@ -327,9 +326,7 @@ def optimal_profile(
     )
 
 
-def first_order_correction(
-    table: ProfileTable, well: DoubleWell, project_rhs: bool = True
-) -> ProfileTable:
+def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTable:
     """Fill the first-order correction phi1 into the table (returns it).
 
     phi1 solves L phi1 = sigma - phi0' where L = -d^2/dr^2 + W''(phi0), with
@@ -354,10 +351,6 @@ def first_order_correction(
     correction is continued by its exponential tail approach.  A direct
     banded solve is useless here: the full-window operator has a kernel
     eigenvalue ~ exp(-2 sqrt2 scale half_width), far below machine precision.
-
-    ``project_rhs=False`` skips the projection and the anchoring; the
-    growing branch then enters at full strength and the result explodes like
-    exp(sqrt2 scale half_width).  It exists to demonstrate that failure mode.
     """
     h = table.spacing
     n = table.positions.size
@@ -382,7 +375,7 @@ def first_order_correction(
     # subtraction, so this carries far less relative noise in the tail than
     # the finite-difference derivative table does.
     w = np.sqrt(np.maximum(2.0 * np.asarray(well.value(phi0), dtype=float), 0.0))
-    g = (sigma - w) if project_rhs else (w + sigma)
+    g = sigma - w
 
     # Keep the variation-of-parameters region where the relative rounding
     # noise of w (~eps_mach * w(0)/w) stays below 1e-8.
@@ -396,11 +389,10 @@ def first_order_correction(
         )
 
     gw_int = cumulative_trapezoid(g * w, dx=h, initial=0.0)
-    if project_rhs:
-        # Re-anchor: P(r) = -int_r^inf g w, using the analytic tail of the
-        # remainder (g -> sigma, int w = 1 - phi0).  The projection makes the
-        # full-line value zero, so this is a cancellation made structural.
-        gw_int = gw_int - (gw_int[i_cut] + sigma * (1.0 - phi0[i_cut]))
+    # Re-anchor: P(r) = -int_r^inf g w, using the analytic tail of the
+    # remainder (g -> sigma, int w = 1 - phi0).  The projection makes the
+    # full-line value zero, so this is a cancellation made structural.
+    gw_int = gw_int - (gw_int[i_cut] + sigma * (1.0 - phi0[i_cut]))
 
     sl = slice(0, i_cut + 1)
     growth = cumulative_trapezoid(1.0 / w[sl] ** 2, dx=h, initial=0.0)
@@ -459,19 +451,19 @@ def _root_near_one(c: float, tolerance: float = 1e-15) -> float:
     return r
 
 
-def bulk_roots(well: DoubleWell, eps: float, force: float) -> tuple[float, float]:
-    """Near-well roots (lam_minus, lam_plus) of W'(lam) = eps * (8/9) * force.
+def bulk_roots(well: DoubleWell, eps: float, forcing: float) -> tuple[float, float]:
+    """Near-well roots (lam_minus, lam_plus) of W'(lam) = eps * forcing.
 
     Both roots continue the wells -1 and +1.  They exist only while the
     forcing stays below the local extremum of W' between well and barrier;
-    the merge threshold is eps_crit = scale^2 * sqrt(3) / (4 |force|).
+    the merge threshold is eps_crit = scale^2 * 2 / (3 sqrt(3) |forcing|).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    c = eps * (8.0 / 9.0) * force / well.scale**2
+    c = eps * forcing / well.scale**2
     if abs(c) >= _BRANCH_LIMIT:
         raise ValueError(
-            f"bulk roots merge: |eps*(8/9)*force|/scale^2 = {abs(c):.6g} "
+            f"bulk roots merge: |eps*forcing|/scale^2 = {abs(c):.6g} "
             f">= {_BRANCH_LIMIT:.6g}"
         )
     plus = _root_near_one(c)

@@ -1,15 +1,14 @@
 """Newton-Krylov solvers for stationary diffuse-interface problems.
 
-Three problem shapes share one damped-Newton driver:
+Two problem shapes share one damped-Newton loop:
 
-* prescribed forcing       -eps lap(u) + W'(u)/eps = g(x)
 * conserved (multiplier)   -eps lap(u) + W'(u)/eps = lam,  integral(u) = m
 * long-range coupled       -eps lap(u) + W'(u)/eps + gamma*v = lam,
                            -lap(v) = u - mean(u),  integral(u) = m
 
 The linearizations are symmetric, so the inner solves use MINRES with a
-constant-coefficient spectral inverse as preconditioner.  The conserved
-problems are solved in the mean-zero subspace: the multiplier is the mean
+constant-coefficient spectral inverse as preconditioner.  Both problems
+are solved in the mean-zero subspace: the multiplier is the mean
 of the unconstrained residual, Newton steps solve the projected system
 P J P du = -P F(u), and updates have zero mean, so the mass fixed by the
 (pre-shifted) seed never drifts.
@@ -23,24 +22,22 @@ import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .field import Grid, gradient, integrate, laplacian, poisson_neumann
+from .field import (
+    Grid,
+    gradient,
+    integrate,
+    laplacian,
+    neumann_symbol,
+    poisson_neumann,
+)
 from .potential import DoubleWell, ProfileTable
 
-
-@dataclass
-class NewtonSettings:
-    max_iterations: int = 60
-    tolerance: float = 1e-9
-    backtrack: float = 0.5
-    min_step: float = 2.0**-20
-    krylov_tol: float = 1e-12
-    use_preconditioner: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if self.tolerance <= 0.0 or self.min_step <= 0.0:
-            raise ValueError("tolerance and min_step must be positive")
+# Newton step cap, sup-residual tolerance, backtracking factor, and the
+# smallest damped step tried.
+_MAX_STEPS = 60
+_TOLERANCE = 1e-9
+_BACKTRACK = 0.5
+_MIN_STEP = 2.0**-20
 
 
 @dataclass
@@ -48,7 +45,7 @@ class SolveReport:
     converged: bool
     iterations: int
     residual: float
-    multiplier: float | None
+    multiplier: float
     energy: float
     mass: float
 
@@ -86,22 +83,6 @@ def disk_signed_distance(grid: Grid, center, radius: float) -> np.ndarray:
     return radius - np.sqrt(sq)
 
 
-def slab_signed_distance(grid: Grid, position: float, axis: int = 0) -> np.ndarray:
-    """Signed distance to a coordinate plane, positive on the upper side."""
-    mesh = grid.mesh()
-    return mesh[axis] - position
-
-
-def union_signed_distance(*distances: np.ndarray) -> np.ndarray:
-    """Signed distance to a union of regions: the pointwise maximum."""
-    if not distances:
-        raise ValueError("need at least one distance field")
-    out = distances[0]
-    for d in distances[1:]:
-        out = np.maximum(out, d)
-    return out
-
-
 def seed_from_signed_distance(
     table: ProfileTable, distance: np.ndarray, eps: float
 ) -> np.ndarray:
@@ -115,13 +96,9 @@ class _SpectralInverse:
     """Exact inverse of (-eps*lap + shift) on the reflecting grid."""
 
     def __init__(self, grid: Grid, eps: float, shift: float):
-        denom = np.full(grid.shape, shift)
-        for j, n in enumerate(grid.shape):
-            lam = (4.0 / grid.spacing**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
-            shape = [1] * grid.ndim
-            shape[j] = n
-            denom = denom + eps * lam.reshape(shape)
-        self._denom = denom
+        self._denom = sum(
+            (eps * lam for lam in neumann_symbol(grid)), np.full(grid.shape, shift)
+        )
         self._shape = grid.shape
 
     def __call__(self, flat: np.ndarray) -> np.ndarray:
@@ -130,43 +107,32 @@ class _SpectralInverse:
         return y.ravel()
 
 
-def _krylov_solve(matvec, rhs, grid, settings, precond, rel_target):
+def _krylov_solve(matvec, rhs, grid, precond, rtol):
     n = rhs.size
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    m_op = (
-        LinearOperator((n, n), matvec=precond, dtype=float)
-        if precond is not None
-        else None
-    )
-    rtol = max(settings.krylov_tol, min(0.1, rel_target))
+    m_op = LinearOperator((n, n), matvec=precond, dtype=float)
     x, _ = minres(op, rhs.ravel(), rtol=rtol, maxiter=20 * int(np.sqrt(n)) + 200, M=m_op)
     return x.reshape(grid.shape)
 
 
-def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps, settings, constrained):
-    """Shared damped-Newton driver; returns (u, lam, iterations, sup, converged).
+def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps):
+    """Damped-Newton loop; returns (u, lam, iterations, sup, converged).
 
-    residual_fn(u, lam) -> array; jacobian_matvec(u) -> callable(flat)->flat.
-
-    The constrained variant works in the mean-zero subspace: the multiplier
-    is the mean of the unconstrained residual (its best constant fit), the
-    Newton step solves the projected system P J P du = -P F(u), and every
-    update has zero mean, so the mass set by the seed never drifts.  For a
-    stable constrained state P J P is positive definite on the subspace even
-    though J itself carries the negative growth mode, which is what makes
-    the projected solve robust where a bordered elimination is not.
+    residual_fn(u) -> array, the residual without the multiplier;
+    jacobian_matvec(u) -> callable(flat)->flat.  lam is the mean of
+    residual_fn(u), its best constant fit.
+    For a stable constrained state P J P is positive definite on the
+    mean-zero subspace even though J itself carries the negative growth
+    mode, which is what makes the projected solve robust where a bordered
+    elimination is not.
     """
     u = np.array(seed, dtype=float)
     shift = well.second_derivative(well.wells[1]) / eps
-    precond_core = (
-        _SpectralInverse(grid, eps, shift) if settings.use_preconditioner else None
-    )
+    precond_core = _SpectralInverse(grid, eps, shift)
     shape = grid.shape
 
     def split(u):
-        full = residual_fn(u, 0.0)
-        if not constrained:
-            return full, 0.0
+        full = residual_fn(u)
         m = float(full.mean())
         return full - m, m
 
@@ -187,70 +153,25 @@ def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps, settings, const
         y = precond_core((x - m).ravel()).reshape(shape)
         return ((y - y.mean()) + m / shift).ravel()
 
-    lam = 0.0
-    sup = np.inf
-    for iteration in range(settings.max_iterations):
+    for iteration in range(_MAX_STEPS):
         r, lam = split(u)
         sup = float(np.max(np.abs(r)))
-        if sup <= settings.tolerance:
+        if sup <= _TOLERANCE:
             return u, lam, iteration, sup, True
-        core = jacobian_matvec(u)
-        matvec = projected(core) if constrained else core
-        precond = None
-        if precond_core is not None:
-            precond = projected_precond if constrained else precond_core
-        rel = 0.01 * min(sup, 1.0)
-        a = _krylov_solve(matvec, r, grid, settings, precond, rel)
-        du = -a
+        matvec = projected(jacobian_matvec(u))
+        # sup > _TOLERANCE here, so this forcing stays above 1e-11
+        du = -_krylov_solve(matvec, r, grid, projected_precond, 0.01 * min(sup, 1.0))
         norm0 = float(np.linalg.norm(r))
         step = 1.0
-        while step >= settings.min_step:
+        while step >= _MIN_STEP:
             norm1 = float(np.linalg.norm(split(u + step * du)[0]))
             if norm1 <= (1.0 - 1e-4 * step) * norm0:
                 break
-            step *= settings.backtrack
+            step *= _BACKTRACK
         u = u + step * du
     r, lam = split(u)
     sup = float(np.max(np.abs(r)))
-    return u, lam, settings.max_iterations, sup, sup <= settings.tolerance
-
-
-def solve_prescribed_force(
-    well: DoubleWell,
-    grid: Grid,
-    eps: float,
-    force,
-    seed: np.ndarray,
-    settings: NewtonSettings | None = None,
-):
-    """Solve -eps lap(u) + W'(u)/eps = force with zero-flux walls."""
-    settings = settings or NewtonSettings()
-    g = np.broadcast_to(np.asarray(force, dtype=float), grid.shape)
-
-    def residual(u, _lam):
-        return -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps - g
-
-    def jac(u):
-        w2 = well.second_derivative(u) / eps
-
-        def matvec(flat):
-            x = flat.reshape(grid.shape)
-            return (-eps * laplacian(x, grid.spacing) + w2 * x).ravel()
-
-        return matvec
-
-    u, _, iters, sup, ok = _newton(
-        residual, jac, seed, grid, well, eps, settings, constrained=False
-    )
-    report = SolveReport(
-        converged=ok,
-        iterations=iters,
-        residual=sup,
-        multiplier=None,
-        energy=mixing_energy(u, grid, well, eps),
-        mass=integrate(u, grid),
-    )
-    return u, report
+    return u, lam, _MAX_STEPS, sup, sup <= _TOLERANCE
 
 
 def solve_conserved(
@@ -259,7 +180,6 @@ def solve_conserved(
     eps: float,
     mass: float,
     seed: np.ndarray,
-    settings: NewtonSettings | None = None,
     long_range: float = 0.0,
 ):
     """Mass-constrained stationary state; returns the multiplier in the report.
@@ -267,7 +187,6 @@ def solve_conserved(
     With long_range > 0 the screened interaction gamma*v couples in, where
     -lap(v) = u - mean(u) on the same grid (the lamellar-forming case).
     """
-    settings = settings or NewtonSettings()
     volume = grid.cell_volume * float(np.prod(grid.shape))
     u0 = np.array(seed, dtype=float)
     u0 += (mass - integrate(u0, grid)) / volume
@@ -275,8 +194,8 @@ def solve_conserved(
     # mean subtraction makes these sources compatible by construction; the
     # ratio check is disabled because Krylov probe vectors can be nearly
     # constant, leaving a mean-removed part that is pure rounding noise
-    def residual(u, lam):
-        r = -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps - lam
+    def residual(u):
+        r = -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
         if long_range != 0.0:
             r = r + long_range * poisson_neumann(
                 u - u.mean(), grid, compat_tol=np.inf
@@ -297,9 +216,7 @@ def solve_conserved(
 
         return matvec
 
-    u, lam, iters, sup, ok = _newton(
-        residual, jac, u0, grid, well, eps, settings, constrained=True
-    )
+    u, lam, iters, sup, ok = _newton(residual, jac, u0, grid, well, eps)
     report = SolveReport(
         converged=ok,
         iterations=iters,

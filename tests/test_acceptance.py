@@ -274,7 +274,7 @@ class TestBulkPlateaus:
         eps = state.eps
         assert eps == 0.02
         # plateaus continue the wells under the multiplier: W'(r) = eps*lam
-        lam_minus, lam_plus = bulk_roots(well, eps, state.multiplier * 9.0 / 8.0)
+        lam_minus, lam_plus = bulk_roots(well, eps, state.multiplier)
         dev = bulk_deviation(
             state.values,
             state.grid,

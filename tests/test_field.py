@@ -15,6 +15,7 @@ from gtlab.field import (
     poisson_neumann,
     sample,
 )
+from gtlab.solve import _SpectralInverse
 
 finite = st.floats(-100.0, 100.0, allow_nan=False)
 
@@ -220,16 +221,24 @@ class TestPoissonNeumann:
             poisson_neumann(np.zeros(17), grid)
 
 
-class TestScalarField:
-    def test_from_function_and_ops(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (12, 12))
-        f = ScalarField.from_function(grid, lambda x, y: x + 2.0 * y)
-        assert f.integrate() == pytest.approx(0.5 + 1.0, abs=1e-12)
-        gx, gy = f.gradient()
-        assert np.max(np.abs(gx - 1.0)) <= 1e-12
-        assert np.max(np.abs(gy - 2.0)) <= 1e-12
-        assert f.mean() == pytest.approx(1.5, abs=1e-12)
+class TestSpectralInverse:
+    # the Newton preconditioner shares the cosine-basis symbol with
+    # poisson_neumann; it must invert -eps*lap + shift to rounding
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid.interval(0.0, 1.0, 37), Grid.rectangle((0.0, 0.0), (1.5, 1.0), (24, 16))],
+        ids=["1d", "2d-non-square"],
+    )
+    def test_inverts_shifted_operator(self, grid):
+        eps, shift = 0.03, 2.0 / 0.03
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(grid.shape)
+        u = _SpectralInverse(grid, eps, shift)(f.ravel()).reshape(grid.shape)
+        back = -eps * laplacian(u, grid.spacing) + shift * u
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
+
+class TestScalarField:
     def test_roundtrip_bitwise(self, tmp_path):
         grid = Grid.rectangle((-1.0, 2.0), (1.0, 4.0), (8, 8))
         rng = np.random.default_rng(11)

@@ -291,6 +291,26 @@ class TestCommandLine:
         assert main(["study", "--config", str(path)]) == 2
         assert "wells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("center", 0.5),
+            ("radius", "0.25"),
+            ("eps", None),
+            ("tolerances", [1]),
+            ("force", "1"),
+        ],
+        ids=["center", "radius", "eps", "tolerances", "force"],
+    )
+    def test_wrong_json_type_named_on_stderr(self, tmp_path, capsys, key, value):
+        out = tmp_path / "never"
+        path = tmp_path / "bad.json"
+        config = {"kind": "ch-disk", "eps": [0.08], "out_dir": str(out), key: value}
+        path.write_text(json.dumps(config))
+        assert main(["study", "--config", str(path)]) == 2
+        assert f"config key {key} " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{kind: gap")

@@ -23,7 +23,6 @@ SIGMA = SQRT2 / 3.0
 
 # sampled tanh kink, eps = 0.02, h = eps/16, unit interval
 TANH_TOTAL_MASS = 0.9425637009324878
-TANH_SUP_DISCREPANCY = 0.016218429202300655
 TANH_MAX_DENSITY = 24.9593814099715
 
 
@@ -38,12 +37,7 @@ class TestDensityAndDiscrepancy:
         u = kink(grid.axis(0) - 0.5, eps)
         m = DiffuseMeasure(grid, well, eps, u)
         assert m.total_mass() == pytest.approx(TANH_TOTAL_MASS, rel=1e-9)
-        assert np.max(np.abs(m.discrepancy())) == pytest.approx(
-            TANH_SUP_DISCREPANCY, rel=1e-6
-        )
         assert np.max(m.density()) == pytest.approx(TANH_MAX_DENSITY, rel=1e-6)
-        # the discrepancy stays below one part in a thousand of the peak
-        assert np.max(np.abs(m.discrepancy())) <= 1e-3 * np.max(m.density())
 
     def test_total_mass_approaches_twice_sigma(self, well):
         eps = 0.02
@@ -66,38 +60,6 @@ class TestDensityAndDiscrepancy:
             m.mass_in_ball((0.5,), -1.0)
         with pytest.raises(ValueError):
             m.mass_in_ball((0.5, 0.5), 0.1)
-
-
-class TestNormals:
-    def test_planar_normals(self, well):
-        eps = 0.05
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (64, 64))
-        x, _ = grid.mesh()
-        m = DiffuseMeasure(grid, well, eps, kink(x - 0.5, eps))
-        nx, ny = m.normals()
-        band = np.abs(x - 0.5) <= 2.0 * eps
-        assert np.max(np.abs(nx[band] - 1.0)) <= 1e-10
-        assert np.max(np.abs(ny[band])) <= 1e-10
-
-    def test_flat_field_masked(self, well):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (16, 16))
-        m = DiffuseMeasure(grid, well, 0.05, np.full(grid.shape, 0.3))
-        nx, ny = m.normals()
-        assert np.all(np.isnan(nx)) and np.all(np.isnan(ny))
-
-    def test_radial_normals(self, well):
-        eps = 0.05
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (96, 96))
-        x, y = grid.mesh()
-        r = np.hypot(x - 0.5, y - 0.5)
-        m = DiffuseMeasure(grid, well, eps, kink(0.3 - r, eps))
-        nx, ny = m.normals()
-        band = np.abs(r - 0.3) <= eps
-        want_x = -(x - 0.5)[band] / r[band]
-        want_y = -(y - 0.5)[band] / r[band]
-        # centered differences on a curved front: O(h^2/eps^2) directional error
-        assert np.max(np.abs(nx[band] - want_x)) <= 5e-3
-        assert np.max(np.abs(ny[band] - want_y)) <= 5e-3
 
 
 class TestMultiplicity:

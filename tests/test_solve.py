@@ -6,26 +6,14 @@ import pytest
 from gtlab.field import Grid, integrate, sample
 from gtlab.potential import bulk_roots
 from gtlab.solve import (
-    NewtonSettings,
     disk_signed_distance,
     long_range_potential,
     mixing_energy,
     seed_from_signed_distance,
-    slab_signed_distance,
     solve_conserved,
-    solve_prescribed_force,
-    union_signed_distance,
 )
 
 SIGMA = float(np.sqrt(2.0) / 3.0)
-
-
-class TestSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NewtonSettings(backtrack=1.5)
-        with pytest.raises(ValueError):
-            NewtonSettings(tolerance=-1.0)
 
 
 class TestDistances:
@@ -36,66 +24,22 @@ class TestDistances:
         want = 0.25 - np.hypot(x - 0.5, y - 0.5)
         assert np.allclose(d, want, atol=1e-14)
 
-    def test_slab(self):
-        grid = Grid.interval(0.0, 1.0, 10)
-        d = slab_signed_distance(grid, 0.35)
-        assert np.allclose(d, grid.axis(0) - 0.35, atol=1e-15)
-
-    def test_union_is_pointwise_max(self):
-        grid = Grid.interval(0.0, 1.0, 16)
-        a = disk_signed_distance(grid, (0.3,), 0.1)
-        b = disk_signed_distance(grid, (0.7,), 0.1)
-        u = union_signed_distance(a, b)
-        assert np.array_equal(u, np.maximum(a, b))
-
     def test_validation(self):
         grid = Grid.interval(0.0, 1.0, 8)
         with pytest.raises(ValueError):
             disk_signed_distance(grid, (0.5,), -0.1)
         with pytest.raises(ValueError):
             disk_signed_distance(grid, (0.5, 0.5), 0.1)
-        with pytest.raises(ValueError):
-            union_signed_distance()
 
     def test_seed_composition(self, profile_table):
         grid = Grid.interval(0.0, 1.0, 64)
-        d = slab_signed_distance(grid, 0.5)
+        d = grid.axis(0) - 0.5
         u = seed_from_signed_distance(profile_table, d, 0.05)
         assert u.shape == grid.shape
         assert u[0] == pytest.approx(-1.0, abs=1e-5)
         assert u[-1] == pytest.approx(1.0, abs=1e-5)
         with pytest.raises(ValueError):
             seed_from_signed_distance(profile_table, d, -0.05)
-
-
-class TestPrescribedForce:
-    def test_constant_solution_matches_bulk_roots(self, well):
-        # a spatially constant force makes the PDE a scalar root problem,
-        # solved independently by bulk_roots
-        grid = Grid.interval(0.0, 1.0, 64)
-        eps = 0.02
-        minus_root, plus_root = bulk_roots(well, eps, 1.0)
-        force = (8.0 / 9.0) * 1.0
-        u, report = solve_prescribed_force(
-            well, grid, eps, force, np.full(grid.shape, -1.0)
-        )
-        assert report.converged
-        assert np.max(np.abs(u - minus_root)) <= 1e-9
-        u, report = solve_prescribed_force(
-            well, grid, eps, force, np.full(grid.shape, 1.0)
-        )
-        assert report.converged
-        assert np.max(np.abs(u - plus_root)) <= 1e-9
-
-    def test_report_fields(self, well):
-        grid = Grid.interval(0.0, 1.0, 32)
-        u, report = solve_prescribed_force(
-            well, grid, 0.05, 0.0, np.full(grid.shape, 1.0)
-        )
-        assert report.converged
-        assert report.multiplier is None
-        assert report.mass == pytest.approx(1.0, abs=1e-12)
-        assert report.energy == pytest.approx(0.0, abs=1e-12)
 
 
 class TestConserved:
@@ -105,7 +49,7 @@ class TestConserved:
         # interface seated on a cell center; the frozen energy oracle used
         # that seating (a face-seated kink differs at the 3e-6 level)
         seed = seed_from_signed_distance(
-            profile_table, slab_signed_distance(grid, float(grid.axis(0)[56])), eps
+            profile_table, grid.axis(0) - float(grid.axis(0)[56]), eps
         )
         mass = integrate(seed, grid)
         u, report = solve_conserved(well, grid, eps, mass, seed)
@@ -135,12 +79,26 @@ class TestConserved:
         lam = report.multiplier
         assert 0.8 * SIGMA / radius <= lam <= 1.25 * SIGMA / radius
 
+    def test_uniform_state_sits_on_bulk_root(self, well):
+        # a uniform seed is already stationary: its multiplier is W'(u)/eps,
+        # and bulk_roots under that forcing must give the seed value back
+        eps = 0.02
+        grid = Grid.interval(0.0, 1.0, 64)
+        for value in (-0.99, 1.01):
+            seed = np.full(grid.shape, value)
+            u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+            assert report.converged and report.iterations == 0
+            assert report.multiplier == pytest.approx(
+                well.derivative(value) / eps, rel=1e-12
+            )
+            minus, plus = bulk_roots(well, eps, report.multiplier)
+            assert (plus if value > 0.0 else minus) == pytest.approx(value, abs=1e-12)
+            assert np.max(np.abs(u - value)) <= 1e-12
+
     def test_deterministic_rerun(self, well, profile_table):
         eps = 0.05
         grid = Grid.interval(0.0, 1.0, 160)
-        seed = seed_from_signed_distance(
-            profile_table, slab_signed_distance(grid, 0.35), eps
-        )
+        seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.35, eps)
         mass = integrate(seed, grid)
         u1, r1 = solve_conserved(well, grid, eps, mass, seed)
         u2, r2 = solve_conserved(well, grid, eps, mass, seed)
