@@ -50,9 +50,9 @@ from gtlab.interface import (
     zero_crossings_1d,
 )
 from gtlab.measure import (
-    DiffuseMeasure,
     bulk_deviation,
     distance_to_points,
+    energy_density,
     multiplicity_estimate,
 )
 from gtlab.potential import (
@@ -78,7 +78,6 @@ __all__ = [
     "Contour",
     "CutoffSchedule",
     "DefectCertificate",
-    "DiffuseMeasure",
     "DoubleWell",
     "EpsRow",
     "GraphPatch",
@@ -98,6 +97,7 @@ __all__ = [
     "curvature_balance",
     "disk_signed_distance",
     "distance_to_points",
+    "energy_density",
     "extract_contours",
     "far_field_values",
     "first_order_correction",

@@ -395,7 +395,6 @@ class SubsolutionField:
     force: float
     plateau_minus: float
     plateau_plus: float
-    schedule: CutoffSchedule
 
 
 class DefectCertificate(NamedTuple):
@@ -457,34 +456,35 @@ def build_subsolution(
         force=float(force),
         plateau_minus=plateau_minus,
         plateau_plus=plateau_plus,
-        schedule=schedule,
     )
 
 
-def verify_subsolution(
-    sub: SubsolutionField,
-    force: float,
-    wall_layers: int = 2,
-    slack: float | None = None,
-) -> DefectCertificate:
-    """Check the defect of a comparison field against the forcing scale.
+# Cell layers next to each wall left out of the defect verdict.
+_WALL_LAYERS = 2
 
-    The verdict compares the largest defect over interior cells (walls
-    excluded: the zero-flux stencil is wrong where the field still varies)
-    with (7/9) * force plus a slack, defaulting to 0.05 * force, that
-    absorbs the grid Laplacian truncation error.  Positive forcing is
-    required; the one-sided construction has no content otherwise.
+
+def verify_subsolution(
+    sub: SubsolutionField, slack: float | None = None
+) -> DefectCertificate:
+    """Check the defect of a comparison field against its forcing scale.
+
+    The verdict compares the largest defect over interior cells (two layers
+    at each wall excluded: the zero-flux stencil is wrong where the field
+    still varies) with (7/9) * sub.force plus a slack, defaulting to
+    0.05 * force, that absorbs the grid Laplacian truncation error.
+    Positive forcing is required; the one-sided construction has no
+    content otherwise.
     """
+    force = sub.force
     if not (force > 0.0):
         raise ValueError("the defect bound applies to positive forcing only")
     if slack is None:
         slack = 0.05 * force
     vals = sub.defect.values
-    k = int(wall_layers)
-    if k > 0:
-        if any(n <= 2 * k for n in vals.shape):
-            raise ValueError("grid too small for the requested wall exclusion")
-        vals = vals[tuple(slice(k, -k) for _ in range(vals.ndim))]
+    k = _WALL_LAYERS
+    if any(n <= 2 * k for n in vals.shape):
+        raise ValueError("grid too small for the wall exclusion")
+    vals = vals[tuple(slice(k, -k) for _ in range(vals.ndim))]
     max_defect = float(np.max(vals))
     bound = (7.0 / 9.0) * force
     return DefectCertificate(max_defect, bound, max_defect <= bound + slack)

@@ -36,7 +36,7 @@ from .interface import (
     write_contour_csv,
     zero_crossings_1d,
 )
-from .measure import DiffuseMeasure, bulk_deviation, multiplicity_estimate
+from .measure import bulk_deviation, multiplicity_estimate
 from .potential import (
     DoubleWell,
     bulk_roots,
@@ -427,9 +427,8 @@ def _solve_disk(config, well, table, eps, k, out, index, coupling):
     return grid, u, report, float(report.multiplier), contour, kappa
 
 
-def _constant_balance(config, table, contour, kappa, lam, out, index):
-    """sigma * kappa = lam along the contour; writes the interface CSV."""
-    target = np.full(len(contour.points), lam)
+def _balance(config, table, contour, kappa, target, out, index):
+    """sigma * kappa = target at each vertex; writes the interface CSV."""
     if out is not None:
         write_contour_csv(
             out / f"{config.kind}-interface-{index:02d}.csv",
@@ -447,7 +446,7 @@ def _study_ch_disk(config, tol, well, table, eps, k, out, index):
     )
     r_eps = _shoelace_radius(contour.points)
     ratio = lam * r_eps / table.sigma
-    balance = _constant_balance(config, table, contour, kappa, lam, out, index)
+    balance = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
     metrics = {
         "lambda": lam,
         "r_eps": r_eps,
@@ -461,12 +460,29 @@ def _study_ch_disk(config, tol, well, table, eps, k, out, index):
     return metrics, checks
 
 
-def _study_ch_planar(config, tol, well, table, eps, k, out, index):
+def _solve_line(config, well, eps, k, out, index, seed, coupling):
+    """Solve the 1D seed(x), find its crossings, save the snapshot and the
+    crossings CSV; a state without crossings raises before any write.
+
+    Returns (grid, u, report, crossings).
+    """
     grid = _unit_interval(eps, k)
-    x = grid.axis(0)
-    seed = table.phi0_at((x - config.center[0]) / eps)
-    mass = integrate(seed, grid) if config.mass is None else config.mass
-    u, rep = solve_conserved(well, grid, eps, mass, seed)
+    values = seed(grid.axis(0))
+    mass = integrate(values, grid) if config.mass is None else config.mass
+    u, report = solve_conserved(well, grid, eps, mass, values, long_range=coupling)
+    crossings = zero_crossings_1d(u, grid)
+    if crossings.size == 0:
+        raise RuntimeError(f"{config.kind.partition('-')[2]} state lost its interfaces")
+    _save_field(out, f"{config.kind}-field-{index:02d}.npz", grid, u)
+    _write_crossings(out, f"{config.kind}-crossings-{index:02d}.csv", crossings)
+    return grid, u, report, crossings
+
+
+def _study_ch_planar(config, tol, well, table, eps, k, out, index):
+    def seed(x):
+        return table.phi0_at((x - config.center[0]) / eps)
+
+    grid, _, rep, _ = _solve_line(config, well, eps, k, out, index, seed, 0.0)
     energy_error = abs(rep.energy - 2.0 * table.sigma)
     metrics = {
         "lambda": float(rep.multiplier),
@@ -478,10 +494,6 @@ def _study_ch_planar(config, tol, well, table, eps, k, out, index):
         "solver_converged": rep.converged,
         "energy_within": energy_error <= tol["energy"],
     }
-    _save_field(out, f"ch-planar-field-{index:02d}.npz", grid, u)
-    _write_crossings(
-        out, f"ch-planar-crossings-{index:02d}.csv", zero_crossings_1d(u, grid)
-    )
     return metrics, checks
 
 
@@ -490,48 +502,35 @@ def _study_ok_disk(config, tol, well, table, eps, k, out, index):
         config, well, table, eps, k, out, index, config.coupling
     )
     w = long_range_potential(u, grid, config.coupling)
-    w_at = sample(w, grid, contour.points)
-    good = ~np.isnan(kappa)
-    residual = table.sigma * kappa[good] + w_at[good] - lam
-    scale = float(np.max(np.abs(lam - w_at[good])))
-    sup = float(np.max(np.abs(residual)))
+    target = lam - sample(w, grid, contour.points)
+    balance = _balance(config, table, contour, kappa, target, out, index)
+    scale = float(np.max(np.abs(target[~np.isnan(kappa)])))
     metrics = {
         "lambda": lam,
-        "ok_sup": sup,
+        "ok_sup": balance.sup,
         "ok_scale": scale,
         "h": grid.spacing,
     }
     checks = {
         "solver_converged": rep.converged,
-        "balance_within": sup <= tol["balance"] * scale,
+        "balance_within": balance.sup <= tol["balance"] * scale,
     }
-    if out is not None:
-        write_contour_csv(
-            out / f"ok-disk-interface-{index:02d}.csv",
-            contour,
-            kappa,
-            lam - w_at,
-            table.sigma,
-        )
     return metrics, checks
 
 
 def _study_ok_lamellar(config, tol, well, table, eps, k, out, index):
-    grid = _unit_interval(eps, k)
-    x = grid.axis(0)
     left = config.center[0] - config.radius
     right = config.center[0] + config.radius
-    seed = table.phi0_at((x - left) / eps) - table.phi0_at((x - right) / eps) - 1.0
-    mass = integrate(seed, grid) if config.mass is None else config.mass
-    u, rep = solve_conserved(
-        well, grid, eps, mass, seed, long_range=config.coupling
+
+    def seed(x):
+        return table.phi0_at((x - left) / eps) - table.phi0_at((x - right) / eps) - 1.0
+
+    grid, u, rep, crossings = _solve_line(
+        config, well, eps, k, out, index, seed, config.coupling
     )
     lam = float(rep.multiplier)
     w = long_range_potential(u, grid, config.coupling)
-    crossings = zero_crossings_1d(u, grid)
-    if crossings.size == 0:
-        raise RuntimeError("lamellar state lost its interfaces")
-    flat_sup = float(np.max(np.abs(lam - np.interp(crossings, x, w))))
+    flat_sup = float(np.max(np.abs(lam - np.interp(crossings, grid.axis(0), w))))
     metrics = {
         "lambda": lam,
         "flat_sup": flat_sup,
@@ -542,8 +541,6 @@ def _study_ok_lamellar(config, tol, well, table, eps, k, out, index):
         "solver_converged": rep.converged,
         "flat_within": flat_sup <= tol["flat"],
     }
-    _save_field(out, f"ok-lamellar-field-{index:02d}.npz", grid, u)
-    _write_crossings(out, f"ok-lamellar-crossings-{index:02d}.csv", crossings)
     return metrics, checks
 
 
@@ -551,7 +548,7 @@ def _study_gt_check(config, tol, well, table, eps, k, out, index):
     grid, u, rep, lam, contour, kappa = _solve_disk(
         config, well, table, eps, k, out, index, 0.0
     )
-    balance = _constant_balance(config, table, contour, kappa, lam, out, index)
+    balance = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
     # bulk plateaus continue the wells under the constant forcing lam:
     # roots of W'(r) = eps * lam
     lam_minus, lam_plus = bulk_roots(well, eps, lam)
@@ -593,7 +590,7 @@ def _study_subsolution(config, tol, well, table, eps, k, out, index):
         (-x_half, -m_lo * h), (x_half, m_hi * h), (2 * half_cells, m_lo + m_hi)
     )
     sub = build_subsolution(patch, schedule, table, force, grid, well)
-    cert = verify_subsolution(sub, force, slack=tol["slack"] * force)
+    cert = verify_subsolution(sub, slack=tol["slack"] * force)
     metrics = {
         "max_defect": cert.max_defect,
         "bound": cert.bound,
@@ -623,9 +620,7 @@ def _study_multiplicity(config, tol, well, table, eps, k, out, index):
             u += (-1.0) ** i * table.phi0_at((x - center - off) / eps)
         if layers % 2 == 0:
             u -= 1.0
-        est = multiplicity_estimate(
-            DiffuseMeasure(grid, well, eps, u), table.sigma, center, 8.0 * eps
-        )
+        est = multiplicity_estimate(u, grid, well, eps, table.sigma, center, 8.0 * eps)
         metrics[f"est_{layers}"] = est
         exact = exact and round(est) == layers
         within = within and abs(est - layers) <= tol["estimate"]
@@ -815,6 +810,14 @@ _COMMAND_KINDS = {
 }
 
 
+def _parse_list(flag: str, text: str, convert, what: str) -> list:
+    """Comma-separated values of a CLI flag; a bad entry names the flag."""
+    try:
+        return [convert(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes {what}, got {text!r}") from None
+
+
 def _parse_geometry(command: str, text: str) -> tuple[str, dict]:
     name, _, rest = text.partition(":")
     key = (command, name)
@@ -826,10 +829,11 @@ def _parse_geometry(command: str, text: str) -> tuple[str, dict]:
         )
     overrides: dict = {}
     if rest:
-        parts = [float(p) for p in rest.split(",")]
+        parts = _parse_list("--seed-geometry", rest, float, "numbers after NAME:")
         if len(parts) not in (1, 3):
             raise ValueError(
-                "seed geometry takes NAME, NAME:RADIUS, or NAME:RADIUS,CX,CY"
+                "--seed-geometry takes NAME, NAME:RADIUS, or NAME:RADIUS,CX,CY, "
+                f"got {text!r}"
             )
         overrides["radius"] = parts[0]
         if len(parts) == 3:
@@ -838,11 +842,11 @@ def _parse_geometry(command: str, text: str) -> tuple[str, dict]:
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_parse_list("--eps", text, float, "a comma list of numbers"))
 
 
 def _parse_grid_k(text: str):
-    parts = [int(p) for p in text.split(",")]
+    parts = _parse_list("--grid-k", text, int, "one integer or a comma list of integers")
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 

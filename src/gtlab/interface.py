@@ -1,10 +1,12 @@
-"""Level-set extraction and curvature measurement on cell-center lattices.
+"""Zero-set extraction and curvature measurement on cell-center lattices.
 
 The zero set of a sampled field is traced square by square over the lattice
 of cell centers (16-case lookup, saddles resolved by the cell-average sign),
-chained into polylines through shared edge crossings.  Curvature along a
-polyline comes from an algebraic circle fit over a sliding arclength window;
-its sign follows the field gradient, positive when the enclosed phase is the
+chained into polylines through shared edge crossings; in 1D it is the list
+of interpolated sign changes.  Curvature along a polyline comes from an
+algebraic circle fit over a sliding arclength window, which wraps around
+closed loops and is left out (NaN) where an open end clips it; its sign
+follows the field gradient, positive when the enclosed phase is the
 positive one.  Those two ingredients feed the pointwise curvature-balance
 residual sigma*kappa - f and its arclength-weighted norms.
 """
@@ -21,7 +23,7 @@ from .field import Grid, sample
 # undirected segment table: case -> pairs of square edges joined by the
 # contour.  Edges of the square at (i, j): S/N horizontal below/above,
 # W/E vertical left/right.  Corner bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1),
-# 8=(i,j+1), set when the corner value exceeds the level.
+# 8=(i,j+1), set when the corner value is positive.
 _SEGMENTS = {
     0: [],
     1: [("W", "S")],
@@ -56,8 +58,8 @@ def _edge_key(name: str, i: int, j: int):
     return ("v", i + 1, j)
 
 
-def extract_contours(values: np.ndarray, grid: Grid, level: float = 0.0):
-    """Trace the level set into polylines; deterministic ordering.
+def extract_contours(values: np.ndarray, grid: Grid):
+    """Trace the zero set into polylines; deterministic ordering.
 
     Returns a list of Contour objects.  Closed loops do not repeat their
     first vertex.  Vertices are linear interpolations along lattice edges,
@@ -69,7 +71,7 @@ def extract_contours(values: np.ndarray, grid: Grid, level: float = 0.0):
     if v.shape != grid.shape:
         raise ValueError("values shape does not match the grid")
     x, y = grid.axes()
-    inside = v > level
+    inside = v > 0.0
 
     # adjacency between edge crossings
     neighbors: dict = {}
@@ -95,7 +97,7 @@ def extract_contours(values: np.ndarray, grid: Grid, level: float = 0.0):
                 )
                 pairs = (
                     [("W", "N"), ("S", "E")]
-                    if center > level
+                    if center > 0.0
                     else [("W", "S"), ("E", "N")]
                 )
             elif case == 10:
@@ -104,7 +106,7 @@ def extract_contours(values: np.ndarray, grid: Grid, level: float = 0.0):
                 )
                 pairs = (
                     [("W", "S"), ("E", "N")]
-                    if center > level
+                    if center > 0.0
                     else [("W", "N"), ("S", "E")]
                 )
             else:
@@ -116,10 +118,10 @@ def extract_contours(values: np.ndarray, grid: Grid, level: float = 0.0):
         kind, i, j = key
         if kind == "h":
             a, b = v[i, j], v[i + 1, j]
-            t = (level - a) / (b - a)
+            t = -a / (b - a)
             return (x[i] + t * grid.spacing, y[j])
         a, b = v[i, j], v[i, j + 1]
-        t = (level - a) / (b - a)
+        t = -a / (b - a)
         return (x[i], y[j] + t * grid.spacing)
 
     visited = set()
@@ -160,15 +162,15 @@ def extract_contours(values: np.ndarray, grid: Grid, level: float = 0.0):
     return out
 
 
-def zero_crossings_1d(values: np.ndarray, grid: Grid, level: float = 0.0):
-    """Linearly interpolated level crossings of a 1D cell-center sample."""
+def zero_crossings_1d(values: np.ndarray, grid: Grid):
+    """Linearly interpolated zero crossings of a 1D cell-center sample."""
     if grid.ndim != 1:
         raise ValueError("needs a 1D grid")
     v = np.asarray(values, dtype=float)
     x = grid.axis(0)
-    sign = v > level
+    sign = v > 0.0
     hits = np.nonzero(sign[1:] != sign[:-1])[0]
-    t = (level - v[hits]) / (v[hits + 1] - v[hits])
+    t = -v[hits] / (v[hits + 1] - v[hits])
     return x[hits] + t * grid.spacing
 
 
@@ -215,42 +217,31 @@ def curvature(
     gx = sample(grad_fields[0], grid, pts)
     gy = sample(grad_fields[1], grid, pts)
     kappa = np.full(m, np.nan)
+    half = window / 2.0
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = cum[-1]
     if contour.closed:
-        cum = np.concatenate([[0.0], np.cumsum(seg)])  # length m+1
-        total = cum[-1]
-        for k in range(m):
-            idx = _loop_window(cum[:-1], total, k, window / 2.0)
-            fit = _fit_circle(pts[idx])
-            if fit is None:
-                kappa[k] = 0.0
-                continue
-            center, radius = fit
-            orient = (center[0] - pts[k, 0]) * gx[k] + (center[1] - pts[k, 1]) * gy[k]
-            kappa[k] = np.copysign(1.0 / radius, orient)
-    else:
-        cum = np.concatenate([[0.0], np.cumsum(seg)])  # length m
-        for k in range(m):
-            lo = cum[k] - window / 2.0
-            hi = cum[k] + window / 2.0
-            if lo < 0.0 or hi > cum[-1]:
+        cum = cum[:-1]  # one arclength per vertex; total closes the loop
+    for k in range(m):
+        if contour.closed:
+            d = np.abs(cum - cum[k])
+            idx = np.nonzero(np.minimum(d, total - d) <= half)[0]
+        else:
+            lo = cum[k] - half
+            hi = cum[k] + half
+            if lo < 0.0 or hi > total:
                 continue  # clipped window: leave NaN
             idx = np.nonzero((cum >= lo) & (cum <= hi))[0]
             if len(idx) < 3:
                 continue
-            fit = _fit_circle(pts[idx])
-            if fit is None:
-                kappa[k] = 0.0
-                continue
-            center, radius = fit
-            orient = (center[0] - pts[k, 0]) * gx[k] + (center[1] - pts[k, 1]) * gy[k]
-            kappa[k] = np.copysign(1.0 / radius, orient)
+        fit = _fit_circle(pts[idx])
+        if fit is None:
+            kappa[k] = 0.0
+            continue
+        center, radius = fit
+        orient = (center[0] - pts[k, 0]) * gx[k] + (center[1] - pts[k, 1]) * gy[k]
+        kappa[k] = np.copysign(1.0 / radius, orient)
     return kappa
-
-
-def _loop_window(cum: np.ndarray, total: float, k: int, half: float) -> np.ndarray:
-    d = np.abs(cum - cum[k])
-    d = np.minimum(d, total - d)
-    return np.nonzero(d <= half)[0]
 
 
 @dataclass

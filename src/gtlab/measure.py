@@ -1,15 +1,13 @@
 """Energy measures of a diffuse field and the statistics built on them.
 
-The energy density eps|grad u|^2/2 + W(u)/eps concentrates on interfaces as
+The energy density W(u)/eps + eps|grad u|^2/2 concentrates on interfaces as
 eps shrinks; its mass per unit interface length approaches 2*sigma times the
-local sheet count.  This module computes the density, ball masses and the
-derived multiplicity ratio, and the far-from-interface deviation of the
-field from its bulk plateaus.
+local sheet count.  This module holds that density (the one the mixing
+energy integrates), the sheet count of a ball derived from its mass, and
+the far-from-interface deviation of the field from its bulk plateaus.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -18,65 +16,49 @@ from .field import Grid, gradient, integrate
 from .potential import DoubleWell
 
 
-@dataclass
-class DiffuseMeasure:
-    """Energy measure of one sampled field at one interface width."""
-
-    grid: Grid
-    well: DoubleWell
-    eps: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError("values shape does not match the grid")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-
-    def _gradient_square(self) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        for g in gradient(self.values, self.grid.spacing):
-            out += g * g
-        return out
-
-    def density(self) -> np.ndarray:
-        return (
-            0.5 * self.eps * self._gradient_square()
-            + self.well.value(self.values) / self.eps
-        )
-
-    def mass_in_ball(self, center, radius: float) -> float:
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if c.size != self.grid.ndim:
-            raise ValueError("center dimension does not match the grid")
-        mesh = self.grid.mesh()
-        sq = np.zeros(self.grid.shape)
-        for j in range(self.grid.ndim):
-            sq = sq + (mesh[j] - c[j]) ** 2
-        mask = sq <= radius**2
-        return integrate(np.where(mask, self.density(), 0.0), self.grid)
-
-    def total_mass(self) -> float:
-        return integrate(self.density(), self.grid)
+def energy_density(
+    values: np.ndarray, grid: Grid, well: DoubleWell, eps: float
+) -> np.ndarray:
+    """Cell-wise W(u)/eps + eps|grad u|^2/2, the integrand of the mixing energy."""
+    density = well.value(values) / eps
+    for g in gradient(values, grid.spacing):
+        density = density + 0.5 * eps * g * g
+    return density
 
 
 def multiplicity_estimate(
-    measure: DiffuseMeasure, sigma: float, center, radius: float
+    values: np.ndarray,
+    grid: Grid,
+    well: DoubleWell,
+    eps: float,
+    sigma: float,
+    center,
+    radius: float,
 ) -> float:
-    """Sheets of interface through a ball: ball mass over 2*sigma times the
-    (n-1)-ball volume omega_{n-1} r^{n-1}.
+    """Sheets of interface through a ball: the energy in the ball over
+    2*sigma times the (n-1)-ball volume omega_{n-1} r^{n-1}.
 
     A single transition crossing the ball diametrically gives 1; k parallel
     sheets give k.  In one dimension omega_0 = 1 (the interface is a point);
     in two omega_1 = 2 (a diameter has length 2r).
     """
-    n = measure.grid.ndim
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError("values shape does not match the grid")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.size != grid.ndim:
+        raise ValueError("center dimension does not match the grid")
+    sq = np.zeros(grid.shape)
+    for m, cj in zip(grid.mesh(), c):
+        sq = sq + (m - cj) ** 2
+    inside = np.where(sq <= radius**2, energy_density(values, grid, well, eps), 0.0)
+    n = grid.ndim
     omega = 1.0 if n == 1 else 2.0
-    denom = 2.0 * sigma * omega * radius ** (n - 1)
-    return measure.mass_in_ball(center, radius) / denom
+    return integrate(inside, grid) / (2.0 * sigma * omega * radius ** (n - 1))
 
 
 def distance_to_points(grid: Grid, points: np.ndarray) -> np.ndarray:

@@ -131,7 +131,6 @@ class ProfileTable:
     phi0: np.ndarray
     phi0_prime: np.ndarray
     phi1: np.ndarray | None = None
-    phi1_prime: np.ndarray | None = None
     phi1_tail_minus: float | None = None
     phi1_tail_plus: float | None = None
     fredholm_ratio: float | None = None
@@ -165,9 +164,6 @@ class ProfileTable:
 
     def phi1_at(self, r):
         return self._eval("phi1", self.phi1, r, self.phi1_tail_minus, self.phi1_tail_plus)
-
-    def phi1_prime_at(self, r):
-        return self._eval("phi1_prime", self.phi1_prime, r, 0.0, 0.0)
 
     def interior_residual(self, well: DoubleWell) -> float:
         """Sup norm of -phi0'' + W'(phi0) over interior nodes, by differences."""
@@ -223,9 +219,7 @@ class ProfileTable:
             fredholm_ratio=header.get("fredholm_ratio"),
         )
         if header["has_phi1"]:
-            phi1 = np.frombuffer(body[n * 8 :], dtype="<f8").astype(float)
-            table.phi1 = phi1
-            table.phi1_prime = _derivative_table(phi1, spacing)
+            table.phi1 = np.frombuffer(body[n * 8 :], dtype="<f8").astype(float)
         return table
 
 
@@ -419,12 +413,10 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     phi1 = phi1 + coeff * kern
 
     table.phi1 = phi1
-    table.phi1_prime = _derivative_table(phi1, h)
     table.phi1_tail_minus = tail_minus
     table.phi1_tail_plus = tail_plus
     table.fredholm_ratio = ratio
     table._splines.pop("phi1", None)
-    table._splines.pop("phi1_prime", None)
     return table
 
 

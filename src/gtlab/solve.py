@@ -22,14 +22,8 @@ import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .field import (
-    Grid,
-    gradient,
-    integrate,
-    laplacian,
-    neumann_symbol,
-    poisson_neumann,
-)
+from .field import Grid, integrate, laplacian, neumann_symbol, poisson_neumann
+from .measure import energy_density
 from .potential import DoubleWell, ProfileTable
 
 # Newton step cap, sup-residual tolerance, backtracking factor, and the
@@ -58,13 +52,10 @@ def mixing_energy(
     long_range: float = 0.0,
 ) -> float:
     """Gradient + well energy, plus the screened long-range term if coupled."""
-    density = well.value(values) / eps
-    for g in gradient(values, grid.spacing):
-        density = density + 0.5 * eps * g * g
-    total = integrate(density, grid)
+    total = integrate(energy_density(values, grid, well, eps), grid)
     if long_range != 0.0:
         dev = values - values.mean()
-        v = poisson_neumann(dev, grid, compat_tol=np.inf)
+        v = long_range_potential(values, grid)
         total += 0.5 * long_range * integrate(v * dev, grid)
     return total
 
@@ -191,15 +182,10 @@ def solve_conserved(
     u0 = np.array(seed, dtype=float)
     u0 += (mass - integrate(u0, grid)) / volume
 
-    # mean subtraction makes these sources compatible by construction; the
-    # ratio check is disabled because Krylov probe vectors can be nearly
-    # constant, leaving a mean-removed part that is pure rounding noise
     def residual(u):
         r = -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
         if long_range != 0.0:
-            r = r + long_range * poisson_neumann(
-                u - u.mean(), grid, compat_tol=np.inf
-            )
+            r = r + long_range_potential(u, grid, long_range)
         return r
 
     def jac(u):
@@ -209,9 +195,7 @@ def solve_conserved(
             x = flat.reshape(grid.shape)
             out = -eps * laplacian(x, grid.spacing) + w2 * x
             if long_range != 0.0:
-                out = out + long_range * poisson_neumann(
-                    x - x.mean(), grid, compat_tol=np.inf
-                )
+                out = out + long_range_potential(x, grid, long_range)
             return out.ravel()
 
         return matvec
@@ -229,5 +213,10 @@ def solve_conserved(
 
 
 def long_range_potential(values: np.ndarray, grid: Grid, coupling: float = 1.0):
-    """The screened potential gamma*v with -lap(v) = u - mean(u)."""
-    return coupling * poisson_neumann(values - values.mean(), grid)
+    """The screened potential gamma*v with -lap(v) = u - mean(u).
+
+    Subtracting the mean makes the source compatible by construction, so
+    the compatibility check is off: Krylov probe vectors can be nearly
+    constant, leaving a mean-removed part that is pure rounding noise.
+    """
+    return coupling * poisson_neumann(values - values.mean(), grid, compat_tol=np.inf)

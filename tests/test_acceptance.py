@@ -19,7 +19,7 @@ from gtlab.comparison import asymptotic_gap, mean_curvature_operator
 from gtlab.field import Grid, gradient, integrate, laplacian, sample
 from gtlab.harness import PROFILE_SPACING, StudyConfig, run_study
 from gtlab.interface import Contour, curvature, curvature_balance, extract_contours, zero_crossings_1d
-from gtlab.measure import DiffuseMeasure, bulk_deviation, multiplicity_estimate
+from gtlab.measure import bulk_deviation, multiplicity_estimate
 from gtlab.potential import (
     DoubleWell,
     bulk_roots,
@@ -161,18 +161,31 @@ class TestCurvatureBalanceLadder:
             assert state.seconds < 120.0
 
 
+def _constant_balance_sup(state, kappa, sigma):
+    target = np.full(len(state.contour.points), state.multiplier)
+    return curvature_balance(state.contour, kappa, target, sigma).sup
+
+
 class TestPointwiseBalance:
     def test_interface_residual_at_finest(self, disk_states, profile_table):
         state = disk_states[-1]
         assert state.eps == 0.02
-        lam = state.multiplier
-        balance = curvature_balance(
-            state.contour,
-            state.kappa,
-            np.full(len(state.contour.points), lam),
-            profile_table.sigma,
+        sup = _constant_balance_sup(state, state.kappa, profile_table.sigma)
+        assert sup <= 0.1 * state.multiplier
+
+    @pytest.mark.parametrize(
+        "kappa_sign, sigma_factor",
+        [(-1.0, 1.0), (1.0, 1.1)],
+        ids=["flipped-curvature", "sigma-times-1.1"],
+    )
+    def test_gate_rejects_mutations(
+        self, disk_states, profile_table, kappa_sign, sigma_factor
+    ):
+        state = disk_states[-1]
+        sup = _constant_balance_sup(
+            state, kappa_sign * state.kappa, sigma_factor * profile_table.sigma
         )
-        assert balance.sup <= 0.1 * lam
+        assert sup > 0.1 * state.multiplier
 
 
 class TestLongRangeBalance:
@@ -198,12 +211,14 @@ class TestLongRangeBalance:
         assert float(np.max(np.abs(residual))) <= 0.1 * scale
 
     def test_lamellar_flat_interfaces(self, well, profile_table):
+        # walls off the mirror-symmetric 0.25/0.75 pair, where lam = v = 0
+        # at the crossings whatever the solver does
         eps = 0.01
         grid = Grid.interval(0.0, 1.0, int(round(8 / eps)))
         x = grid.axis(0)
         seed = (
-            profile_table.phi0_at((x - 0.25) / eps)
-            - profile_table.phi0_at((x - 0.75) / eps)
+            profile_table.phi0_at((x - 0.3) / eps)
+            - profile_table.phi0_at((x - 0.7) / eps)
             - 1.0
         )
         u, report = solve_conserved(
@@ -216,6 +231,8 @@ class TestLongRangeBalance:
         assert crossings.size == 2
         gap = np.abs(lam - np.interp(crossings, x, w))
         assert np.max(gap) <= 0.05
+        assert abs(lam) >= 1e-3
+        assert np.max(gap) <= 0.05 * abs(lam)
 
 
 class TestSubsolutionCertificate:
@@ -260,10 +277,7 @@ class TestMultiplicityCounts:
             if layers % 2 == 0:
                 u -= 1.0
             est = multiplicity_estimate(
-                DiffuseMeasure(grid, well, eps, u),
-                profile_table.sigma,
-                0.5,
-                8.0 * eps,
+                u, grid, well, eps, profile_table.sigma, 0.5, 8.0 * eps
             )
             assert round(est) == layers
 

@@ -1,5 +1,6 @@
 """Study configuration, report determinism, runners, and the CLI."""
 
+import csv
 import json
 
 import numpy as np
@@ -180,6 +181,32 @@ class TestOneDimensionalSolves:
         assert row.metrics["n_crossings"] == 2
         assert row.metrics["flat_sup"] <= 1e-10
 
+    @pytest.mark.parametrize(
+        "kind, name", [("ch-planar", "planar"), ("ok-lamellar", "lamellar")]
+    )
+    def test_lost_interfaces_recorded_before_any_write(self, tmp_path, kind, name):
+        # mass 0.99 leaves room for no minus phase: the state goes uniform
+        out = tmp_path / kind
+        config = StudyConfig(kind=kind, eps=(0.02,), mass=0.99, out_dir=str(out))
+        row = run_study(config).rows[0]
+        assert row.error == f"RuntimeError: {name} state lost its interfaces"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
+
+
+class TestOkDiskStudy:
+    def test_ok_sup_is_the_interface_csv_max(self, tmp_path):
+        out = tmp_path / "ok"
+        config = StudyConfig(
+            kind="ok-disk", eps=(0.04, 0.02), grid_k=4, coupling=2.5, out_dir=str(out)
+        )
+        run_study(config)
+        report = json.loads((out / "report.json").read_text())
+        for index, row in enumerate(report["rows"]):
+            with open(out / f"ok-disk-interface-{index:02d}.csv") as handle:
+                residual = [float(r["residual"]) for r in csv.DictReader(handle)]
+            residual = np.array(residual)
+            assert row["metrics"]["ok_sup"] == np.max(np.abs(residual[~np.isnan(residual)]))
+
 
 class TestFailureRecording:
     def test_bad_force_is_recorded_and_fails(self):
@@ -333,6 +360,15 @@ class TestCommandLine:
         )
         assert main(["study", "--config", str(path)]) == 0
         assert (out / "report.json").is_file()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid-k", "4.5"), ("--eps", "0.1,abc"), ("--seed-geometry", "disk:x")],
+        ids=["grid-k", "eps", "seed-geometry"],
+    )
+    def test_unparsable_flag_named_on_stderr(self, capsys, flag, value):
+        assert main(["solve-ch", flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_bad_geometry_name(self, capsys):
         assert main(["solve-ch", "--seed-geometry", "torus"]) == 2

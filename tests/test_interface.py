@@ -114,7 +114,7 @@ class TestZeroCrossings1d:
 
     def test_level_shift(self):
         grid = Grid.interval(0.0, 1.0, 100)
-        got = zero_crossings_1d(grid.axis(0), grid, level=0.25)
+        got = zero_crossings_1d(grid.axis(0) - 0.25, grid)
         assert abs(got[0] - 0.25) <= 1e-14
 
     def test_validation(self):

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from gtlab.field import Grid
 from gtlab.measure import (
-    DiffuseMeasure,
     bulk_deviation,
     distance_to_points,
+    energy_density,
     multiplicity_estimate,
 )
 from gtlab.potential import DoubleWell
+from gtlab.solve import mixing_energy
 
 SQRT2 = float(np.sqrt(2.0))
 SIGMA = SQRT2 / 3.0
@@ -35,9 +36,9 @@ class TestDensityAndDiscrepancy:
         eps = 0.02
         grid = Grid.interval(0.0, 1.0, 800)
         u = kink(grid.axis(0) - 0.5, eps)
-        m = DiffuseMeasure(grid, well, eps, u)
-        assert m.total_mass() == pytest.approx(TANH_TOTAL_MASS, rel=1e-9)
-        assert np.max(m.density()) == pytest.approx(TANH_MAX_DENSITY, rel=1e-6)
+        assert mixing_energy(u, grid, well, eps) == pytest.approx(TANH_TOTAL_MASS, rel=1e-9)
+        density = energy_density(u, grid, well, eps)
+        assert np.max(density) == pytest.approx(TANH_MAX_DENSITY, rel=1e-6)
 
     def test_total_mass_approaches_twice_sigma(self, well):
         eps = 0.02
@@ -45,21 +46,21 @@ class TestDensityAndDiscrepancy:
         for n in (200, 400, 800):
             grid = Grid.interval(0.0, 1.0, n)
             u = kink(grid.axis(0) - 0.5, eps)
-            masses[n] = DiffuseMeasure(grid, well, eps, u).total_mass()
+            masses[n] = mixing_energy(u, grid, well, eps)
         assert abs(masses[800] - 2.0 * SIGMA) < abs(masses[200] - 2.0 * SIGMA)
         assert masses[800] == pytest.approx(2.0 * SIGMA, abs=3e-4)
 
     def test_validation(self, well):
         grid = Grid.interval(0.0, 1.0, 8)
-        with pytest.raises(ValueError):
-            DiffuseMeasure(grid, well, -0.1, np.zeros(8))
-        with pytest.raises(ValueError):
-            DiffuseMeasure(grid, well, 0.1, np.zeros(9))
-        m = DiffuseMeasure(grid, well, 0.1, np.zeros(8))
-        with pytest.raises(ValueError):
-            m.mass_in_ball((0.5,), -1.0)
-        with pytest.raises(ValueError):
-            m.mass_in_ball((0.5, 0.5), 0.1)
+        u = np.zeros(8)
+        with pytest.raises(ValueError, match="eps"):
+            multiplicity_estimate(u, grid, well, -0.1, SIGMA, (0.5,), 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            multiplicity_estimate(np.zeros(9), grid, well, 0.1, SIGMA, (0.5,), 0.1)
+        with pytest.raises(ValueError, match="radius"):
+            multiplicity_estimate(u, grid, well, 0.1, SIGMA, (0.5,), -1.0)
+        with pytest.raises(ValueError, match="center"):
+            multiplicity_estimate(u, grid, well, 0.1, SIGMA, (0.5, 0.5), 0.1)
 
 
 class TestMultiplicity:
@@ -72,15 +73,11 @@ class TestMultiplicity:
             u = np.full(grid.shape, -1.0)
             for i, c in enumerate(centers):
                 u = u + (-1.0) ** i * (kink(x - c, eps) + 1.0)
-            return DiffuseMeasure(grid, well, eps, u)
+            return multiplicity_estimate(u, grid, well, eps, SIGMA, (0.5,), 8 * eps)
 
-        m1 = multiplicity_estimate(train([0.5]), SIGMA, (0.5,), 8 * eps)
-        m2 = multiplicity_estimate(
-            train([0.5 - 2 * eps, 0.5 + 2 * eps]), SIGMA, (0.5,), 8 * eps
-        )
-        m3 = multiplicity_estimate(
-            train([0.5 - 4 * eps, 0.5, 0.5 + 4 * eps]), SIGMA, (0.5,), 8 * eps
-        )
+        m1 = train([0.5])
+        m2 = train([0.5 - 2 * eps, 0.5 + 2 * eps])
+        m3 = train([0.5 - 4 * eps, 0.5, 0.5 + 4 * eps])
         assert m1 == pytest.approx(0.9989614229804336, abs=1e-6)
         # neighbouring kinks at 4*eps spacing depress the plateau between
         # them (the overlap is exponential in the spacing), which costs a
@@ -95,8 +92,8 @@ class TestMultiplicity:
         eps = 0.04
         grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (200, 200))
         x, _ = grid.mesh()
-        m = DiffuseMeasure(grid, well, eps, kink(x - 0.5, eps))
-        est = multiplicity_estimate(m, SIGMA, (0.5, 0.5), 0.2)
+        u = kink(x - 0.5, eps)
+        est = multiplicity_estimate(u, grid, well, eps, SIGMA, (0.5, 0.5), 0.2)
         assert est == pytest.approx(0.9867591512315739, abs=1e-6)
         assert abs(est - 1.0) <= 0.02
 
@@ -106,8 +103,7 @@ class TestMultiplicity:
         x, y = grid.mesh()
         r = np.hypot(x - 0.5, y - 0.5)
         u = -1.0 + (kink(0.34 - r, eps) + 1.0) - (kink(0.26 - r, eps) + 1.0)
-        m = DiffuseMeasure(grid, well, eps, u)
-        est = multiplicity_estimate(m, SIGMA, (0.8, 0.5), 0.24)
+        est = multiplicity_estimate(u, grid, well, eps, SIGMA, (0.8, 0.5), 0.24)
         assert est == pytest.approx(1.975394528456977, abs=1e-6)
         assert round(est) == 2 and abs(est - 2.0) <= 0.1
 
