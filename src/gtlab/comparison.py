@@ -304,28 +304,84 @@ def solve_cmc_graph(
     return GraphPatch.from_heights(center, radius, psi)
 
 
-def signed_distance(patch: GraphPatch, points, smooth: bool = True) -> np.ndarray | float:
-    """Distance to the sampled graph, positive strictly above it.
+# Points projected together by signed_distance: each Newton temporary holds
+# one float per point of a block.
+_BLOCK = 1 << 14
 
-    The base pass computes the exact distance to the polyline through the
-    graph vertices (nearest vertex, then projection onto its adjacent
-    segments); the sign compares the vertical coordinate against the graph
-    height at the same horizontal position, which for a height graph is the
-    exact side test.
 
-    The polyline concentrates all curvature at its vertices, so fields built
-    from its distance carry kinks of the chord-sag size that grid Laplacians
-    amplify by 1/spacing^2.  With ``smooth`` on (the default), the foot point
-    is therefore polished by a few Newton steps onto the cubic interpolant of
-    the samples, restoring two continuous derivatives; cells where the
-    polish leaves the base interval or fails to settle keep the polyline
-    value.
+def signed_distance(patch: GraphPatch, points) -> np.ndarray | float:
+    """Distance to the graph's cubic interpolant, positive strictly above it.
+
+    Main path: Newton's method on the squared distance to the cubic spline
+    through the graph samples, started at the vertical foot t = x clipped to
+    the base interval.  Inside a saturation tube the curvature times the
+    distance stays below one (no focal crossing), so this start needs no
+    nearest-vertex search.  Points run in blocks of ``_BLOCK``, and each one
+    stops once its step falls below 1e-12 * max(1, base length), so its
+    distance depends on that point alone.  The spline, not the polyline,
+    carries the main path: a polyline puts all curvature at its vertices,
+    and grid Laplacians amplify its chord-sag kinks by 1/spacing^2.
+
+    Fallback: a point that does not settle within 8 steps, or whose foot
+    ends on an end of the base, takes the exact distance to the polyline
+    through the samples (nearest vertex, then its two adjacent segments).
+
+    The sign compares the vertical coordinate against the polyline height at
+    the same horizontal position, which for a height graph is the exact side
+    test.
     """
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
+    spline = CubicSpline(patch.positions, patch.heights)
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], _BLOCK):
+        block = pts[start : start + _BLOCK]
+        out[start : start + _BLOCK] = _side(
+            patch, block, _spline_distance(patch, spline, block)
+        )
+    missed = np.isnan(out)
+    if np.any(missed):
+        out[missed] = _polyline_distance(patch, pts[missed])
+    return float(out[0]) if scalar else out
+
+
+def _spline_distance(
+    patch: GraphPatch, spline: CubicSpline, pts: np.ndarray
+) -> np.ndarray:
+    """Unsigned distance to the spline by Newton from the vertical foot;
+    NaN where the foot does not settle or ends on an end of the base."""
+    lo, hi = float(patch.positions[0]), float(patch.positions[-1])
+    x, y = pts[:, 0], pts[:, 1]
+    t = np.clip(x, lo, hi)
+    settled = np.zeros(t.shape, dtype=bool)
+    active = np.arange(t.size)
+    for _ in range(8):
+        ta, xa, ya = t[active], x[active], y[active]
+        e1 = spline(ta, 1)
+        gap = ya - spline(ta)
+        g = -(xa - ta) - gap * e1
+        gp = 1.0 + e1 * e1 - gap * spline(ta, 2)
+        ok = gp > 0.0
+        dt = np.where(ok, -g / np.where(ok, gp, 1.0), 0.0)
+        t[active] = np.clip(ta + dt, lo, hi)
+        done = ok & (np.abs(dt) <= 1e-12 * max(1.0, hi - lo))
+        settled[active[done]] = True
+        # past the focal distance (gp <= 0) the foot no longer moves
+        active = active[ok & ~done]
+        if active.size == 0:
+            break
+    keep = settled & (t > lo) & (t < hi)
+    dist = np.full(t.shape, np.nan)
+    dist[keep] = np.hypot(x[keep] - t[keep], y[keep] - spline(t[keep]))
+    return dist
+
+
+def _polyline_distance(patch: GraphPatch, pts: np.ndarray) -> np.ndarray:
+    """Exact signed distance to the polyline through the graph samples:
+    nearest vertex, then projection onto its two adjacent segments."""
     curve = patch.points()
     last = curve.shape[0] - 2
     _, idx = cKDTree(curve).query(pts)
@@ -341,44 +397,14 @@ def signed_distance(patch: GraphPatch, points, smooth: bool = True) -> np.ndarra
         gap = pts - proj
         dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
         best = np.minimum(best, np.where(valid, dist, np.inf))
-    if smooth:
-        best = _polish_feet(patch, pts, curve[idx, 0], best)
-    height = np.interp(pts[:, 0], curve[:, 0], curve[:, 1])
-    out = np.where(pts[:, 1] >= height, best, -best)
-    return float(out[0]) if scalar else out
+    return _side(patch, pts, best)
 
 
-def _polish_feet(
-    patch: GraphPatch, pts: np.ndarray, t0: np.ndarray, fallback: np.ndarray
-) -> np.ndarray:
-    """Newton projection of each point onto the cubic interpolant of the graph.
-
-    Minimizes the squared distance to (t, spline(t)) starting from the
-    nearest-vertex position.  The iteration is safe while the curvature
-    times the query distance stays below one (no focal crossing), which
-    holds throughout a saturation tube; elsewhere the fallback distance is
-    kept.
-    """
-    spline = CubicSpline(patch.positions, patch.heights)
-    lo, hi = float(patch.positions[0]), float(patch.positions[-1])
-    x, y = pts[:, 0], pts[:, 1]
-    t = t0.copy()
-    settled = np.zeros(t.shape, dtype=bool)
-    for _ in range(8):
-        e = spline(t)
-        e1 = spline(t, 1)
-        gap = y - e
-        g = -(x - t) - gap * e1
-        gp = 1.0 + e1 * e1 - gap * spline(t, 2)
-        ok = gp > 0.0
-        dt = np.where(ok, -g / np.where(ok, gp, 1.0), 0.0)
-        t = np.clip(t + dt, lo, hi)
-        settled = ok & (np.abs(dt) <= 1e-12 * max(1.0, hi - lo))
-        if np.all(settled):
-            break
-    interior = (t > lo) & (t < hi)
-    polished = np.hypot(x - t, y - spline(t))
-    return np.where(settled & interior, polished, fallback)
+def _side(patch: GraphPatch, pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Attach the sign: positive where the point lies on or above the
+    polyline height at its horizontal position."""
+    height = np.interp(pts[:, 0], patch.positions, patch.heights)
+    return np.where(pts[:, 1] >= height, dist, -dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,8 +463,7 @@ def build_subsolution(
             f"{min(top_gap, bottom_gap):.4g} < {2.0 * delta:.4g}"
         )
 
-    xs, ys = grid.mesh()
-    dist = signed_distance(patch, np.column_stack([xs.ravel(), ys.ravel()]))
+    dist = signed_distance(patch, np.column_stack([m.ravel() for m in grid.mesh()]))
     z = schedule.value(dist.reshape(grid.shape)) / eps
     values = table.phi0_at(z)
     if force != 0.0:

@@ -125,6 +125,20 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     return float(np.sum(values)) * grid.cell_volume
 
 
+def squared_distance(grid: Grid, center, radius: float) -> np.ndarray:
+    """Squared distance from every cell center to the center of a ball of
+    positive radius; the radius is checked here, the caller compares."""
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.size != grid.ndim:
+        raise ValueError("center dimension does not match the grid")
+    sq = np.zeros(grid.shape)
+    for m, cj in zip(grid.mesh(), c):
+        sq = sq + (m - cj) ** 2
+    return sq
+
+
 def sample(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
     """Clamped multilinear interpolation at arbitrary points.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .field import Grid, gradient, integrate
+from .field import Grid, gradient, integrate, squared_distance
 from .potential import DoubleWell
 
 
@@ -47,14 +47,7 @@ def multiplicity_estimate(
         raise ValueError("values shape does not match the grid")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    if c.size != grid.ndim:
-        raise ValueError("center dimension does not match the grid")
-    sq = np.zeros(grid.shape)
-    for m, cj in zip(grid.mesh(), c):
-        sq = sq + (m - cj) ** 2
+    sq = squared_distance(grid, center, radius)
     inside = np.where(sq <= radius**2, energy_density(values, grid, well, eps), 0.0)
     n = grid.ndim
     omega = 1.0 if n == 1 else 2.0

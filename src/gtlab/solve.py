@@ -22,7 +22,14 @@ import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .field import Grid, integrate, laplacian, neumann_symbol, poisson_neumann
+from .field import (
+    Grid,
+    integrate,
+    laplacian,
+    neumann_symbol,
+    poisson_neumann,
+    squared_distance,
+)
 from .measure import energy_density
 from .potential import DoubleWell, ProfileTable
 
@@ -62,16 +69,7 @@ def mixing_energy(
 
 def disk_signed_distance(grid: Grid, center, radius: float) -> np.ndarray:
     """Positive inside the disk (or interval in 1D), negative outside."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    mesh = grid.mesh()
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    if c.size != grid.ndim:
-        raise ValueError("center dimension does not match the grid")
-    sq = np.zeros(grid.shape)
-    for j in range(grid.ndim):
-        sq = sq + (mesh[j] - c[j]) ** 2
-    return radius - np.sqrt(sq)
+    return radius - np.sqrt(squared_distance(grid, center, radius))
 
 
 def seed_from_signed_distance(

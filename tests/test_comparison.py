@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtlab.comparison import (
+    _BLOCK,
     CutoffSchedule,
     DefectCertificate,
     GraphPatch,
@@ -18,6 +19,7 @@ from gtlab.comparison import (
     build_subsolution,
     make_schedule,
     mean_curvature_operator,
+    _polyline_distance,
     signed_distance,
     solve_cmc_graph,
     verify_subsolution,
@@ -315,7 +317,7 @@ class TestSignedDistance:
             [rng.uniform(-0.45, 0.45, 300), rng.uniform(-0.3, 0.3, 300)]
         )
         assert np.array_equal(signed_distance(patch, pts), pts[:, 1])
-        assert np.array_equal(signed_distance(patch, pts, smooth=False), pts[:, 1])
+        assert np.array_equal(_polyline_distance(patch, pts), pts[:, 1])
 
     def test_vertices_at_zero(self, profile_table):
         patch = bowl_arc(profile_table.sigma, n_cells=500)
@@ -333,7 +335,7 @@ class TestSignedDistance:
         pts = pts[np.abs(pts[:, 0]) <= 0.55]
         exact = R - np.hypot(pts[:, 0], pts[:, 1] - R)
         smooth = signed_distance(patch, pts)
-        poly = signed_distance(patch, pts, smooth=False)
+        poly = _polyline_distance(patch, pts)
         assert np.max(np.abs(smooth - exact)) <= 2e-9
         assert np.max(np.abs(poly - exact)) <= 3e-9
 
@@ -343,10 +345,69 @@ class TestSignedDistance:
         pts = np.column_stack(
             [rng.uniform(-0.5, 0.5, 2000), rng.uniform(-0.2, 0.6, 2000)]
         )
-        gap = signed_distance(patch, pts) - signed_distance(patch, pts, smooth=False)
+        gap = signed_distance(patch, pts) - _polyline_distance(patch, pts)
         # Hausdorff gap between the polyline and its cubic interpolant:
         # chord sag c (h sqrt(1 + slope^2))^2 / 8, slope up to 1.6 at the ends
         assert np.max(np.abs(gap)) <= 3e-7
+
+    def test_fallback_takes_polyline_value(self, profile_table):
+        patch = bowl_arc(profile_table.sigma, n_cells=500)
+        end = patch.heights[-1]
+        R = 1.5 * profile_table.sigma
+        # vertical feet past the ends of the base, above and below the end
+        # height, whose nearest graph point is the end itself
+        beyond = [
+            [0.65, end + 0.1],
+            [-0.7, end + 0.3],
+            [0.7, end - 0.05],
+            [-0.62, end - 0.01],
+        ]
+        # above the bowl past its focal distance R, where the squared
+        # distance is concave at the vertical foot (gp <= 0)
+        focal = [[0.0, 1.3 * R], [0.1, 1.5 * R], [-0.15, 2.0 * R]]
+        pts = np.array(beyond + focal)
+        d = signed_distance(patch, pts)
+        assert np.array_equal(d, _polyline_distance(patch, pts))
+        assert np.array_equal(np.sign(d), [1, 1, -1, -1, 1, 1, 1])
+
+    def test_points_independent_of_block(self, profile_table):
+        patch = bowl_arc(profile_table.sigma, n_cells=500)
+        rng = np.random.default_rng(11)
+        n = _BLOCK + 1000
+        pts = np.column_stack([rng.uniform(-0.55, 0.55, n), rng.uniform(-0.3, 1.2, n)])
+        d = signed_distance(patch, pts)
+        order = rng.permutation(n)
+        assert np.array_equal(signed_distance(patch, pts[order]), d[order])
+        for i in rng.choice(n, 200, replace=False):
+            assert signed_distance(patch, pts[i]) == d[i]
+
+    def test_default_study_grid_settles_everywhere(self, profile_table):
+        # the grid of the default subsolution-check width (eps 0.02,
+        # grid_k 24, base radius 0.6, 4001 graph samples) built as the
+        # harness builds it, over exact samples of the study's circle: a
+        # cell that fell back to the polyline would sit up to 4.5e-8 off the
+        # circle distance, a spline foot sits 1.5e-14 off it
+        eps, k, rho = 0.02, 24, 0.6
+        R = 1.5 * profile_table.sigma
+        patch = GraphPatch.from_heights(
+            0.0, rho, circle_height(R, np.linspace(-rho, rho, 4001))
+        )
+        delta = make_schedule(eps).saturation
+        h = eps / k
+        half_cells = int(np.ceil(0.6 * rho / h))
+        inside = np.abs(patch.positions) <= half_cells * h
+        psi_max = float(np.max(patch.heights[inside]))
+        m_lo = int(np.ceil(2.2 * delta / h))
+        m_hi = int(np.ceil((psi_max + 2.2 * delta) / h))
+        grid = Grid.rectangle(
+            (-half_cells * h, -m_lo * h),
+            (half_cells * h, m_hi * h),
+            (2 * half_cells, m_lo + m_hi),
+        )
+        xs, ys = grid.mesh()
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        exact = R - np.hypot(pts[:, 0], pts[:, 1] - R)
+        assert np.max(np.abs(signed_distance(patch, pts) - exact)) <= 2e-9
 
     def test_sign_rule(self, profile_table):
         patch = bowl_arc(profile_table.sigma, n_cells=500)

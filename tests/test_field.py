@@ -14,6 +14,7 @@ from gtlab.field import (
     laplacian,
     poisson_neumann,
     sample,
+    squared_distance,
 )
 from gtlab.solve import _SpectralInverse
 
@@ -146,6 +147,25 @@ class TestIntegrate:
     def test_constant(self):
         grid = Grid.interval(-1.0, 3.0, 13)
         assert integrate(np.full(13, 2.5), grid) == pytest.approx(10.0, abs=1e-12)
+
+
+class TestSquaredDistance:
+    def test_axis_sum_bitwise(self):
+        grid = Grid.rectangle((0.0, 0.0), (1.0, 2.0), (8, 16))
+        x, y = grid.mesh()
+        got = squared_distance(grid, (0.3, 1.1), 0.25)
+        assert np.array_equal(got, (x - 0.3) ** 2 + (y - 1.1) ** 2)
+        line = Grid.interval(0.0, 1.0, 8)
+        assert np.array_equal(
+            squared_distance(line, 0.4, 0.1), (line.axis(0) - 0.4) ** 2
+        )
+
+    def test_validation(self):
+        grid = Grid.interval(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            squared_distance(grid, (0.5,), 0.0)
+        with pytest.raises(ValueError, match="center dimension"):
+            squared_distance(grid, (0.5, 0.5), 0.1)
 
 
 class TestSample:
