@@ -12,6 +12,17 @@ are solved in the mean-zero subspace: the multiplier is the mean
 of the unconstrained residual, Newton steps solve the projected system
 P J P du = -P F(u), and updates have zero mean, so the mass fixed by the
 (pre-shifted) seed never drifts.
+
+Constants are the null mode of P J P, so MINRES cannot see (or damp) a
+constant part of its iterate; over a long inner solve rounding builds one
+up, as large as the step itself at eps 0.016.  A full step would then move
+the mass and raise the residual, and the line search would stall.  Each
+Newton step is therefore re-projected onto mean zero before it is applied.
+
+A solve stops for one of three reasons, kept in ``SolveReport.stop_reason``:
+``converged`` (sup residual at most 1e-9), ``line_search_failed`` (no step
+down to 2**-20 decreases the residual; the step is not applied) or
+``max_iterations``.
 """
 
 from __future__ import annotations
@@ -49,6 +60,11 @@ class SolveReport:
     multiplier: float
     energy: float
     mass: float
+    stop_reason: str
+    # MINRES iterations summed over all Newton steps, and the number of
+    # inner solves that ended with info != 0
+    krylov_iterations: int
+    krylov_failures: int
 
 
 def mixing_energy(
@@ -97,15 +113,32 @@ class _SpectralInverse:
 
 
 def _krylov_solve(matvec, rhs, grid, precond, rtol):
+    """MINRES solve; returns (x, info, iterations)."""
     n = rhs.size
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     m_op = LinearOperator((n, n), matvec=precond, dtype=float)
-    x, _ = minres(op, rhs.ravel(), rtol=rtol, maxiter=20 * int(np.sqrt(n)) + 200, M=m_op)
-    return x.reshape(grid.shape)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = minres(
+        op,
+        rhs.ravel(),
+        rtol=rtol,
+        maxiter=20 * int(np.sqrt(n)) + 200,
+        M=m_op,
+        callback=count,
+    )
+    return x.reshape(grid.shape), info, iterations
 
 
 def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps):
-    """Damped-Newton loop; returns (u, lam, iterations, sup, converged).
+    """Damped-Newton loop.
+
+    Returns (u, lam, iterations, sup, converged, stop_reason,
+    krylov_iterations, krylov_failures); iterations counts applied steps.
 
     residual_fn(u) -> array, the residual without the multiplier;
     jacobian_matvec(u) -> callable(flat)->flat.  lam is the mean of
@@ -142,25 +175,37 @@ def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps):
         y = precond_core((x - m).ravel()).reshape(shape)
         return ((y - y.mean()) + m / shift).ravel()
 
+    krylov_iterations = 0
+    krylov_failures = 0
+
+    def stop(iterations, sup, lam, reason):
+        converged = reason == "converged"
+        return u, lam, iterations, sup, converged, reason, krylov_iterations, krylov_failures
+
     for iteration in range(_MAX_STEPS):
         r, lam = split(u)
         sup = float(np.max(np.abs(r)))
         if sup <= _TOLERANCE:
-            return u, lam, iteration, sup, True
+            return stop(iteration, sup, lam, "converged")
         matvec = projected(jacobian_matvec(u))
         # sup > _TOLERANCE here, so this forcing stays above 1e-11
-        du = -_krylov_solve(matvec, r, grid, projected_precond, 0.01 * min(sup, 1.0))
+        x, info, inner = _krylov_solve(
+            matvec, r, grid, projected_precond, 0.01 * min(sup, 1.0)
+        )
+        krylov_iterations += inner
+        krylov_failures += int(info != 0)
+        # MINRES leaves the constant (null) mode of P J P unchecked: drop it
+        du = x.mean() - x
         norm0 = float(np.linalg.norm(r))
         step = 1.0
-        while step >= _MIN_STEP:
-            norm1 = float(np.linalg.norm(split(u + step * du)[0]))
-            if norm1 <= (1.0 - 1e-4 * step) * norm0:
-                break
+        while float(np.linalg.norm(split(u + step * du)[0])) > (1.0 - 1e-4 * step) * norm0:
             step *= _BACKTRACK
+            if step < _MIN_STEP:
+                return stop(iteration, sup, lam, "line_search_failed")
         u = u + step * du
     r, lam = split(u)
     sup = float(np.max(np.abs(r)))
-    return u, lam, _MAX_STEPS, sup, sup <= _TOLERANCE
+    return stop(_MAX_STEPS, sup, lam, "converged" if sup <= _TOLERANCE else "max_iterations")
 
 
 def solve_conserved(
@@ -198,7 +243,9 @@ def solve_conserved(
 
         return matvec
 
-    u, lam, iters, sup, ok = _newton(residual, jac, u0, grid, well, eps)
+    u, lam, iters, sup, ok, reason, inner, failures = _newton(
+        residual, jac, u0, grid, well, eps
+    )
     report = SolveReport(
         converged=ok,
         iterations=iters,
@@ -206,6 +253,9 @@ def solve_conserved(
         multiplier=lam,
         energy=mixing_energy(u, grid, well, eps, long_range=long_range),
         mass=integrate(u, grid),
+        stop_reason=reason,
+        krylov_iterations=inner,
+        krylov_failures=failures,
     )
     return u, report
 

@@ -295,9 +295,13 @@ class TestCommandLine:
             ]
         )
         assert rc == 0
-        report = json.loads((out / "report.json").read_text())
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
         assert report["config"]["kind"] == "ok-lamellar"
         assert report["config"]["radius"] == 0.2
+        # solver diagnostics stay out of the canonical report
+        for key in ("stop_reason", "krylov_iterations", "krylov_failures"):
+            assert key not in text
 
     def test_missing_config_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "never"

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from gtlab.field import Grid, integrate, sample
+from gtlab.field import Grid, integrate, laplacian, sample
 from gtlab.potential import bulk_roots
 from gtlab.solve import (
+    _newton,
     disk_signed_distance,
     long_range_potential,
     mixing_energy,
@@ -14,6 +15,15 @@ from gtlab.solve import (
 )
 
 SIGMA = float(np.sqrt(2.0) / 3.0)
+
+
+def _disk_solve(well, table, eps, n, radius=0.25):
+    grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (n, n))
+    seed = seed_from_signed_distance(
+        table, disk_signed_distance(grid, (0.5, 0.5), radius), eps
+    )
+    mass = integrate(seed, grid)
+    return mass, solve_conserved(well, grid, eps, mass, seed)[1]
 
 
 class TestDistances:
@@ -65,15 +75,10 @@ class TestConserved:
         assert abs(report.energy - 2.0 * SIGMA) <= 1e-3
 
     def test_disk_multiplier_tracks_curvature(self, well, profile_table):
-        eps = 0.08
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (100, 100))  # h = eps/8
         radius = 0.3
-        seed = seed_from_signed_distance(
-            profile_table, disk_signed_distance(grid, (0.5, 0.5), radius), eps
-        )
-        mass = integrate(seed, grid)
-        u, report = solve_conserved(well, grid, eps, mass, seed)
-        assert report.converged
+        mass, report = _disk_solve(well, profile_table, 0.08, 100, radius)  # h = eps/8
+        assert report.converged and report.stop_reason == "converged"
+        assert report.krylov_iterations > 0 and report.krylov_failures == 0
         assert report.residual <= 1e-9
         assert abs(report.mass - mass) <= 1e-10
         lam = report.multiplier
@@ -131,3 +136,82 @@ class TestLongRange:
         base = mixing_energy(u, grid, well, 0.05)
         coupled = mixing_energy(u, grid, well, 0.05, long_range=1.0)
         assert coupled > base
+
+
+class TestMeanZeroSteps:
+    """Regressions for the stall that a constant drift in the MINRES
+    iterate caused: the drift moved the mass, so full Newton steps raised
+    the residual and the line search crawled on for all 60 steps."""
+
+    @pytest.fixture(scope="class")
+    def eps016(self, well, profile_table):
+        return _disk_solve(well, profile_table, 0.016, 250)
+
+    def test_eps016_disk_converges_without_mass_drift(self, eps016):
+        mass, report = eps016
+        assert report.converged and report.stop_reason == "converged"
+        assert report.iterations <= 6
+        assert abs(report.mass - mass) <= 1e-13
+
+    def test_eps016_disk_krylov_work(self, eps016):
+        # 97 MINRES iterations with mean-zero steps; a constant drift
+        # costs 3783 over 60 Newton steps
+        _, report = eps016
+        assert report.krylov_iterations <= 120
+        assert report.krylov_failures == 0
+
+    def test_eps01_disk_converges(self, well, profile_table):
+        _, report = _disk_solve(well, profile_table, 0.01, 400)
+        assert report.converged
+        assert report.iterations <= 10
+
+    def test_default_eps08_disk_keeps_mass(self, well, profile_table):
+        # the solve-ch default: eps 0.08, grid_k 4, radius 0.25
+        mass, report = _disk_solve(well, profile_table, 0.08, 50)
+        assert report.converged
+        assert report.iterations <= 8
+        assert abs(report.mass - mass) <= 1e-14
+
+    def test_strongly_coupled_lamella_converges(self, well, profile_table):
+        eps = 0.01
+        grid = Grid.interval(0.0, 1.0, 800)
+        x = grid.axis(0)
+        seed = (
+            profile_table.phi0_at((x - 0.3) / eps)
+            - profile_table.phi0_at((x - 0.7) / eps)
+            - 1.0
+        )
+        mass = integrate(seed, grid)
+        _, report = solve_conserved(well, grid, eps, mass, seed, long_range=2.5)
+        assert report.converged
+        assert report.residual <= 1e-9
+        assert abs(report.mass - mass) <= 1e-13
+
+
+class TestStopReason:
+    def test_ascent_direction_fails_line_search(self, well, profile_table):
+        # a sign-flipped Jacobian turns every Newton step uphill: the solve
+        # must stop at once and leave u where it was
+        eps = 0.05
+        grid = Grid.interval(0.0, 1.0, 160)
+        seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.4, eps)
+
+        def residual(u):
+            return -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
+
+        def flipped(u):
+            w2 = well.second_derivative(u) / eps
+
+            def matvec(flat):
+                x = flat.reshape(grid.shape)
+                return (eps * laplacian(x, grid.spacing) - w2 * x).ravel()
+
+            return matvec
+
+        u, lam, iterations, sup, converged, reason, inner, failures = _newton(
+            residual, flipped, seed, grid, well, eps
+        )
+        assert reason == "line_search_failed" and not converged
+        assert iterations == 0 and np.array_equal(u, seed)
+        assert sup > 1e-9
+        assert inner > 0
