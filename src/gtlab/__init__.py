@@ -16,7 +16,6 @@ from gtlab.comparison import (
     asymptotic_gap,
     build_subsolution,
     make_schedule,
-    mean_curvature_operator,
     signed_distance,
     solve_cmc_graph,
     verify_subsolution,
@@ -41,7 +40,6 @@ from gtlab.harness import (
     write_report,
 )
 from gtlab.interface import (
-    BalanceReport,
     Contour,
     curvature,
     curvature_balance,
@@ -74,7 +72,6 @@ from gtlab.solve import (
 )
 
 __all__ = [
-    "BalanceReport",
     "Contour",
     "CutoffSchedule",
     "DefectCertificate",
@@ -107,7 +104,6 @@ __all__ = [
     "long_range_potential",
     "main",
     "make_schedule",
-    "mean_curvature_operator",
     "mixing_energy",
     "multiplicity_estimate",
     "optimal_profile",

@@ -158,48 +158,18 @@ def make_schedule(eps: float) -> CutoffSchedule:
     return schedule
 
 
-def mean_curvature_operator(slope, hessian):
-    """Curvature of a height graph from its gradient p and Hessian X:
-
-        (1 + |p|^2)^(-3/2) * ((1 + |p|^2) trace X - p.X.p)
-
-    Scalars are treated as the one-dimensional-base case; batched input is
-    accepted with p of shape (..., k) and X of shape (..., k, k).
-    """
-    p = np.asarray(slope, dtype=float)
-    X = np.asarray(hessian, dtype=float)
-    if p.ndim == 0:
-        p = p.reshape(1)
-        X = X.reshape(X.shape + (1, 1)[X.ndim :]) if X.ndim < 2 else X
-    k = p.shape[-1]
-    if X.shape[-2:] != (k, k):
-        raise ValueError(
-            f"hessian block shape {X.shape[-2:]} does not match slope length {k}"
-        )
-    if not np.allclose(X, np.swapaxes(X, -1, -2), rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(X))))):
-        raise ValueError("hessian must be symmetric")
-    q = 1.0 + np.sum(p * p, axis=-1)
-    tr = np.trace(X, axis1=-2, axis2=-1)
-    pxp = np.einsum("...i,...ij,...j->...", p, X, p)
-    out = (q * tr - pxp) / q**1.5
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True, eq=False)
 class GraphPatch:
     """A height graph sampled over a centered base interval.
 
     ``positions`` are uniform over [center - radius, center + radius] and
-    ``heights`` are the graph values there; ``slope`` and ``second`` hold
-    finite-difference derivative samples.
+    ``heights`` are the graph values there.
     """
 
     center: float
     radius: float
     positions: np.ndarray
     heights: np.ndarray
-    slope: np.ndarray
-    second: np.ndarray
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
@@ -207,7 +177,7 @@ class GraphPatch:
         m = self.positions.size
         if m < 5:
             raise ValueError("need at least 5 graph samples")
-        for name in ("positions", "heights", "slope", "second"):
+        for name in ("positions", "heights"):
             arr = getattr(self, name)
             if arr.shape != (m,):
                 raise ValueError(f"{name} must be a flat array of {m} samples")
@@ -222,10 +192,6 @@ class GraphPatch:
         if abs(self.positions[0] - lo) > 1e-12 or abs(self.positions[-1] - hi) > 1e-12:
             raise ValueError("positions must span the base interval exactly")
 
-    @property
-    def spacing(self) -> float:
-        return float(self.positions[1] - self.positions[0])
-
     def points(self) -> np.ndarray:
         """Graph vertices as an (m, 2) array of (position, height) rows."""
         return np.column_stack([self.positions, self.heights])
@@ -233,15 +199,8 @@ class GraphPatch:
     @classmethod
     def from_heights(cls, center: float, radius: float, heights) -> "GraphPatch":
         heights = np.asarray(heights, dtype=float)
-        m = heights.size
-        positions = center + np.linspace(-radius, radius, m)
-        h = 2.0 * radius / (m - 1)
-        slope = np.gradient(heights, h, edge_order=2)
-        second = np.empty_like(heights)
-        second[1:-1] = (heights[2:] - 2.0 * heights[1:-1] + heights[:-2]) / h**2
-        second[0] = (2.0 * heights[0] - 5.0 * heights[1] + 4.0 * heights[2] - heights[3]) / h**2
-        second[-1] = (2.0 * heights[-1] - 5.0 * heights[-2] + 4.0 * heights[-3] - heights[-4]) / h**2
-        return cls(float(center), float(radius), positions, heights, slope, second)
+        positions = center + np.linspace(-radius, radius, heights.size)
+        return cls(float(center), float(radius), positions, heights)
 
 
 def solve_cmc_graph(

@@ -42,28 +42,24 @@ class Grid:
             raise ValueError("each axis needs at least 2 cells")
 
     @classmethod
-    def interval(cls, lo: float, hi: float, n_cells: int) -> "Grid":
-        if hi <= lo:
-            raise ValueError("interval bounds are out of order")
-        return cls((float(lo),), (hi - lo) / n_cells, (int(n_cells),))
+    def box(cls, lower, upper, n_cells) -> "Grid":
+        """Grid of n_cells[j] cells on [lower[j], upper[j]], one per axis.
 
-    @classmethod
-    def rectangle(
-        cls,
-        lower: tuple[float, float],
-        upper: tuple[float, float],
-        n_cells: tuple[int, int],
-    ) -> "Grid":
-        widths = [upper[k] - lower[k] for k in range(2)]
+        The spacing is taken from axis 0; every other axis must give the
+        same one, so the cells are square (cubic) in any dimension.
+        """
+        if not len(lower) == len(upper) == len(n_cells):
+            raise ValueError("lower, upper and n_cells dimensions disagree")
+        widths = [hi - lo for lo, hi in zip(lower, upper)]
         if any(w <= 0.0 for w in widths):
-            raise ValueError("rectangle bounds are out of order")
-        spacings = [widths[k] / n_cells[k] for k in range(2)]
-        if abs(spacings[0] - spacings[1]) > 1e-12 * spacings[0]:
+            raise ValueError("box bounds are out of order")
+        spacing = widths[0] / n_cells[0]
+        if any(abs(w / n - spacing) > 1e-12 * spacing for w, n in zip(widths, n_cells)):
             raise ValueError("cells must be square; adjust counts or bounds")
         return cls(
-            (float(lower[0]), float(lower[1])),
-            spacings[0],
-            (int(n_cells[0]), int(n_cells[1])),
+            tuple(float(lo) for lo in lower),
+            spacing,
+            tuple(int(n) for n in n_cells),
         )
 
     @property
@@ -238,12 +234,3 @@ class ScalarField:
             spacing=np.asarray(self.grid.spacing),
             values=self.values,
         )
-
-    @classmethod
-    def load(cls, path) -> "ScalarField":
-        with np.load(path) as blob:
-            origin = tuple(float(x) for x in np.atleast_1d(blob["origin"]))
-            spacing = float(blob["spacing"])
-            values = blob["values"]
-        grid = Grid(origin, spacing, values.shape)
-        return cls(grid, values)

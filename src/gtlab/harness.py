@@ -204,8 +204,9 @@ _KEY_TYPES = {
 class StudyConfig:
     """One experiment kind swept over a decreasing list of widths.
 
-    The grid rule is h = eps / grid_k; grid_k may be a single integer or a
-    per-eps tuple.  Geometry means the seed disk (radius, center) for the
+    The grid rule is h = eps / grid_k; grid_k may be given as one integer
+    or a per-eps list, and is stored, like eps, as a tuple with one entry
+    per eps.  Geometry means the seed disk (radius, center) for the
     2D solves, the wall positions center[0] +- radius for the lamellar
     case, and the graph base radius for the subsolution study.  A mass of
     None keeps the mass of the seed.
@@ -242,9 +243,7 @@ class StudyConfig:
             raise ValueError("grid_k list length must match the eps list")
         if any(int(k) != k or k < 4 for k in ks):
             raise ValueError("grid_k entries must be integers >= 4")
-        object.__setattr__(
-            self, "grid_k", int(ks[0]) if np.isscalar(self.grid_k) else tuple(int(k) for k in ks)
-        )
+        object.__setattr__(self, "grid_k", tuple(int(k) for k in ks))
         if not (self.well_scale > 0.0 and np.isfinite(self.well_scale)):
             raise ValueError("well_scale must be positive and finite")
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
@@ -282,8 +281,6 @@ class StudyConfig:
             if not accepts(value):
                 raise ValueError(f"config key {key} must be {what}, got {value!r}")
         kwargs = dict(mapping)
-        if isinstance(kwargs.get("grid_k"), list):
-            kwargs["grid_k"] = tuple(kwargs["grid_k"])
         if isinstance(kwargs.get("eps"), (int, float)):
             kwargs["eps"] = (float(kwargs["eps"]),)
         else:
@@ -292,18 +289,13 @@ class StudyConfig:
             kwargs["center"] = tuple(kwargs["center"])
         return cls(**kwargs)
 
-    def grid_ks(self) -> tuple[int, ...]:
-        if np.isscalar(self.grid_k):
-            return (int(self.grid_k),) * len(self.eps)
-        return tuple(self.grid_k)
-
     def to_mapping(self) -> dict:
         """Canonical mapping for reports; omits the output location so the
         report content does not depend on where it is written."""
         return {
             "kind": self.kind,
             "eps": list(self.eps),
-            "grid_k": list(self.grid_ks()),
+            "grid_k": list(self.grid_k),
             "well_scale": self.well_scale,
             "radius": self.radius,
             "center": list(self.center),
@@ -332,13 +324,9 @@ class StudyReport:
     seconds: tuple[float, ...]
 
 
-def _unit_square(eps: float, k: int) -> Grid:
+def _unit_box(eps: float, k: int, ndim: int) -> Grid:
     n = int(round(k / eps))
-    return Grid.rectangle((0.0, 0.0), (1.0, 1.0), (n, n))
-
-
-def _unit_interval(eps: float, k: int) -> Grid:
-    return Grid.interval(0.0, 1.0, int(round(k / eps)))
+    return Grid.box((0.0,) * ndim, (1.0,) * ndim, (n,) * ndim)
 
 
 def _shoelace_radius(points: np.ndarray) -> float:
@@ -405,7 +393,7 @@ def _study_profile(config, tol, well, table, eps, k, out, index):
         "equipartition_within": equi <= tol["equipartition"],
     }
     if out is not None and index == 0:
-        table.save(out / "profile-table.dat")
+        table.save(out / "profile-table.npz")
     return metrics, checks
 
 
@@ -414,7 +402,7 @@ def _solve_disk(config, well, table, eps, k, out, index, coupling):
 
     Returns (grid, u, report, lam, contour, kappa).
     """
-    grid = _unit_square(eps, k)
+    grid = _unit_box(eps, k, 2)
     dist = disk_signed_distance(grid, config.center, config.radius)
     seed = seed_from_signed_distance(table, dist, eps)
     mass = integrate(seed, grid) if config.mass is None else config.mass
@@ -428,7 +416,8 @@ def _solve_disk(config, well, table, eps, k, out, index, coupling):
 
 
 def _balance(config, table, contour, kappa, target, out, index):
-    """sigma * kappa = target at each vertex; writes the interface CSV."""
+    """Sup residual of sigma * kappa = target over the vertices; writes the
+    interface CSV."""
     if out is not None:
         write_contour_csv(
             out / f"{config.kind}-interface-{index:02d}.csv",
@@ -437,7 +426,7 @@ def _balance(config, table, contour, kappa, target, out, index):
             target,
             table.sigma,
         )
-    return curvature_balance(contour, kappa, target, table.sigma)
+    return curvature_balance(kappa, target, table.sigma)
 
 
 def _study_ch_disk(config, tol, well, table, eps, k, out, index):
@@ -446,13 +435,13 @@ def _study_ch_disk(config, tol, well, table, eps, k, out, index):
     )
     r_eps = _shoelace_radius(contour.points)
     ratio = lam * r_eps / table.sigma
-    balance = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
+    gt_sup = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
     metrics = {
         "lambda": lam,
         "r_eps": r_eps,
         "ratio": ratio,
         "ratio_error": abs(ratio - 1.0),
-        "gt_sup": balance.sup,
+        "gt_sup": gt_sup,
         "energy": rep.energy,
         "h": grid.spacing,
     }
@@ -466,7 +455,7 @@ def _solve_line(config, well, eps, k, out, index, seed, coupling):
 
     Returns (grid, u, report, crossings).
     """
-    grid = _unit_interval(eps, k)
+    grid = _unit_box(eps, k, 1)
     values = seed(grid.axis(0))
     mass = integrate(values, grid) if config.mass is None else config.mass
     u, report = solve_conserved(well, grid, eps, mass, values, long_range=coupling)
@@ -503,17 +492,17 @@ def _study_ok_disk(config, tol, well, table, eps, k, out, index):
     )
     w = long_range_potential(u, grid, config.coupling)
     target = lam - sample(w, grid, contour.points)
-    balance = _balance(config, table, contour, kappa, target, out, index)
+    ok_sup = _balance(config, table, contour, kappa, target, out, index)
     scale = float(np.max(np.abs(target[~np.isnan(kappa)])))
     metrics = {
         "lambda": lam,
-        "ok_sup": balance.sup,
+        "ok_sup": ok_sup,
         "ok_scale": scale,
         "h": grid.spacing,
     }
     checks = {
         "solver_converged": rep.converged,
-        "balance_within": balance.sup <= tol["balance"] * scale,
+        "balance_within": ok_sup <= tol["balance"] * scale,
     }
     return metrics, checks
 
@@ -548,21 +537,21 @@ def _study_gt_check(config, tol, well, table, eps, k, out, index):
     grid, u, rep, lam, contour, kappa = _solve_disk(
         config, well, table, eps, k, out, index, 0.0
     )
-    balance = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
+    gt_sup = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
     # bulk plateaus continue the wells under the constant forcing lam:
     # roots of W'(r) = eps * lam
     lam_minus, lam_plus = bulk_roots(well, eps, lam)
     dev = bulk_deviation(u, grid, contour.points, 10.0 * eps, lam_plus, lam_minus)
     metrics = {
         "lambda": lam,
-        "gt_sup": balance.sup,
+        "gt_sup": gt_sup,
         "bulk_dev": dev,
         "bulk_bound": eps * eps,
         "h": grid.spacing,
     }
     checks = {
         "solver_converged": rep.converged,
-        "balance_within": balance.sup <= tol["balance"] * lam,
+        "balance_within": gt_sup <= tol["balance"] * lam,
         "bulk_within": dev <= eps * eps,
     }
     return metrics, checks
@@ -586,7 +575,7 @@ def _study_subsolution(config, tol, well, table, eps, k, out, index):
     psi_max = float(np.max(patch.heights[inside]))
     m_lo = int(np.ceil(2.2 * delta / h))
     m_hi = int(np.ceil((psi_max + 2.2 * delta) / h))
-    grid = Grid.rectangle(
+    grid = Grid.box(
         (-x_half, -m_lo * h), (x_half, m_hi * h), (2 * half_cells, m_lo + m_hi)
     )
     sub = build_subsolution(patch, schedule, table, force, grid, well)
@@ -606,7 +595,7 @@ def _study_subsolution(config, tol, well, table, eps, k, out, index):
 
 
 def _study_multiplicity(config, tol, well, table, eps, k, out, index):
-    grid = _unit_interval(eps, k)
+    grid = _unit_box(eps, k, 1)
     x = grid.axis(0)
     center = config.center[0]
     metrics: dict = {"h": grid.spacing}
@@ -716,7 +705,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     handler = _HANDLERS[config.kind]
     rows: list[EpsRow] = []
     seconds: list[float] = []
-    for index, (eps, k) in enumerate(zip(config.eps, config.grid_ks())):
+    for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
         start = time.perf_counter()
         try:
             metrics, checks = handler(

@@ -7,8 +7,8 @@ of interpolated sign changes.  Curvature along a polyline comes from an
 algebraic circle fit over a sliding arclength window, which wraps around
 closed loops and is left out (NaN) where an open end clips it; its sign
 follows the field gradient, positive when the enclosed phase is the
-positive one.  Those two ingredients feed the pointwise curvature-balance
-residual sigma*kappa - f and its arclength-weighted norms.
+positive one.  Those two ingredients feed the sup of the pointwise
+curvature-balance residual sigma*kappa - f.
 """
 
 from __future__ import annotations
@@ -244,45 +244,22 @@ def curvature(
     return kappa
 
 
-@dataclass
-class BalanceReport:
-    sup: float
-    weighted_l2: float
-    count: int
-
-
 def curvature_balance(
-    contour: Contour,
     kappa: np.ndarray,
     force: np.ndarray,
     sigma: float,
-) -> BalanceReport:
-    """Residual statistics of sigma*kappa - force along the polyline.
+) -> float:
+    """Sup over the vertices of the residual sigma*kappa - force.
 
     force holds the driving value at each vertex (a constant multiplier, a
     prescribed forcing sampled there, or multiplier minus potential).  NaN
-    curvature entries are excluded; the L2 norm is arclength weighted.
+    curvature entries are excluded.
     """
     res = sigma * np.asarray(kappa, dtype=float) - np.asarray(force, dtype=float)
     good = ~np.isnan(res)
     if not np.any(good):
         raise ValueError("no usable vertices: all curvatures are NaN")
-    seg = _arclengths(contour.points, contour.closed)
-    m = len(contour.points)
-    weights = np.zeros(m)
-    if contour.closed:
-        weights += 0.5 * seg
-        weights += 0.5 * np.roll(seg, 1)
-    else:
-        weights[:-1] += 0.5 * seg
-        weights[1:] += 0.5 * seg
-    w = weights[good]
-    r = res[good]
-    return BalanceReport(
-        sup=float(np.max(np.abs(r))),
-        weighted_l2=float(np.sqrt(np.sum(w * r**2) / np.sum(w))),
-        count=int(np.sum(good)),
-    )
+    return float(np.max(np.abs(res[good])))
 
 
 def write_contour_csv(path, contour: Contour, kappa, force, sigma: float) -> None:

@@ -39,9 +39,13 @@ def multiplicity_estimate(
     2*sigma times the (n-1)-ball volume omega_{n-1} r^{n-1}.
 
     A single transition crossing the ball diametrically gives 1; k parallel
-    sheets give k.  In one dimension omega_0 = 1 (the interface is a point);
-    in two omega_1 = 2 (a diameter has length 2r).
+    sheets give k.  The cross-section volumes are omega_0 = 1 (a point),
+    omega_1 = 2 (a diameter has length 2r) and omega_2 = pi (a central disk).
+    They are tabulated: the Gamma-function formula misses 2 by an ulp.
     """
+    n = grid.ndim
+    if n > 3:
+        raise ValueError("sheet counts are defined on grids of dimension 1 to 3")
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ValueError("values shape does not match the grid")
@@ -49,21 +53,14 @@ def multiplicity_estimate(
         raise ValueError("eps must be positive")
     sq = squared_distance(grid, center, radius)
     inside = np.where(sq <= radius**2, energy_density(values, grid, well, eps), 0.0)
-    n = grid.ndim
-    omega = 1.0 if n == 1 else 2.0
+    omega = (1.0, 2.0, np.pi)[n - 1]
     return integrate(inside, grid) / (2.0 * sigma * omega * radius ** (n - 1))
 
 
 def distance_to_points(grid: Grid, points: np.ndarray) -> np.ndarray:
     """Distance from every cell center to a finite point set (interface
-    vertices); uses a KD-tree in two dimensions."""
+    vertices, shape (m, ndim)) by a KD-tree query."""
     pts = np.asarray(points, dtype=float)
-    if grid.ndim == 1:
-        pts = pts.reshape(-1)
-        if pts.size == 0:
-            raise ValueError("empty interface point set")
-        x = grid.axis(0)
-        return np.min(np.abs(x[:, None] - pts[None, :]), axis=1)
     if pts.ndim != 2 or pts.shape[1] != grid.ndim:
         raise ValueError("points must have shape (m, ndim)")
     if pts.shape[0] == 0:

@@ -14,7 +14,6 @@ Associated objects built here:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,8 @@ SQRT2 = float(np.sqrt(2.0))
 # the local extremum of W' at r = +-1/sqrt(3); see bulk_roots.
 _BRANCH_LIMIT = 2.0 / (3.0 * np.sqrt(3.0))
 
-_HEADER_SENTINEL = b"\n"
+# Midpoint intervals of the surface-tension quadrature.
+_TENSION_INTERVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,16 @@ class DoubleWell:
         return np.tanh(self.scale * r / SQRT2)
 
 
-def surface_tension(well: DoubleWell, n_intervals: int = 1_000_000) -> float:
+def surface_tension(well: DoubleWell) -> float:
     """Integral of sqrt(W/2) over [-1, 1] by composite midpoint quadrature.
 
     For the quartic family the integrand is the polynomial
     scale * (1 - r^2) / (2 sqrt 2), so the closed form is scale * sqrt(2)/3;
     the quadrature keeps this routine honest for the whole family and agrees
-    with the closed form to ~1e-13 at the default resolution.
+    with the closed form to ~1e-13.
     """
-    if n_intervals < 100:
-        raise ValueError("n_intervals too small for the advertised accuracy")
-    h = 2.0 / n_intervals
-    mids = -1.0 + (np.arange(n_intervals) + 0.5) * h
+    h = 2.0 / _TENSION_INTERVALS
+    mids = -1.0 + (np.arange(_TENSION_INTERVALS) + 0.5) * h
     vals = np.sqrt(well.value(mids) / 2.0)
     return float(np.sum(vals) * h)
 
@@ -120,8 +118,8 @@ class ProfileTable:
     """Uniform tabulation of the transition profile on [-half_width, half_width].
 
     Outside the tabulated window the profile is extended by its limits
-    (+-1 for phi0, the stored tail constants for phi1, zero for the
-    derivatives); inside, evaluation uses a cubic spline.
+    (+-1 for phi0, the stored tail constants for phi1); inside, evaluation
+    uses a cubic spline.
     """
 
     half_width: float
@@ -159,9 +157,6 @@ class ProfileTable:
     def phi0_at(self, r):
         return self._eval("phi0", self.phi0, r, -1.0, 1.0)
 
-    def phi0_prime_at(self, r):
-        return self._eval("phi0_prime", self.phi0_prime, r, 0.0, 0.0)
-
     def phi1_at(self, r):
         return self._eval("phi1", self.phi1, r, self.phi1_tail_minus, self.phi1_tail_plus)
 
@@ -172,55 +167,24 @@ class ProfileTable:
         return float(np.max(np.abs(res)))
 
     def save(self, path) -> None:
-        """JSON header line plus little-endian float64 blocks (phi0 then phi1)."""
-        header = {
-            "half_width": self.half_width,
-            "spacing": self.spacing,
-            "sigma": self.sigma,
-            "count": int(self.positions.size),
-            "has_phi1": self.phi1 is not None,
-            "phi1_tail_minus": self.phi1_tail_minus,
-            "phi1_tail_plus": self.phi1_tail_plus,
-            "fredholm_ratio": self.fredholm_ratio,
-        }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8") + _HEADER_SENTINEL
-        blob += np.ascontiguousarray(self.phi0, dtype="<f8").tobytes()
+        """Write the table's constants and phi0 (phi1 and its constants once
+        filled) as .npz arrays, readable with np.load."""
+        phi1 = {}
         if self.phi1 is not None:
-            blob += np.ascontiguousarray(self.phi1, dtype="<f8").tobytes()
-        with open(path, "wb") as fh:
-            fh.write(blob)
-
-    @classmethod
-    def load(cls, path) -> "ProfileTable":
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        cut = raw.index(_HEADER_SENTINEL)
-        header = json.loads(raw[:cut].decode("utf-8"))
-        n = int(header["count"])
-        body = raw[cut + 1 :]
-        expected = n * 8 * (2 if header["has_phi1"] else 1)
-        if len(body) != expected:
-            raise ValueError(
-                f"profile payload has {len(body)} bytes, expected {expected}"
-            )
-        phi0 = np.frombuffer(body[: n * 8], dtype="<f8").astype(float)
-        half_width = float(header["half_width"])
-        spacing = float(header["spacing"])
-        positions = (np.arange(n) - (n - 1) // 2) * spacing
-        table = cls(
-            half_width=half_width,
-            spacing=spacing,
-            sigma=float(header["sigma"]),
-            positions=positions,
-            phi0=phi0,
-            phi0_prime=_derivative_table(phi0, spacing),
-            phi1_tail_minus=header.get("phi1_tail_minus"),
-            phi1_tail_plus=header.get("phi1_tail_plus"),
-            fredholm_ratio=header.get("fredholm_ratio"),
+            phi1 = {
+                "phi1": self.phi1,
+                "phi1_tail_minus": self.phi1_tail_minus,
+                "phi1_tail_plus": self.phi1_tail_plus,
+                "fredholm_ratio": self.fredholm_ratio,
+            }
+        np.savez(
+            path,
+            half_width=self.half_width,
+            spacing=self.spacing,
+            sigma=self.sigma,
+            phi0=self.phi0,
+            **phi1,
         )
-        if header["has_phi1"]:
-            table.phi1 = np.frombuffer(body[n * 8 :], dtype="<f8").astype(float)
-        return table
 
 
 def _banded_newton(u, residual, bands, threshold: float, max_iterations: int):

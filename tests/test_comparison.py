@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from gtlab.comparison import (
     _BLOCK,
@@ -18,7 +19,6 @@ from gtlab.comparison import (
     asymptotic_gap,
     build_subsolution,
     make_schedule,
-    mean_curvature_operator,
     _polyline_distance,
     signed_distance,
     solve_cmc_graph,
@@ -160,84 +160,14 @@ class TestCutoffSchedule:
         assert s.slope(0.0) == 1.0
 
 
-class TestMeanCurvatureOperator:
-    def test_zero_slope_gives_trace(self):
-        rng = np.random.default_rng(3)
-        raw = rng.standard_normal((3, 3))
-        sym = 0.5 * (raw + raw.T)
-        out = mean_curvature_operator(np.zeros(3), sym)
-        assert out == pytest.approx(np.trace(sym), rel=1e-14)
-
-    def test_unit_slope_spot_value(self):
-        out = mean_curvature_operator(np.array([1.0, 0.0]), np.eye(2))
-        assert out == pytest.approx(3.0 / (2.0 * SQRT2), rel=1e-14)
-        assert out == pytest.approx(1.0606601717798212, rel=1e-14)
-
-    def test_scalar_base_case(self):
-        assert mean_curvature_operator(0.0, 2.0) == pytest.approx(2.0, rel=1e-15)
-        expected = 1.2 / (1.0 + 0.25) ** 1.5
-        assert mean_curvature_operator(0.5, 1.2) == pytest.approx(expected, rel=1e-14)
-
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(11)
-        p = rng.standard_normal((5, 7, 2))
-        raw = rng.standard_normal((5, 7, 2, 2))
-        X = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-        out = mean_curvature_operator(p, X)
-        assert out.shape == (5, 7)
-        for i in range(5):
-            for j in range(7):
-                single = mean_curvature_operator(p[i, j], X[i, j])
-                assert out[i, j] == pytest.approx(single, rel=1e-13)
-
-    def test_spherical_cap_is_constant(self):
-        # graph of a spherical cap: the exact slope/Hessian give curvature
-        # 2/R at every point, and the flux form div(p / sqrt(1 + |p|^2))
-        # reduces to div((x, y)/R), which centered differences reproduce
-        # exactly on a grid
-        R = 2.0
-        grid = Grid.rectangle((-0.5, -0.5), (0.5, 0.5), (64, 64))
-        xs, ys = grid.mesh()
-        s = np.sqrt(R * R - xs**2 - ys**2)
-        p = np.stack([xs / s, ys / s], axis=-1)
-        X = np.empty(p.shape + (2,))
-        X[..., 0, 0] = 1.0 / s + xs**2 / s**3
-        X[..., 1, 1] = 1.0 / s + ys**2 / s**3
-        X[..., 0, 1] = X[..., 1, 0] = xs * ys / s**3
-        out = mean_curvature_operator(p, X)
-        assert np.max(np.abs(out - 2.0 / R)) <= 1e-12
-        h = grid.spacing
-        flux_x, flux_y = xs / R, ys / R
-        div = np.zeros_like(xs)
-        div[1:-1, :] += (flux_x[2:, :] - flux_x[:-2, :]) / (2.0 * h)
-        div[:, 1:-1] += (flux_y[:, 2:] - flux_y[:, :-2]) / (2.0 * h)
-        assert np.max(np.abs(div[1:-1, 1:-1] - 2.0 / R)) <= 1e-12
-
-    def test_symmetry_required(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            mean_curvature_operator(np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            mean_curvature_operator(np.zeros(2), np.eye(3))
-
-    @given(st.floats(min_value=-4.0, max_value=4.0))
-    @settings(max_examples=40)
-    def test_homogeneous_in_hessian(self, a):
-        p = np.array([0.3, -0.7])
-        X = np.array([[1.1, 0.4], [0.4, -0.6]])
-        left = mean_curvature_operator(p, a * X)
-        right = a * mean_curvature_operator(p, X)
-        assert left == pytest.approx(right, abs=1e-12 * (1.0 + abs(a)))
-
-
 class TestGraphPatch:
     def test_from_heights_quadratic(self):
         t = np.linspace(-0.5, 0.5, 101) + 0.2
-        patch = GraphPatch.from_heights(0.2, 0.5, 0.3 + 0.1 * t + 3.0 * t * t)
-        assert patch.spacing == pytest.approx(0.01, rel=1e-12)
-        assert np.max(np.abs(patch.slope - (0.1 + 6.0 * t))) <= 1e-8
-        assert np.max(np.abs(patch.second - 6.0)) <= 1e-7
+        heights = 0.3 + 0.1 * t + 3.0 * t * t
+        patch = GraphPatch.from_heights(0.2, 0.5, heights)
+        assert np.max(np.abs(patch.positions - t)) <= 1e-15
+        assert np.max(np.abs(np.diff(patch.positions) - 0.01)) <= 1e-14
+        assert np.array_equal(patch.heights, heights)
         pts = patch.points()
         assert pts.shape == (101, 2)
         assert np.array_equal(pts[:, 0], patch.positions)
@@ -253,14 +183,14 @@ class TestGraphPatch:
         good = np.linspace(-1.0, 1.0, 9)
         zeros = np.zeros(9)
         with pytest.raises(ValueError, match="increasing"):
-            GraphPatch(0.0, 1.0, good[::-1], zeros, zeros, zeros)
+            GraphPatch(0.0, 1.0, good[::-1], zeros)
         warped = np.sign(good) * np.abs(good) ** 1.5
         with pytest.raises(ValueError, match="uniform"):
-            GraphPatch(0.0, 1.0, warped, zeros, zeros, zeros)
+            GraphPatch(0.0, 1.0, warped, zeros)
         with pytest.raises(ValueError, match="span the base"):
-            GraphPatch(0.0, 1.0, good + 0.1, zeros, zeros, zeros)
+            GraphPatch(0.0, 1.0, good + 0.1, zeros)
         with pytest.raises(ValueError, match="flat array"):
-            GraphPatch(0.0, 1.0, good, zeros[:5], zeros, zeros)
+            GraphPatch(0.0, 1.0, good, zeros[:5])
 
 
 class TestSolveCmcGraph:
@@ -273,28 +203,25 @@ class TestSolveCmcGraph:
         assert patch.heights[-1] == 0.5
 
     def test_circle_arcs(self):
+        # (curvature, base radius, cells, lift of the arc, bound); the last
+        # arc is lifted to equal boundary heights 0.05
         cases = [
-            (0.5, 1.0, 2000, 3e-8),
-            (SQRT2, 0.6, 2000, 1.2e-7),
-            (SQRT2, 0.6, 4000, 3e-8),
+            (0.5, 1.0, 2000, 0.0, 3e-8),
+            (SQRT2, 0.6, 2000, 0.0, 1.2e-7),
+            (SQRT2, 0.6, 4000, 0.0, 3e-8),
+            (SQRT2, 0.6, 2000, 0.05 - circle_height(1.0 / SQRT2, 0.6), 1.2e-7),
         ]
         devs = []
-        for c, rho, n, bound in cases:
+        for c, rho, n, lift, bound in cases:
             R = 1.0 / c
-            patch = solve_cmc_graph(0.0, rho, (circle_height(R, rho),) * 2, c, n_cells=n)
-            dev = np.max(np.abs(patch.heights - circle_height(R, patch.positions)))
+            edge = circle_height(R, rho) + lift
+            patch = solve_cmc_graph(0.0, rho, (edge, edge), c, n_cells=n)
+            arc = circle_height(R, patch.positions) + lift
+            dev = np.max(np.abs(patch.heights - arc))
             assert dev <= bound
             devs.append(dev)
         # halving the cell width quarters the deviation
         assert 3.8 <= devs[1] / devs[2] <= 4.2
-
-    def test_prescribed_curvature_recovered(self):
-        c = SQRT2
-        patch = solve_cmc_graph(0.0, 0.6, (0.05, 0.05), c, n_cells=2000)
-        p = patch.slope[1:-1, None]
-        X = patch.second[1:-1, None, None]
-        out = mean_curvature_operator(p, X)
-        assert np.max(np.abs(out - c)) <= 2e-9
 
     def test_rejects_spanning_limit(self):
         with pytest.raises(ValueError, match="spans the base"):
@@ -399,7 +326,7 @@ class TestSignedDistance:
         psi_max = float(np.max(patch.heights[inside]))
         m_lo = int(np.ceil(2.2 * delta / h))
         m_hi = int(np.ceil((psi_max + 2.2 * delta) / h))
-        grid = Grid.rectangle(
+        grid = Grid.box(
             (-half_cells * h, -m_lo * h),
             (half_cells * h, m_hi * h),
             (2 * half_cells, m_lo + m_hi),
@@ -427,7 +354,7 @@ class TestBuildSubsolution:
         eps = 0.02
         s = make_schedule(eps)
         h = eps / 16.0
-        grid = Grid.rectangle((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
+        grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
         patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(2001))
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         expected = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
@@ -443,7 +370,7 @@ class TestBuildSubsolution:
         eps = 0.01
         s = make_schedule(eps)
         h = eps / 32.0
-        grid = Grid.rectangle((-4 * h, -0.2), (4 * h, 0.2), (8, 1280))
+        grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 1280))
         patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(4001))
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         v1 = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
@@ -454,7 +381,7 @@ class TestBuildSubsolution:
         eps = 0.02
         s = make_schedule(eps)
         h = eps / 16.0
-        grid = Grid.rectangle((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
+        grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
         patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(2001))
         sub = build_subsolution(patch, s, profile_table, 1.0, grid, well)
         y = grid.axis(1)
@@ -471,7 +398,7 @@ class TestBuildSubsolution:
         eps = 0.01
         s = make_schedule(eps)
         h = eps / 128.0
-        grid = Grid.rectangle((-4 * h, -0.2), (4 * h, 0.2), (8, 5120))
+        grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 5120))
         patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(4001))
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         sup = float(np.max(np.abs(sub.defect.values[:, 2:-2])))
@@ -482,14 +409,24 @@ class TestBuildSubsolution:
         patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(101))
         with pytest.raises(ValueError, match="2D"):
             build_subsolution(
-                patch, s, profile_table, 0.0, Grid.interval(0.0, 1.0, 64), well
+                patch, s, profile_table, 0.0, Grid.box((0.0,), (1.0,), (64,)), well
             )
-        wide = Grid.rectangle((-0.8, -0.4), (0.8, 0.4), (64, 32))
+        wide = Grid.box((-0.8, -0.4), (0.8, 0.4), (64, 32))
         with pytest.raises(ValueError, match="span the grid"):
             build_subsolution(patch, s, profile_table, 0.0, wide, well)
-        tight = Grid.rectangle((-0.1, -0.1), (0.1, 0.1), (16, 16))
+        tight = Grid.box((-0.1, -0.1), (0.1, 0.1), (16, 16))
         with pytest.raises(ValueError, match="saturation tube"):
             build_subsolution(patch, s, profile_table, 0.0, tight, well)
+
+
+def phi0_prime_at(table, z):
+    """phi0' by the table's own evaluation rule: its cubic spline inside the
+    tabulated window, the limit 0 outside."""
+    out = np.zeros_like(z)
+    inside = np.abs(z) <= table.half_width
+    spline = CubicSpline(table.positions, table.phi0_prime, extrapolate=False)
+    out[inside] = spline(z[inside])
+    return out
 
 
 class TestFlatDefectClosedForm:
@@ -506,7 +443,7 @@ class TestFlatDefectClosedForm:
             d = (1.0 - s.slope(r) ** 2) * well.derivative(
                 profile_table.phi0_at(z)
             ) / eps
-            d -= s.curve(r) * profile_table.phi0_prime_at(z)
+            d -= s.curve(r) * phi0_prime_at(profile_table, z)
             signed[eps] = float(np.max(d))
             absolute[eps] = float(np.max(np.abs(d)))
         for eps, value in FLAT_SIGNED_MAX.items():
@@ -522,7 +459,7 @@ class TestVerifySubsolution:
         eps = 0.04
         s = make_schedule(eps)
         h = eps / 16.0
-        grid = Grid.rectangle((-0.36, -0.54), (0.36, 0.72), (288, 504))
+        grid = Grid.box((-0.36, -0.54), (0.36, 0.72), (288, 504))
         assert grid.spacing == pytest.approx(h, rel=1e-12)
         arc = bowl_arc(profile_table.sigma)
         sub = build_subsolution(arc, s, profile_table, 1.0, grid, well)
@@ -533,7 +470,7 @@ class TestVerifySubsolution:
         assert cert.passed
 
     def _fake(self, defect, force=1.0):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), defect.shape)
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), defect.shape)
         return SubsolutionField(
             field=ScalarField(grid, np.zeros(defect.shape)),
             defect=ScalarField(grid, defect),

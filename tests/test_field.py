@@ -29,14 +29,14 @@ def values_1d(min_size=4, max_size=40):
 
 class TestGrid:
     def test_interval_centers(self):
-        grid = Grid.interval(-1.0, 1.0, 4)
+        grid = Grid.box((-1.0,), (1.0,), (4,))
         assert grid.spacing == pytest.approx(0.5)
         assert np.allclose(grid.axis(0), [-0.75, -0.25, 0.25, 0.75])
         assert grid.upper() == (1.0,)
         assert grid.cell_volume == pytest.approx(0.5)
 
     def test_rectangle_centers(self):
-        grid = Grid.rectangle((0.0, -1.0), (2.0, 1.0), (4, 4))
+        grid = Grid.box((0.0, -1.0), (2.0, 1.0), (4, 4))
         assert grid.ndim == 2
         assert grid.spacing == pytest.approx(0.5)
         assert grid.cell_volume == pytest.approx(0.25)
@@ -44,12 +44,30 @@ class TestGrid:
         assert x.shape == (4, 4)
         assert x[1, 0] == pytest.approx(0.75)
         assert y[0, 1] == pytest.approx(-0.25)
+        # the spacing is axis 0's width over its cell count, bit for bit
+        h = 0.02 / 24
+        grid = Grid.box((-30 * h, -7 * h), (30 * h, 41 * h), (60, 48))
+        assert grid.spacing == (30 * h - (-30 * h)) / 60
+
+    def test_box_centers_3d(self):
+        grid = Grid.box((0.0, -0.5, 1.0), (1.0, 0.5, 1.5), (8, 8, 4))
+        assert grid.shape == (8, 8, 4)
+        assert grid.spacing == 0.125
+        assert grid.cell_volume == 0.125**3
+        assert grid.upper() == (1.0, 0.5, 1.5)
+        assert np.array_equal(grid.axis(2), 1.0 + (np.arange(4) + 0.5) * 0.125)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Grid.interval(1.0, 0.0, 8)
-        with pytest.raises(ValueError):
-            Grid.rectangle((0.0, 0.0), (1.0, 2.0), (8, 8))  # cells not square
+        with pytest.raises(ValueError, match="out of order"):
+            Grid.box((1.0,), (0.0,), (8,))
+        with pytest.raises(ValueError, match="out of order"):
+            Grid.box((0.0, 0.0, 1.0), (1.0, 1.0, 0.5), (8, 8, 4))
+        with pytest.raises(ValueError, match="square"):
+            Grid.box((0.0, 0.0), (1.0, 2.0), (8, 8))
+        with pytest.raises(ValueError, match="square"):
+            Grid.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (8, 8, 9))
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            Grid.box((0.0, 0.0), (1.0, 1.0), (8,))
         with pytest.raises(ValueError):
             Grid((0.0,), 0.1, (1,))
         with pytest.raises(ValueError):
@@ -111,7 +129,7 @@ class TestLaplacian:
 
 class TestGradient:
     def test_linear_exact_everywhere(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (16, 16))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (16, 16))
         x, y = grid.mesh()
         u = 2.0 + 3.0 * x - 5.0 * y
         gx, gy = gradient(u, grid.spacing)
@@ -119,7 +137,7 @@ class TestGradient:
         assert np.max(np.abs(gy + 5.0)) <= 1e-12
 
     def test_quadratic_interior_exact_ends_first_order(self):
-        grid = Grid.interval(0.0, 2.0, 20)
+        grid = Grid.box((0.0,), (2.0,), (20,))
         x = grid.axis(0)
         h = grid.spacing
         (g,) = gradient(x**2, h)
@@ -138,30 +156,30 @@ class TestGradient:
 
 class TestIntegrate:
     def test_midpoint_exact_for_linear(self):
-        grid = Grid.rectangle((0.0, 0.0), (2.0, 3.0), (10, 15))
+        grid = Grid.box((0.0, 0.0), (2.0, 3.0), (10, 15))
         x, y = grid.mesh()
         got = integrate(1.0 + 2.0 * x + 3.0 * y, grid)
         # exact: 6 + 2*(2)*3 [x-moment 2] + 3*(4.5)*2 [y-moment 4.5]
         assert got == pytest.approx(6.0 + 2.0 * 2.0 * 3.0 + 3.0 * 4.5 * 2.0, abs=1e-12)
 
     def test_constant(self):
-        grid = Grid.interval(-1.0, 3.0, 13)
+        grid = Grid.box((-1.0,), (3.0,), (13,))
         assert integrate(np.full(13, 2.5), grid) == pytest.approx(10.0, abs=1e-12)
 
 
 class TestSquaredDistance:
     def test_axis_sum_bitwise(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 2.0), (8, 16))
+        grid = Grid.box((0.0, 0.0), (1.0, 2.0), (8, 16))
         x, y = grid.mesh()
         got = squared_distance(grid, (0.3, 1.1), 0.25)
         assert np.array_equal(got, (x - 0.3) ** 2 + (y - 1.1) ** 2)
-        line = Grid.interval(0.0, 1.0, 8)
+        line = Grid.box((0.0,), (1.0,), (8,))
         assert np.array_equal(
             squared_distance(line, 0.4, 0.1), (line.axis(0) - 0.4) ** 2
         )
 
     def test_validation(self):
-        grid = Grid.interval(0.0, 1.0, 8)
+        grid = Grid.box((0.0,), (1.0,), (8,))
         with pytest.raises(ValueError, match="radius must be positive"):
             squared_distance(grid, (0.5,), 0.0)
         with pytest.raises(ValueError, match="center dimension"):
@@ -170,7 +188,7 @@ class TestSquaredDistance:
 
 class TestSample:
     def test_bilinear_reproduced(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (9, 9))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (9, 9))
         x, y = grid.mesh()
         u = 2.0 + 3.0 * x + 5.0 * y + 7.0 * x * y
         rng = np.random.default_rng(3)
@@ -180,26 +198,26 @@ class TestSample:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_cell_centers_exact(self):
-        grid = Grid.interval(-2.0, 2.0, 11)
+        grid = Grid.box((-2.0,), (2.0,), (11,))
         u = np.sin(grid.axis(0))
         got = sample(u, grid, grid.axis(0))
         assert np.max(np.abs(got - u)) <= 1e-12
 
     def test_clamped_outside(self):
-        grid = Grid.interval(0.0, 1.0, 8)
+        grid = Grid.box((0.0,), (1.0,), (8,))
         u = np.arange(8.0)
         got = sample(u, grid, np.array([-5.0, 5.0]))
         assert got[0] == 0.0 and got[1] == 7.0
 
     def test_shape_validation(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (4, 4))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (4, 4))
         with pytest.raises(ValueError):
             sample(np.zeros((4, 4)), grid, np.zeros((5, 3)))
 
 
 class TestPoissonNeumann:
     def test_inverts_discrete_operator(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (48, 48))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (48, 48))
         x, y = grid.mesh()
         g = np.sin(3.0 * x) * np.cos(2.0 * y) + 0.2 * x
         g = g - g.mean()
@@ -211,7 +229,7 @@ class TestPoissonNeumann:
     def test_matches_continuum_solution_second_order(self):
         errs = {}
         for n in (32, 64):
-            grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (n, n))
+            grid = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
             x, y = grid.mesh()
             exact = np.cos(np.pi * x) * np.cos(np.pi * y)
             g = 2.0 * np.pi**2 * exact
@@ -223,7 +241,7 @@ class TestPoissonNeumann:
 
     def test_eigenmode_exact(self):
         n, k = 24, 5
-        grid = Grid.interval(0.0, 1.0, n)
+        grid = Grid.box((0.0,), (1.0,), (n,))
         h = grid.spacing
         mode = np.cos(np.pi * k * (np.arange(n) + 0.5) / n)
         lam = (4.0 / h**2) * np.sin(np.pi * k / (2 * n)) ** 2
@@ -231,12 +249,12 @@ class TestPoissonNeumann:
         assert np.max(np.abs(v - mode)) <= 1e-10
 
     def test_incompatible_source_rejected(self):
-        grid = Grid.interval(0.0, 1.0, 16)
+        grid = Grid.box((0.0,), (1.0,), (16,))
         with pytest.raises(ValueError):
             poisson_neumann(np.ones(16), grid)
 
     def test_shape_mismatch_rejected(self):
-        grid = Grid.interval(0.0, 1.0, 16)
+        grid = Grid.box((0.0,), (1.0,), (16,))
         with pytest.raises(ValueError):
             poisson_neumann(np.zeros(17), grid)
 
@@ -246,7 +264,7 @@ class TestSpectralInverse:
     # poisson_neumann; it must invert -eps*lap + shift to rounding
     @pytest.mark.parametrize(
         "grid",
-        [Grid.interval(0.0, 1.0, 37), Grid.rectangle((0.0, 0.0), (1.5, 1.0), (24, 16))],
+        [Grid.box((0.0,), (1.0,), (37,)), Grid.box((0.0, 0.0), (1.5, 1.0), (24, 16))],
         ids=["1d", "2d-non-square"],
     )
     def test_inverts_shifted_operator(self, grid):
@@ -260,16 +278,17 @@ class TestSpectralInverse:
 
 class TestScalarField:
     def test_roundtrip_bitwise(self, tmp_path):
-        grid = Grid.rectangle((-1.0, 2.0), (1.0, 4.0), (8, 8))
+        grid = Grid.box((-1.0, 2.0), (1.0, 4.0), (8, 8))
         rng = np.random.default_rng(11)
         f = ScalarField(grid, rng.standard_normal(grid.shape))
         path = tmp_path / "snap.npz"
         f.save(path)
-        g = ScalarField.load(path)
-        assert g.grid == f.grid
-        assert np.array_equal(g.values, f.values)
+        with np.load(path) as blob:
+            assert blob["origin"].tobytes() == np.asarray(grid.origin).tobytes()
+            assert float(blob["spacing"]) == grid.spacing
+            assert blob["values"].tobytes() == f.values.tobytes()
 
     def test_shape_validation(self):
-        grid = Grid.interval(0.0, 1.0, 8)
+        grid = Grid.box((0.0,), (1.0,), (8,))
         with pytest.raises(ValueError):
             ScalarField(grid, np.zeros(9))

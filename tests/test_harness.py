@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ class TestStudyConfig:
         config = StudyConfig.from_mapping({"kind": "gap", "eps": [0.01, 0.005]})
         assert config.kind == "gap"
         assert config.eps == (0.01, 0.005)
-        assert config.grid_ks() == (8, 8)
+        assert config.grid_k == (8, 8)
         assert config.tolerances == DEFAULT_TOLERANCES["gap"]
 
     def test_round_trip_through_mapping(self):
@@ -73,9 +77,13 @@ class TestStudyConfig:
 
     def test_grid_k_broadcast_and_per_eps(self):
         one = StudyConfig(kind="gap", eps=(0.01, 0.005), grid_k=16)
-        assert one.grid_ks() == (16, 16)
+        assert one.grid_k == (16, 16)
+        assert one.to_mapping()["grid_k"] == [16, 16]
         two = StudyConfig(kind="gap", eps=(0.01, 0.005), grid_k=(8, 16))
-        assert two.grid_ks() == (8, 16)
+        assert two.grid_k == (8, 16)
+        assert two == StudyConfig.from_mapping(
+            {"kind": "gap", "eps": [0.01, 0.005], "grid_k": [8, 16]}
+        )
 
     def test_grid_k_validation(self):
         with pytest.raises(ValueError, match="match the eps list"):
@@ -151,7 +159,8 @@ class TestProfileStudy:
             StudyConfig(kind="profile", eps=(0.02,), out_dir=str(out))
         )
         assert report.passed
-        assert (out / "profile-table.dat").is_file()
+        with np.load(out / "profile-table.npz") as blob:
+            assert blob["phi0"].size == blob["phi1"].size > 0
         assert (out / "report.json").is_file()
 
 
@@ -378,3 +387,50 @@ class TestCommandLine:
         assert main(["solve-ch", "--seed-geometry", "torus"]) == 2
         err = capsys.readouterr().err
         assert "disk" in err and "planar" in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_TRACED_STUDY = """
+import json
+import tracing
+counts = tracing.install().counts
+from gtlab import harness
+traced_solve = harness.solve_conserved
+reports = []
+def solve(*args, **kwargs):
+    u, report = traced_solve(*args, **kwargs)
+    reports.append(report)
+    return u, report
+harness.solve_conserved = solve
+harness.run_study(harness.StudyConfig(kind="ch-planar", eps=(0.04,), grid_k=8))
+(report,) = reports
+print(json.dumps({
+    "newton_steps": counts["newton_steps"],
+    "newton_converged": counts["newton_converged"],
+    "iterations": report.iterations,
+}))
+"""
+
+
+class TestBenchmarkTracer:
+    def test_traced_planar_study_counts_newton_steps(self):
+        # the benchmark's tracer rebinds gtlab names and reads _newton's
+        # result by position; a rename or reorder must fail here
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", _TRACED_STUDY],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        counts = json.loads(run.stdout.splitlines()[-1])
+        assert counts["newton_steps"] > 0
+        assert counts["newton_steps"] == counts["iterations"]
+        assert counts["newton_converged"] == 1

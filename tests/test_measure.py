@@ -34,7 +34,7 @@ def kink(x, eps):
 class TestDensityAndDiscrepancy:
     def test_frozen_kink_statistics(self, well):
         eps = 0.02
-        grid = Grid.interval(0.0, 1.0, 800)
+        grid = Grid.box((0.0,), (1.0,), (800,))
         u = kink(grid.axis(0) - 0.5, eps)
         assert mixing_energy(u, grid, well, eps) == pytest.approx(TANH_TOTAL_MASS, rel=1e-9)
         density = energy_density(u, grid, well, eps)
@@ -44,14 +44,14 @@ class TestDensityAndDiscrepancy:
         eps = 0.02
         masses = {}
         for n in (200, 400, 800):
-            grid = Grid.interval(0.0, 1.0, n)
+            grid = Grid.box((0.0,), (1.0,), (n,))
             u = kink(grid.axis(0) - 0.5, eps)
             masses[n] = mixing_energy(u, grid, well, eps)
         assert abs(masses[800] - 2.0 * SIGMA) < abs(masses[200] - 2.0 * SIGMA)
         assert masses[800] == pytest.approx(2.0 * SIGMA, abs=3e-4)
 
     def test_validation(self, well):
-        grid = Grid.interval(0.0, 1.0, 8)
+        grid = Grid.box((0.0,), (1.0,), (8,))
         u = np.zeros(8)
         with pytest.raises(ValueError, match="eps"):
             multiplicity_estimate(u, grid, well, -0.1, SIGMA, (0.5,), 0.1)
@@ -61,12 +61,15 @@ class TestDensityAndDiscrepancy:
             multiplicity_estimate(u, grid, well, 0.1, SIGMA, (0.5,), -1.0)
         with pytest.raises(ValueError, match="center"):
             multiplicity_estimate(u, grid, well, 0.1, SIGMA, (0.5, 0.5), 0.1)
+        grid4 = Grid.box((0.0,) * 4, (1.0,) * 4, (4,) * 4)
+        with pytest.raises(ValueError, match="dimension 1 to 3"):
+            multiplicity_estimate(np.zeros(grid4.shape), grid4, well, 0.1, SIGMA, (0.5,) * 4, 0.2)
 
 
 class TestMultiplicity:
     def test_kink_train_counts(self, well):
         eps = 0.02
-        grid = Grid.interval(0.0, 1.0, 400)  # h = eps/8
+        grid = Grid.box((0.0,), (1.0,), (400,))  # h = eps/8
         x = grid.axis(0)
 
         def train(centers):
@@ -90,7 +93,7 @@ class TestMultiplicity:
 
     def test_straight_sheet_2d(self, well):
         eps = 0.04
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (200, 200))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (200, 200))
         x, _ = grid.mesh()
         u = kink(x - 0.5, eps)
         est = multiplicity_estimate(u, grid, well, eps, SIGMA, (0.5, 0.5), 0.2)
@@ -99,7 +102,7 @@ class TestMultiplicity:
 
     def test_double_circle_2d(self, well):
         eps = 0.02
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (400, 400))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (400, 400))
         x, y = grid.mesh()
         r = np.hypot(x - 0.5, y - 0.5)
         u = -1.0 + (kink(0.34 - r, eps) + 1.0) - (kink(0.26 - r, eps) + 1.0)
@@ -107,11 +110,22 @@ class TestMultiplicity:
         assert est == pytest.approx(1.975394528456977, abs=1e-6)
         assert round(est) == 2 and abs(est - 2.0) <= 0.1
 
+    def test_straight_sheet_3d(self, well):
+        # the cross-section of a ball through a flat sheet is a disk of
+        # area pi r^2, not a diameter's 2 r
+        eps = 0.04
+        grid = Grid.box((0.0,) * 3, (1.0,) * 3, (100,) * 3)
+        x, _, _ = grid.mesh()
+        u = kink(x - 0.5, eps)
+        est = multiplicity_estimate(u, grid, well, eps, SIGMA, (0.5,) * 3, 8 * eps)
+        assert round(est) == 1
+        assert abs(est - 1.0) <= 0.1
+
 
 class TestDistanceToPoints:
     def test_1d(self):
-        grid = Grid.interval(0.0, 1.0, 10)
-        d = distance_to_points(grid, np.array([0.25, 0.75]))
+        grid = Grid.box((0.0,), (1.0,), (10,))
+        d = distance_to_points(grid, np.array([[0.25], [0.75]]))
         x = grid.axis(0)
         want = np.minimum(np.abs(x - 0.25), np.abs(x - 0.75))
         assert np.allclose(d, want, atol=1e-14)
@@ -121,7 +135,7 @@ class TestDistanceToPoints:
     def test_2d_matches_brute_force(self, m):
         rng = np.random.default_rng(m)
         pts = rng.uniform(0.0, 1.0, size=(m, 2))
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (8, 8))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (8, 8))
         d = distance_to_points(grid, pts)
         xs, ys = grid.mesh()
         centers = np.column_stack([xs.ravel(), ys.ravel()])
@@ -131,14 +145,16 @@ class TestDistanceToPoints:
         assert np.max(np.abs(d - brute)) <= 1e-12
 
     def test_empty_rejected(self):
-        grid = Grid.interval(0.0, 1.0, 8)
-        with pytest.raises(ValueError):
-            distance_to_points(grid, np.array([]))
+        grid = Grid.box((0.0,), (1.0,), (8,))
+        with pytest.raises(ValueError, match="empty"):
+            distance_to_points(grid, np.empty((0, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            distance_to_points(grid, np.array([0.25, 0.75]))
 
 
 class TestBulkDeviation:
     def test_piecewise_plateaus(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (64, 64))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (64, 64))
         x, y = grid.mesh()
         r = np.hypot(x - 0.5, y - 0.5)
         u = np.where(r < 0.3, 1.003, -0.997)
@@ -155,21 +171,21 @@ class TestBulkDeviation:
         assert dev == pytest.approx(1e-3, abs=1e-15)
 
     def test_margin_excludes_interface_band(self):
-        grid = Grid.interval(0.0, 1.0, 100)
+        grid = Grid.box((0.0,), (1.0,), (100,))
         x = grid.axis(0)
         u = np.where(x > 0.5, 1.0, -1.0)
         idx = int(np.argmin(np.abs(x - 0.52)))
         u[idx] = 0.5  # large deviation, but within the margin band
-        dev = bulk_deviation(u, grid, np.array([0.5]), 0.1, 1.0, -1.0)
+        dev = bulk_deviation(u, grid, np.array([[0.5]]), 0.1, 1.0, -1.0)
         assert dev == 0.0
 
     def test_validation(self):
-        grid = Grid.interval(0.0, 1.0, 10)
+        grid = Grid.box((0.0,), (1.0,), (10,))
         u = np.ones(10)
-        pts = np.array([0.5])
-        with pytest.raises(ValueError):
+        pts = np.array([[0.5]])
+        with pytest.raises(ValueError, match="margin must be positive"):
             bulk_deviation(u, grid, pts, -0.1, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            bulk_deviation(u, grid, pts, 10.0, 1.0, -1.0)  # no bulk cells left
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no bulk cells"):
+            bulk_deviation(u, grid, pts, 10.0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="shape"):
             bulk_deviation(np.ones(9), grid, pts, 0.1, 1.0, -1.0)

@@ -18,7 +18,7 @@ SIGMA = float(np.sqrt(2.0) / 3.0)
 
 
 def _disk_solve(well, table, eps, n, radius=0.25):
-    grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (n, n))
+    grid = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
     seed = seed_from_signed_distance(
         table, disk_signed_distance(grid, (0.5, 0.5), radius), eps
     )
@@ -28,21 +28,21 @@ def _disk_solve(well, table, eps, n, radius=0.25):
 
 class TestDistances:
     def test_disk_2d(self):
-        grid = Grid.rectangle((0.0, 0.0), (1.0, 1.0), (8, 8))
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (8, 8))
         d = disk_signed_distance(grid, (0.5, 0.5), 0.25)
         x, y = grid.mesh()
         want = 0.25 - np.hypot(x - 0.5, y - 0.5)
         assert np.allclose(d, want, atol=1e-14)
 
     def test_validation(self):
-        grid = Grid.interval(0.0, 1.0, 8)
+        grid = Grid.box((0.0,), (1.0,), (8,))
         with pytest.raises(ValueError):
             disk_signed_distance(grid, (0.5,), -0.1)
         with pytest.raises(ValueError):
             disk_signed_distance(grid, (0.5, 0.5), 0.1)
 
     def test_seed_composition(self, profile_table):
-        grid = Grid.interval(0.0, 1.0, 64)
+        grid = Grid.box((0.0,), (1.0,), (64,))
         d = grid.axis(0) - 0.5
         u = seed_from_signed_distance(profile_table, d, 0.05)
         assert u.shape == grid.shape
@@ -55,7 +55,7 @@ class TestDistances:
 class TestConserved:
     def test_planar_interface(self, well, profile_table):
         eps = 0.05
-        grid = Grid.interval(0.0, 1.0, 160)  # h = eps/8
+        grid = Grid.box((0.0,), (1.0,), (160,))  # h = eps/8
         # interface seated on a cell center; the frozen energy oracle used
         # that seating (a face-seated kink differs at the 3e-6 level)
         seed = seed_from_signed_distance(
@@ -88,7 +88,7 @@ class TestConserved:
         # a uniform seed is already stationary: its multiplier is W'(u)/eps,
         # and bulk_roots under that forcing must give the seed value back
         eps = 0.02
-        grid = Grid.interval(0.0, 1.0, 64)
+        grid = Grid.box((0.0,), (1.0,), (64,))
         for value in (-0.99, 1.01):
             seed = np.full(grid.shape, value)
             u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
@@ -102,7 +102,7 @@ class TestConserved:
 
     def test_deterministic_rerun(self, well, profile_table):
         eps = 0.05
-        grid = Grid.interval(0.0, 1.0, 160)
+        grid = Grid.box((0.0,), (1.0,), (160,))
         seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.35, eps)
         mass = integrate(seed, grid)
         u1, r1 = solve_conserved(well, grid, eps, mass, seed)
@@ -114,7 +114,7 @@ class TestConserved:
 class TestLongRange:
     def test_flat_lamella_balances_potential(self, well, profile_table):
         eps = 0.02
-        grid = Grid.interval(0.0, 1.0, 200)
+        grid = Grid.box((0.0,), (1.0,), (200,))
         x = grid.axis(0)
         seed = (
             profile_table.phi0_at((x - 0.25) / eps)
@@ -130,7 +130,7 @@ class TestLongRange:
         assert np.max(np.abs(report.multiplier - v_at)) <= 0.1
 
     def test_energy_includes_screened_term(self, well):
-        grid = Grid.interval(0.0, 1.0, 128)
+        grid = Grid.box((0.0,), (1.0,), (128,))
         x = grid.axis(0)
         u = np.tanh((x - 0.5) / 0.05)
         base = mixing_energy(u, grid, well, 0.05)
@@ -174,7 +174,7 @@ class TestMeanZeroSteps:
 
     def test_strongly_coupled_lamella_converges(self, well, profile_table):
         eps = 0.01
-        grid = Grid.interval(0.0, 1.0, 800)
+        grid = Grid.box((0.0,), (1.0,), (800,))
         x = grid.axis(0)
         seed = (
             profile_table.phi0_at((x - 0.3) / eps)
@@ -193,7 +193,7 @@ class TestStopReason:
         # a sign-flipped Jacobian turns every Newton step uphill: the solve
         # must stop at once and leave u where it was
         eps = 0.05
-        grid = Grid.interval(0.0, 1.0, 160)
+        grid = Grid.box((0.0,), (1.0,), (160,))
         seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.4, eps)
 
         def residual(u):
