@@ -203,25 +203,32 @@ class TestSolveCmcGraph:
         assert patch.heights[-1] == 0.5
 
     def test_circle_arcs(self):
-        # (curvature, base radius, cells, lift of the arc, bound); the last
-        # arc is lifted to equal boundary heights 0.05
         cases = [
-            (0.5, 1.0, 2000, 0.0, 3e-8),
-            (SQRT2, 0.6, 2000, 0.0, 1.2e-7),
-            (SQRT2, 0.6, 4000, 0.0, 3e-8),
-            (SQRT2, 0.6, 2000, 0.05 - circle_height(1.0 / SQRT2, 0.6), 1.2e-7),
+            (0.5, 1.0, 2000, 3e-8),
+            (SQRT2, 0.6, 2000, 1.2e-7),
+            (SQRT2, 0.6, 4000, 3e-8),
         ]
         devs = []
-        for c, rho, n, lift, bound in cases:
+        for c, rho, n, bound in cases:
             R = 1.0 / c
-            edge = circle_height(R, rho) + lift
-            patch = solve_cmc_graph(0.0, rho, (edge, edge), c, n_cells=n)
-            arc = circle_height(R, patch.positions) + lift
-            dev = np.max(np.abs(patch.heights - arc))
+            patch = solve_cmc_graph(0.0, rho, (circle_height(R, rho),) * 2, c, n_cells=n)
+            dev = np.max(np.abs(patch.heights - circle_height(R, patch.positions)))
             assert dev <= bound
             devs.append(dev)
         # halving the cell width quarters the deviation
         assert 3.8 <= devs[1] / devs[2] <= 4.2
+
+    def test_prescribed_curvature_recovered(self):
+        c = SQRT2
+        patch = solve_cmc_graph(0.0, 0.6, (0.05, 0.05), c, n_cells=2000)
+        u = patch.heights
+        h = patch.positions[1] - patch.positions[0]
+        # centred differences at the interior vertices, then the graph
+        # curvature u'' / (1 + u'^2)^(3/2)
+        p = (u[2:] - u[:-2]) / (2.0 * h)
+        X = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+        out = X / (1.0 + p * p) ** 1.5
+        assert np.max(np.abs(out - c)) <= 2e-9
 
     def test_rejects_spanning_limit(self):
         with pytest.raises(ValueError, match="spans the base"):
