@@ -1,9 +1,10 @@
 """Zero-set extraction and curvature measurement on cell-center lattices.
 
-The zero set of a sampled field is traced square by square over the lattice
-of cell centers (16-case lookup, saddles resolved by the cell-average sign),
-chained into polylines through shared edge crossings; in 1D it is the list
-of interpolated sign changes.  Curvature along a polyline comes from an
+The zero set of a sampled field is traced over the squares of the lattice
+of cell centers whose corner signs differ (16-case lookup, classified for
+all squares at once; saddles resolved by the cell-average sign), chained
+into polylines through shared edge crossings; in 1D it is the list of
+interpolated sign changes.  Curvature along a polyline comes from an
 algebraic circle fit over a sliding arclength window, which wraps around
 closed loops and is left out (NaN) where an open end clips it; its sign
 follows the field gradient, positive when the enclosed phase is the
@@ -80,39 +81,26 @@ def extract_contours(values: np.ndarray, grid: Grid):
         neighbors.setdefault(a, []).append(b)
         neighbors.setdefault(b, []).append(a)
 
-    nx, ny = v.shape
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            case = (
-                int(inside[i, j])
-                | int(inside[i + 1, j]) << 1
-                | int(inside[i + 1, j + 1]) << 2
-                | int(inside[i, j + 1]) << 3
-            )
-            if case == 0 or case == 15:
-                continue
-            if case == 5:
-                center = 0.25 * (
-                    v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1]
-                )
-                pairs = (
-                    [("W", "N"), ("S", "E")]
-                    if center > 0.0
-                    else [("W", "S"), ("E", "N")]
-                )
-            elif case == 10:
-                center = 0.25 * (
-                    v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1]
-                )
-                pairs = (
-                    [("W", "S"), ("E", "N")]
-                    if center > 0.0
-                    else [("W", "N"), ("S", "E")]
-                )
+    # corner-sign case of every square at once; only the squares the zero
+    # set crosses are traced, in row-major order
+    bits = inside.astype(np.int8)
+    cases = bits[:-1, :-1] | bits[1:, :-1] << 1 | bits[1:, 1:] << 2 | bits[:-1, 1:] << 3
+    rows, cols = np.nonzero((cases != 0) & (cases != 15))
+    for i, j, case in zip(rows.tolist(), cols.tolist(), cases[rows, cols].tolist()):
+        if case == 5 or case == 10:
+            # saddle: the W-N and S-E segments cut off the (i, j+1) and
+            # (i+1, j) corners, the right pairing when those corners are
+            # negative (case 5) and the cell average is positive, or they
+            # are positive (case 10) and the average is not
+            center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1])
+            if (case == 5) == (center > 0.0):
+                pairs = [("W", "N"), ("S", "E")]
             else:
-                pairs = _SEGMENTS[case]
-            for a, b in pairs:
-                connect(_edge_key(a, i, j), _edge_key(b, i, j))
+                pairs = [("W", "S"), ("E", "N")]
+        else:
+            pairs = _SEGMENTS[case]
+        for a, b in pairs:
+            connect(_edge_key(a, i, j), _edge_key(b, i, j))
 
     def position(key):
         kind, i, j = key

@@ -182,8 +182,8 @@ def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps):
         converged = reason == "converged"
         return u, lam, iterations, sup, converged, reason, krylov_iterations, krylov_failures
 
+    r, lam = split(u)
     for iteration in range(_MAX_STEPS):
-        r, lam = split(u)
         sup = float(np.max(np.abs(r)))
         if sup <= _TOLERANCE:
             return stop(iteration, sup, lam, "converged")
@@ -198,12 +198,17 @@ def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps):
         du = x.mean() - x
         norm0 = float(np.linalg.norm(r))
         step = 1.0
-        while float(np.linalg.norm(split(u + step * du)[0])) > (1.0 - 1e-4 * step) * norm0:
+        while True:
+            trial = u + step * du
+            r_trial, lam_trial = split(trial)
+            # a NaN norm fails this comparison, so the step is taken
+            if not float(np.linalg.norm(r_trial)) > (1.0 - 1e-4 * step) * norm0:
+                break
             step *= _BACKTRACK
             if step < _MIN_STEP:
                 return stop(iteration, sup, lam, "line_search_failed")
-        u = u + step * du
-    r, lam = split(u)
+        # the accepted trial's residual is the next iteration's
+        u, r, lam = trial, r_trial, lam_trial
     sup = float(np.max(np.abs(r)))
     return stop(_MAX_STEPS, sup, lam, "converged" if sup <= _TOLERANCE else "max_iterations")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gtlab.field import (
     Grid,
@@ -74,6 +74,19 @@ class TestGrid:
             Grid((0.0,), -0.1, (8,))
 
 
+def padded_flux_laplacian(values, spacing):
+    """Reference flux form: per axis, the face differences padded with zero
+    wall fluxes, differenced again."""
+    out = np.zeros_like(values)
+    for axis in range(values.ndim):
+        flux = np.diff(values, axis=axis)
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (1, 1)
+        flux = np.pad(flux, pad)
+        out += np.diff(flux, axis=axis)
+    return out / spacing**2
+
+
 class TestLaplacian:
     def test_eigenvector_1d(self):
         n, h, k = 17, 0.3, 5
@@ -125,6 +138,28 @@ class TestLaplacian:
         h = 0.125
         assert np.array_equal(laplacian(u[::-1, :], h), laplacian(u, h)[::-1, :])
         assert np.array_equal(laplacian(u[:, ::-1], h), laplacian(u, h)[:, ::-1])
+
+    def test_signed_zeros_bitwise_padded_flux_form(self):
+        # neighbouring 0.0 / -0.0 entries give -0.0 face fluxes
+        u = np.array(
+            [[0.0, -0.0, 0.0, 1.5], [-0.0, -0.0, 0.0, -0.0], [0.0, 2.0, -0.0, 0.0]]
+        )
+        for values in (u, u[0], -u):
+            want = padded_flux_laplacian(values, 0.5)
+            assert laplacian(values, 0.5).tobytes() == want.tobytes()
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=9),
+            elements=finite,
+        )
+    )
+    @settings(max_examples=60)
+    def test_bitwise_padded_flux_form(self, u):
+        # 1D, 2D and 3D boxes of any (non-square) shape
+        h = 0.29
+        assert laplacian(u, h).tobytes() == padded_flux_laplacian(u, h).tobytes()
 
 
 class TestGradient:

@@ -404,11 +404,15 @@ def solve(*args, **kwargs):
     return u, report
 harness.solve_conserved = solve
 harness.run_study(harness.StudyConfig(kind="ch-planar", eps=(0.04,), grid_k=8))
-(report,) = reports
+planar = dict(counts)
+harness.run_study(harness.StudyConfig(kind="ok-disk", eps=(0.08,), grid_k=4))
+ok_disk = {key: counts[key] - planar.get(key, 0.0) for key in counts}
+report = reports[0]
 print(json.dumps({
-    "newton_steps": counts["newton_steps"],
-    "newton_converged": counts["newton_converged"],
+    "newton_steps": planar["newton_steps"],
+    "newton_converged": planar["newton_converged"],
     "iterations": report.iterations,
+    "ok_disk": ok_disk,
 }))
 """
 
@@ -416,7 +420,8 @@ print(json.dumps({
 class TestBenchmarkTracer:
     def test_traced_planar_study_counts_newton_steps(self):
         # the benchmark's tracer rebinds gtlab names and reads _newton's
-        # result by position; a rename or reorder must fail here
+        # result by position; a rename or reorder must fail here, in the 1D
+        # ch-planar study and the 2D ok-disk study
         env = {
             **os.environ,
             "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
@@ -434,3 +439,10 @@ class TestBenchmarkTracer:
         assert counts["newton_steps"] > 0
         assert counts["newton_steps"] == counts["iterations"]
         assert counts["newton_converged"] == 1
+        # the 2D layers: contours, the Poisson solve of the long-range term
+        # and the Laplacian, each through the binding its caller looks up
+        ok_disk = counts["ok_disk"]
+        assert ok_disk.get("extract_contours.n") == 1
+        assert ok_disk.get("poisson_neumann.n", 0) > 0
+        assert ok_disk.get("laplacian.n", 0) > 0
+        assert ok_disk.get("newton_converged") == 1

@@ -1,6 +1,7 @@
 """Tests for contour extraction, curvature, and the balance residual."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ class TestExtractContours:
         for ca, cb in zip(a, b):
             assert ca.closed == cb.closed
             assert np.array_equal(ca.points, cb.points)
+
+    def test_noise_field_pinned_bitwise(self):
+        # white noise: 364 saddle squares, 57 open contours ending on the
+        # walls and 133 loops.  The vertices come from IEEE basic
+        # operations only, so the digest holds on any numpy/scipy/BLAS build.
+        grid = Grid.box((0.0, 0.0), (1.0, 0.75), (64, 48))
+        values = np.random.default_rng(7).standard_normal((64, 48))
+        contours = extract_contours(values, grid)
+        assert len(contours) == 190
+        assert sum(c.closed for c in contours) == 133
+        digest = hashlib.sha256()
+        for c in contours:
+            digest.update(bytes([c.closed]))
+            digest.update(c.points.tobytes())
+        assert digest.hexdigest() == (
+            "f86d62a107ef9f88044cc9649c3c01954bb01c3ac9d9bec5544d95a75283681b"
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

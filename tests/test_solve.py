@@ -188,6 +188,37 @@ class TestMeanZeroSteps:
         assert abs(report.mass - mass) <= 1e-13
 
 
+class TestResidualEvaluations:
+    def test_one_evaluation_per_trial_point(self, well, profile_table):
+        # every line search of this solve takes the full step at once, so
+        # the residual is evaluated at the seed and at each accepted point,
+        # never twice at the same point
+        eps = 0.05
+        grid = Grid.box((0.0,), (1.0,), (160,))
+        seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.35, eps)
+        calls = 0
+
+        def residual(u):
+            nonlocal calls
+            calls += 1
+            return -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
+
+        def jacobian(u):
+            w2 = well.second_derivative(u) / eps
+
+            def matvec(flat):
+                x = flat.reshape(grid.shape)
+                return (-eps * laplacian(x, grid.spacing) + w2 * x).ravel()
+
+            return matvec
+
+        _, _, iterations, _, converged, *_ = _newton(
+            residual, jacobian, seed, grid, well, eps
+        )
+        assert converged and iterations > 0
+        assert calls == iterations + 1
+
+
 class TestStopReason:
     def test_ascent_direction_fails_line_search(self, well, profile_table):
         # a sign-flipped Jacobian turns every Newton step uphill: the solve
