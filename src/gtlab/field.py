@@ -176,26 +176,27 @@ def sample(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def neumann_symbol(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Per-axis eigenvalues of -lap in the cosine basis of the reflecting grid.
+def neumann_symbol(grid: Grid) -> np.ndarray:
+    """Eigenvalues of -lap in the orthonormal cosine basis of the reflecting
+    grid, one per mode, as a full array shaped like the grid.
 
-    Axis j holds (4/h^2) sin^2(pi k / 2n), k = 0 .. n-1, shaped to broadcast
-    along that axis; the symbol of -lap is their sum.
+    Mode (k_0, .., k_d) has the eigenvalue sum_j (4/h^2) sin^2(pi k_j / 2n_j);
+    mode 0, the constants, has eigenvalue 0.
     """
-    out = []
+    out = np.zeros(grid.shape)
     for j, n in enumerate(grid.shape):
         lam = (4.0 / grid.spacing**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
         shape = [1] * grid.ndim
         shape[j] = n
-        out.append(lam.reshape(shape))
-    return tuple(out)
+        out += lam.reshape(shape)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _poisson_denominator(grid: Grid) -> np.ndarray:
     """The symbol of -lap with its zero (constant) mode set to 1; read-only,
     since every solve on the grid shares it."""
-    denom = sum(neumann_symbol(grid), np.zeros(grid.shape))
+    denom = neumann_symbol(grid)
     denom.flat[0] = 1.0
     denom.flags.writeable = False
     return denom

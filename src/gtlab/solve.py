@@ -6,18 +6,26 @@ Two problem shapes share one damped-Newton loop:
 * long-range coupled       -eps lap(u) + W'(u)/eps + gamma*v = lam,
                            -lap(v) = u - mean(u),  integral(u) = m
 
-The linearizations are symmetric, so the inner solves use MINRES with a
-constant-coefficient spectral inverse as preconditioner.  Both problems
-are solved in the mean-zero subspace: the multiplier is the mean
+The linearizations are symmetric, so the inner solves use MINRES.  Both
+problems are solved in the mean-zero subspace: the multiplier is the mean
 of the unconstrained residual, Newton steps solve the projected system
 P J P du = -P F(u), and updates have zero mean, so the mass fixed by the
 (pre-shifted) seed never drifts.
 
-Constants are the null mode of P J P, so MINRES cannot see (or damp) a
-constant part of its iterate; over a long inner solve rounding builds one
-up, as large as the step itself at eps 0.016.  A full step would then move
-the mass and raise the residual, and the line search would stall.  Each
-Newton step is therefore re-projected onto mean zero before it is applied.
+Each Newton system is solved on the orthonormal cosine (DCT-II)
+coefficients of the step.  The reflecting Laplacian and the screened
+Poisson inverse are diagonal there, with the eigenvalues of the same
+stencil `laplacian` applies, so the Jacobian is diag(eps*Lambda +
+gamma/Lambda) plus the well term C diag(W''(u)/eps) C^T: one DCT pair per
+Krylov iteration.  The preconditioner, the exact inverse of
+-eps*lap + W''(1)/eps, is a division, and P zeroes coefficient 0, which
+the right-hand side, the operator and the preconditioner all hold at
+exactly 0.  The residual stays on the grid with the stencil, so a
+converged state solves the same discrete equations.
+
+The line search asks for a decrease of the residual's L2 norm (the norm
+a Newton step decreases); the solve stops on its sup norm, the pointwise
+bound the studies report.
 
 A solve stops for one of three reasons, kept in ``SolveReport.stop_reason``:
 ``converged`` (sup residual at most 1e-9), ``line_search_failed`` (no step
@@ -35,6 +43,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .field import (
     Grid,
+    _poisson_denominator,
     integrate,
     laplacian,
     neumann_symbol,
@@ -98,21 +107,49 @@ def seed_from_signed_distance(
 
 
 class _SpectralInverse:
-    """Exact inverse of (-eps*lap + shift) on the reflecting grid."""
+    """Exact inverse of (-eps*lap + shift) on the reflecting grid, acting on
+    orthonormal cosine coefficients, where it is diagonal."""
 
     def __init__(self, grid: Grid, eps: float, shift: float):
-        self._denom = sum(
-            (eps * lam for lam in neumann_symbol(grid)), np.full(grid.shape, shift)
-        )
-        self._shape = grid.shape
+        self._denom = eps * neumann_symbol(grid).ravel()
+        self._denom += shift
 
-    def __call__(self, flat: np.ndarray) -> np.ndarray:
-        x = flat.reshape(self._shape)
-        y = idctn(dctn(x, type=2, norm="ortho") / self._denom, type=2, norm="ortho")
-        return y.ravel()
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs / self._denom
 
 
-def _krylov_solve(matvec, rhs, grid, precond, rtol):
+def _jacobian_symbol(grid: Grid, eps: float, long_range: float) -> np.ndarray:
+    """The constant-coefficient part of the Jacobian in the cosine basis:
+    eps*Lambda + gamma/Lambda, Lambda the symbol of -lap, with mode 0 at 0.
+
+    The gamma term is the screened potential's (-lap)^+ P, which solves with
+    the same denominator poisson_neumann divides by.
+    """
+    symbol = eps * neumann_symbol(grid)
+    if long_range != 0.0:
+        symbol += long_range / _poisson_denominator(grid)
+    symbol.flat[0] = 0.0
+    return symbol
+
+
+def _cosine_jacobian(symbol: np.ndarray, w2: np.ndarray):
+    """The projected Jacobian P J acting on flat cosine coefficients:
+    diag(symbol) + C diag(w2) C^T, with coefficient 0 (the mean) set to 0."""
+    shape = symbol.shape
+    diagonal = symbol.ravel()
+
+    def matvec(coeffs):
+        y = idctn(coeffs.reshape(shape), type=2, norm="ortho")
+        y *= w2
+        out = dctn(y, type=2, norm="ortho", overwrite_x=True).ravel()
+        out += diagonal * coeffs
+        out[0] = 0.0
+        return out
+
+    return matvec
+
+
+def _krylov_solve(matvec, rhs, precond, rtol):
     """MINRES solve; returns (x, info, iterations)."""
     n = rhs.size
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
@@ -125,55 +162,43 @@ def _krylov_solve(matvec, rhs, grid, precond, rtol):
 
     x, info = minres(
         op,
-        rhs.ravel(),
+        rhs,
         rtol=rtol,
         maxiter=20 * int(np.sqrt(n)) + 200,
         M=m_op,
         callback=count,
     )
-    return x.reshape(grid.shape), info, iterations
+    return x, info, iterations
 
 
-def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps):
+def _newton(residual_fn, coefficient_fn, symbol, seed, grid, well, eps):
     """Damped-Newton loop.
 
     Returns (u, lam, iterations, sup, converged, stop_reason,
     krylov_iterations, krylov_failures); iterations counts applied steps.
 
-    residual_fn(u) -> array, the residual without the multiplier;
-    jacobian_matvec(u) -> callable(flat)->flat.  lam is the mean of
-    residual_fn(u), its best constant fit.
+    residual_fn(u) -> array, the residual without the multiplier; lam is
+    the mean of residual_fn(u), its best constant fit.  The Jacobian is
+    diag(symbol) + C diag(coefficient_fn(u)) C^T in the orthonormal cosine
+    basis C, where each Newton system is solved (see _cosine_jacobian).
     For a stable constrained state P J P is positive definite on the
     mean-zero subspace even though J itself carries the negative growth
     mode, which is what makes the projected solve robust where a bordered
     elimination is not.
+
+    In the cosine basis P zeroes coefficient 0.  The right-hand side, the
+    operator's output and the diagonal preconditioner all keep it at exactly
+    0, so the MINRES iterate has no constant part to drift; the step is
+    still re-centred on mean zero against the rounding of the inverse DCT.
     """
     u = np.array(seed, dtype=float)
     shift = well.second_derivative(well.wells[1]) / eps
-    precond_core = _SpectralInverse(grid, eps, shift)
-    shape = grid.shape
+    precond = _SpectralInverse(grid, eps, shift)
 
     def split(u):
         full = residual_fn(u)
         m = float(full.mean())
         return full - m, m
-
-    def projected(core):
-        def matvec(flat):
-            x = flat.reshape(shape)
-            x = x - x.mean()
-            y = core(x.ravel()).reshape(shape)
-            return (y - y.mean()).ravel()
-
-        return matvec
-
-    def projected_precond(flat):
-        # block action: the spectral inverse on the mean-zero part, its own
-        # constant-mode gain 1/shift on the mean part; SPD as a whole
-        x = flat.reshape(shape)
-        m = x.mean()
-        y = precond_core((x - m).ravel()).reshape(shape)
-        return ((y - y.mean()) + m / shift).ravel()
 
     krylov_iterations = 0
     krylov_failures = 0
@@ -187,14 +212,18 @@ def _newton(residual_fn, jacobian_matvec, seed, grid, well, eps):
         sup = float(np.max(np.abs(r)))
         if sup <= _TOLERANCE:
             return stop(iteration, sup, lam, "converged")
-        matvec = projected(jacobian_matvec(u))
+        rhs = dctn(r, type=2, norm="ortho").ravel()
+        rhs[0] = 0.0
         # sup > _TOLERANCE here, so this forcing stays above 1e-11
-        x, info, inner = _krylov_solve(
-            matvec, r, grid, projected_precond, 0.01 * min(sup, 1.0)
+        c, info, inner = _krylov_solve(
+            _cosine_jacobian(symbol, coefficient_fn(u)),
+            rhs,
+            precond,
+            0.01 * min(sup, 1.0),
         )
         krylov_iterations += inner
         krylov_failures += int(info != 0)
-        # MINRES leaves the constant (null) mode of P J P unchecked: drop it
+        x = idctn(c.reshape(grid.shape), type=2, norm="ortho", overwrite_x=True)
         du = x.mean() - x
         norm0 = float(np.linalg.norm(r))
         step = 1.0
@@ -236,20 +265,12 @@ def solve_conserved(
             r = r + long_range_potential(u, grid, long_range)
         return r
 
-    def jac(u):
-        w2 = well.second_derivative(u) / eps
+    def coefficient(u):
+        return well.second_derivative(u) / eps
 
-        def matvec(flat):
-            x = flat.reshape(grid.shape)
-            out = -eps * laplacian(x, grid.spacing) + w2 * x
-            if long_range != 0.0:
-                out = out + long_range_potential(x, grid, long_range)
-            return out.ravel()
-
-        return matvec
-
+    symbol = _jacobian_symbol(grid, eps, long_range)
     u, lam, iters, sup, ok, reason, inner, failures = _newton(
-        residual, jac, u0, grid, well, eps
+        residual, coefficient, symbol, u0, grid, well, eps
     )
     report = SolveReport(
         converged=ok,

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import dctn, idctn
 
 from gtlab.field import Grid, integrate, laplacian, sample
 from gtlab.potential import bulk_roots
 from gtlab.solve import (
+    _cosine_jacobian,
+    _jacobian_symbol,
     _newton,
     disk_signed_distance,
     long_range_potential,
@@ -154,8 +159,8 @@ class TestMeanZeroSteps:
         assert abs(report.mass - mass) <= 1e-13
 
     def test_eps016_disk_krylov_work(self, eps016):
-        # 97 MINRES iterations with mean-zero steps; a constant drift
-        # costs 3783 over 60 Newton steps
+        # 101 MINRES iterations in 5 Newton steps; a constant drift in the
+        # iterate cost 3783 over 60 Newton steps
         _, report = eps016
         assert report.krylov_iterations <= 120
         assert report.krylov_failures == 0
@@ -203,17 +208,12 @@ class TestResidualEvaluations:
             calls += 1
             return -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
 
-        def jacobian(u):
-            w2 = well.second_derivative(u) / eps
+        def coefficient(u):
+            return well.second_derivative(u) / eps
 
-            def matvec(flat):
-                x = flat.reshape(grid.shape)
-                return (-eps * laplacian(x, grid.spacing) + w2 * x).ravel()
-
-            return matvec
-
+        symbol = _jacobian_symbol(grid, eps, 0.0)
         _, _, iterations, _, converged, *_ = _newton(
-            residual, jacobian, seed, grid, well, eps
+            residual, coefficient, symbol, seed, grid, well, eps
         )
         assert converged and iterations > 0
         assert calls == iterations + 1
@@ -231,18 +231,70 @@ class TestStopReason:
             return -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
 
         def flipped(u):
-            w2 = well.second_derivative(u) / eps
-
-            def matvec(flat):
-                x = flat.reshape(grid.shape)
-                return (eps * laplacian(x, grid.spacing) - w2 * x).ravel()
-
-            return matvec
+            return -well.second_derivative(u) / eps
 
         u, lam, iterations, sup, converged, reason, inner, failures = _newton(
-            residual, flipped, seed, grid, well, eps
+            residual, flipped, -_jacobian_symbol(grid, eps, 0.0), seed, grid, well, eps
         )
         assert reason == "line_search_failed" and not converged
         assert iterations == 0 and np.array_equal(u, seed)
         assert sup > 1e-9
         assert inner > 0
+
+
+class TestCosineJacobian:
+    # the Newton systems are solved on cosine coefficients; the operator
+    # there must be the projected stencil Jacobian P J on the grid
+    @given(
+        st.lists(st.integers(2, 9), min_size=1, max_size=3),
+        st.sampled_from([0.0, 0.7]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_stencil_form(self, shape, gamma, seed):
+        # 1D, 2D and 3D boxes of any (non-square) shape
+        grid = Grid.box((0.0,) * len(shape), tuple(0.1 * n for n in shape), shape)
+        eps = 0.03
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(grid.shape)
+        w2 = rng.uniform(-40.0, 70.0, grid.shape)
+        want = -eps * laplacian(x, grid.spacing) + w2 * x
+        if gamma != 0.0:
+            want = want + long_range_potential(x, grid, gamma)
+        want -= want.mean()
+        matvec = _cosine_jacobian(_jacobian_symbol(grid, eps, gamma), w2)
+        coeffs = matvec(dctn(x, type=2, norm="ortho").ravel())
+        got = idctn(coeffs.reshape(grid.shape), type=2, norm="ortho")
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestBall3d:
+    def test_ball_converges_without_mass_drift(self, well, profile_table):
+        eps = 0.1
+        grid = Grid.box((0.0,) * 3, (1.0,) * 3, (40,) * 3)
+        seed = seed_from_signed_distance(
+            profile_table, disk_signed_distance(grid, (0.5, 0.5, 0.5), 0.3), eps
+        )
+        mass = integrate(seed, grid)
+        _, report = solve_conserved(well, grid, eps, mass, seed)
+        assert report.converged and report.stop_reason == "converged"
+        assert abs(report.mass - mass) <= 1e-13
+        assert report.krylov_failures == 0
+
+
+class TestPlanarLayerEnergy:
+    def test_fourth_order_remainder_of_the_k_law(self, well, profile_table):
+        # a solved planar layer carries 2 sigma_h, sigma_h / sigma - 1 =
+        # -(h/eps)^2 / 15 + O((h/eps)^4): the remainder after the k-law must
+        # fall at least 12x per halving of h (16x at fourth order)
+        eps = 0.02
+        remainders = []
+        for k in (2, 4, 8, 16):
+            grid = Grid.box((0.0,), (1.0,), (int(round(k / eps)),))
+            seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.5, eps)
+            _, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+            assert report.converged
+            ratio = report.energy / (2.0 * SIGMA)
+            remainders.append(abs(ratio - 1.0 + (grid.spacing / eps) ** 2 / 15.0))
+        for coarse, fine in zip(remainders, remainders[1:]):
+            assert fine <= coarse / 12.0
