@@ -447,23 +447,19 @@ def build_subsolution(
 _WALL_LAYERS = 2
 
 
-def verify_subsolution(
-    sub: SubsolutionField, slack: float | None = None
-) -> DefectCertificate:
+def verify_subsolution(sub: SubsolutionField, slack: float) -> DefectCertificate:
     """Check the defect of a comparison field against its forcing scale.
 
     The verdict compares the largest defect over interior cells (two layers
     at each wall excluded: the zero-flux stencil is wrong where the field
-    still varies) with (7/9) * sub.force plus a slack, defaulting to
-    0.05 * force, that absorbs the grid Laplacian truncation error.
+    still varies) with (7/9) * sub.force plus a slack that absorbs the grid
+    Laplacian truncation error.
     Positive forcing is required; the one-sided construction has no
     content otherwise.
     """
     force = sub.force
     if not (force > 0.0):
         raise ValueError("the defect bound applies to positive forcing only")
-    if slack is None:
-        slack = 0.05 * force
     vals = sub.defect.values
     k = _WALL_LAYERS
     if any(n <= 2 * k for n in vals.shape):

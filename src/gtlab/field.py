@@ -202,28 +202,15 @@ def _poisson_denominator(grid: Grid) -> np.ndarray:
     return denom
 
 
-def poisson_neumann(
-    source: np.ndarray, grid: Grid, compat_tol: float = 1e-10
-) -> np.ndarray:
+def poisson_neumann(source: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve -lap(v) = source - mean(source) with zero-flux walls, mean(v) = 0.
 
     The discrete operator is diagonal in the cosine basis of the reflecting
     grid, so the solve is exact for the same stencil `laplacian` applies.
-    The source must be compatible (zero mean) up to compat_tol relative to
-    its absolute integral; anything larger is a caller error, not something
-    to silently project away.  compat_tol = inf skips the check.
     """
     g = np.asarray(source, dtype=float)
     if g.shape != grid.shape:
         raise ValueError("source shape does not match the grid")
-    if compat_tol < np.inf:
-        total = integrate(g, grid)
-        scale = integrate(np.abs(g), grid)
-        if abs(total) > compat_tol * max(scale, np.finfo(float).tiny):
-            raise ValueError(
-                "incompatible source: integral %.3e exceeds %.1e of ||source||_1"
-                % (total, compat_tol)
-            )
     # every array below is a fresh temporary, so the transforms and the
     # division may work in place
     vhat = dctn(g - g.mean(), type=2, norm="ortho", overwrite_x=True)

@@ -7,6 +7,11 @@ collected rows, cross-width checks, and observed convergence orders form a
 report that is a pure function of the configuration.  Wall-clock timings
 are written to a sidecar so the canonical report stays byte-identical
 across reruns.
+
+A kind is one `STUDIES` entry: its runner, CLI defaults, default
+tolerances, metric anchors, order metrics and cross-width check.  A CLI
+command is one `_COMMANDS` entry: its help and the kind of each seed
+geometry it accepts.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,113 +57,6 @@ from .solve import (
 )
 
 SQRT2 = float(np.sqrt(2.0))
-
-KINDS = (
-    "profile",
-    "ch-disk",
-    "ch-planar",
-    "ok-disk",
-    "ok-lamellar",
-    "gt-check",
-    "subsolution",
-    "multiplicity",
-    "gap",
-)
-
-# Every emitted metric carries the balance law it probes.
-ANCHORS = {
-    "profile": {
-        "sigma": "sigma = scale * sqrt(2)/3",
-        "sigma_error": "sigma = scale * sqrt(2)/3",
-        "profile_residual": "phi0'' = W'(phi0)",
-        "tanh_gap": "phi0(r) = tanh(scale * r / sqrt(2))",
-        "tail_error": "phi1(+-inf) = sqrt(2) / (6 * scale)",
-        "equipartition": "phi0'^2 / 2 = W(phi0)",
-    },
-    "ch-disk": {
-        "lambda": "sigma * kappa = lambda",
-        "r_eps": "lambda * R / sigma -> 1",
-        "ratio": "lambda * R / sigma -> 1",
-        "ratio_error": "lambda * R / sigma -> 1",
-        "gt_sup": "sigma * kappa = lambda",
-        "energy": "energy per layer = 2 * sigma",
-    },
-    "ch-planar": {
-        "lambda": "flat layer: lambda -> 0",
-        "energy": "energy per layer = 2 * sigma",
-        "energy_error": "energy per layer = 2 * sigma",
-    },
-    "ok-disk": {
-        "lambda": "sigma * kappa + v = lambda",
-        "ok_sup": "sigma * kappa + v = lambda",
-        "ok_scale": "sigma * kappa + v = lambda",
-    },
-    "ok-lamellar": {
-        "lambda": "flat interface: v = lambda",
-        "flat_sup": "flat interface: v = lambda",
-        "n_crossings": "flat interface: v = lambda",
-    },
-    "gt-check": {
-        "lambda": "sigma * kappa = lambda",
-        "gt_sup": "sigma * kappa = lambda",
-        "bulk_dev": "|u - lambda_pm| <= eps^2 off the interface",
-        "bulk_bound": "|u - lambda_pm| <= eps^2 off the interface",
-    },
-    "subsolution": {
-        "max_defect": "defect <= (7/9) * force",
-        "bound": "defect <= (7/9) * force",
-        "defect_excess": "defect -> (2/3) * force",
-    },
-    "multiplicity": {
-        "est_1": "ball mass / (2 sigma omega r) -> sheet count",
-        "est_2": "ball mass / (2 sigma omega r) -> sheet count",
-        "est_3": "ball mass / (2 sigma omega r) -> sheet count",
-    },
-    "gap": {
-        "upper_gap": "(lambda_plus - beta_plus) / eps -> force/9",
-        "lower_gap": "(lambda_minus - beta_minus) / eps -> force/9",
-        "upper_gap_error": "(lambda_plus - beta_plus) / eps -> force/9",
-        "lower_gap_error": "(lambda_minus - beta_minus) / eps -> force/9",
-    },
-}
-
-DEFAULT_TOLERANCES = {
-    "profile": {
-        "sigma": 1e-10,
-        "residual": 1e-8,
-        "tanh": 1e-7,
-        "tail": 1e-6,
-        "equipartition": 1e-8,
-    },
-    "ch-disk": {"ratio_first": 0.15, "ratio_last": 0.05},
-    "ch-planar": {"energy": 1e-3},
-    "ok-disk": {"balance": 0.1},
-    "ok-lamellar": {"flat": 0.05},
-    "gt-check": {"balance": 0.1},
-    "subsolution": {"slack": 0.05},
-    "multiplicity": {"estimate": 0.1},
-    "gap": {"window_low": 0.08, "window_high": 0.14},
-}
-
-# Metrics whose eps-to-eps error ratios are reported as log2 orders.
-ERROR_METRICS = {
-    "ch-disk": ("ratio_error",),
-    "ch-planar": ("energy_error",),
-    "subsolution": ("defect_excess",),
-    "gap": ("upper_gap_error", "lower_gap_error"),
-}
-
-DEFAULT_CONFIGS = {
-    "profile": {"eps": (0.02,), "grid_k": 8},
-    "ch-disk": {"eps": (0.08, 0.04, 0.02), "grid_k": 4},
-    "ch-planar": {"eps": (0.02,), "grid_k": 8},
-    "ok-disk": {"eps": (0.02,), "grid_k": 4},
-    "ok-lamellar": {"eps": (0.01,), "grid_k": 8},
-    "gt-check": {"eps": (0.02,), "grid_k": 4},
-    "subsolution": {"eps": (0.02, 0.01), "grid_k": (24, 48), "radius": 0.6},
-    "multiplicity": {"eps": (0.01,), "grid_k": 8},
-    "gap": {"eps": (0.01, 0.005, 0.0025), "grid_k": 8},
-}
 
 
 def _number(value) -> bool:
@@ -204,16 +103,17 @@ _KEY_TYPES = {
 class StudyConfig:
     """One experiment kind swept over a decreasing list of widths.
 
-    The grid rule is h = eps / grid_k; grid_k may be given as one integer
-    or a per-eps list, and is stored, like eps, as a tuple with one entry
-    per eps.  Geometry means the seed disk (radius, center) for the
-    2D solves, the wall positions center[0] +- radius for the lamellar
-    case, and the graph base radius for the subsolution study.  A mass of
-    None keeps the mass of the seed.
+    eps may be given as one number or a strictly decreasing list, and is
+    stored as a tuple.  The grid rule is h = eps / grid_k; grid_k may be
+    given as one integer or a per-eps list, and is stored, like eps, as a
+    tuple with one entry per eps.  Geometry means the seed disk (radius,
+    center) for the 2D solves, the wall positions center[0] +- radius for
+    the lamellar case, and the graph base radius for the subsolution
+    study.  A mass of None keeps the mass of the seed.
     """
 
     kind: str
-    eps: tuple[float, ...]
+    eps: float | tuple[float, ...]
     grid_k: int | tuple[int, ...] = 8
     well_scale: float = 1.0
     radius: float = 0.25
@@ -225,11 +125,12 @@ class StudyConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in STUDIES:
             raise ValueError(
-                f"unknown study kind {self.kind!r}; expected one of {', '.join(KINDS)}"
+                f"unknown study kind {self.kind!r}; expected one of {', '.join(STUDIES)}"
             )
-        eps = tuple(float(e) for e in self.eps)
+        eps = (self.eps,) if np.isscalar(self.eps) else self.eps
+        eps = tuple(float(e) for e in eps)
         if not eps:
             raise ValueError("eps list must not be empty")
         if any(e <= 0.0 for e in eps):
@@ -256,14 +157,14 @@ class StudyConfig:
             raise ValueError("mass must be finite (or null to keep the seed mass)")
         if not np.isfinite(self.force) or not np.isfinite(self.coupling):
             raise ValueError("force and coupling must be finite")
-        known = set(DEFAULT_TOLERANCES[self.kind])
+        defaults = STUDIES[self.kind].tolerances
         given = dict(self.tolerances or {})
-        extra = sorted(set(given) - known)
+        extra = sorted(set(given) - set(defaults))
         if extra:
             raise ValueError(
                 f"unknown tolerance key(s) for {self.kind}: {', '.join(extra)}"
             )
-        merged = {**DEFAULT_TOLERANCES[self.kind], **{k: float(v) for k, v in given.items()}}
+        merged = {**defaults, **{k: float(v) for k, v in given.items()}}
         object.__setattr__(self, "tolerances", merged)
 
     @classmethod
@@ -280,14 +181,7 @@ class StudyConfig:
             what, accepts = _KEY_TYPES[key]
             if not accepts(value):
                 raise ValueError(f"config key {key} must be {what}, got {value!r}")
-        kwargs = dict(mapping)
-        if isinstance(kwargs.get("eps"), (int, float)):
-            kwargs["eps"] = (float(kwargs["eps"]),)
-        else:
-            kwargs["eps"] = tuple(kwargs["eps"])
-        if "center" in kwargs:
-            kwargs["center"] = tuple(kwargs["center"])
-        return cls(**kwargs)
+        return cls(**mapping)
 
     def to_mapping(self) -> dict:
         """Canonical mapping for reports; omits the output location so the
@@ -302,7 +196,7 @@ class StudyConfig:
             "mass": self.mass,
             "force": self.force,
             "coupling": self.coupling,
-            "tolerances": dict(sorted(self.tolerances.items())),
+            "tolerances": dict(self.tolerances),
         }
 
 
@@ -364,7 +258,7 @@ def _write_crossings(out: Path | None, name: str, crossings: np.ndarray) -> None
 PROFILE_SPACING = 4e-4
 
 
-def _study_profile(config, tol, well, table, eps, k, out, index):
+def _study_profile(config, well, table, eps, k, out, index):
     table = first_order_correction(
         optimal_profile(well, spacing=PROFILE_SPACING), well
     )
@@ -386,11 +280,11 @@ def _study_profile(config, tol, well, table, eps, k, out, index):
         "equipartition": equi,
     }
     checks = {
-        "sigma_within": metrics["sigma_error"] <= tol["sigma"],
-        "residual_within": metrics["profile_residual"] <= tol["residual"],
-        "tanh_within": tanh_gap <= tol["tanh"],
-        "tail_within": tail_error <= tol["tail"],
-        "equipartition_within": equi <= tol["equipartition"],
+        "sigma_within": metrics["sigma_error"] <= config.tolerances["sigma"],
+        "residual_within": metrics["profile_residual"] <= config.tolerances["residual"],
+        "tanh_within": tanh_gap <= config.tolerances["tanh"],
+        "tail_within": tail_error <= config.tolerances["tail"],
+        "equipartition_within": equi <= config.tolerances["equipartition"],
     }
     if out is not None and index == 0:
         table.save(out / "profile-table.npz")
@@ -429,7 +323,7 @@ def _balance(config, table, contour, kappa, target, out, index):
     return curvature_balance(kappa, target, table.sigma)
 
 
-def _study_ch_disk(config, tol, well, table, eps, k, out, index):
+def _study_ch_disk(config, well, table, eps, k, out, index):
     grid, u, rep, lam, contour, kappa = _solve_disk(
         config, well, table, eps, k, out, index, 0.0
     )
@@ -447,6 +341,15 @@ def _study_ch_disk(config, tol, well, table, eps, k, out, index):
     }
     checks = {"solver_converged": rep.converged}
     return metrics, checks
+
+
+def _across_ch_disk(config, rows):
+    errors = [r.metrics["ratio_error"] for r in rows]
+    return {
+        "ratio_first_within": errors[0] <= config.tolerances["ratio_first"],
+        "ratio_last_within": errors[-1] <= config.tolerances["ratio_last"],
+        "ratio_strictly_decreasing": all(b < a for a, b in zip(errors, errors[1:])),
+    }
 
 
 def _solve_line(config, well, eps, k, out, index, seed, coupling):
@@ -467,7 +370,7 @@ def _solve_line(config, well, eps, k, out, index, seed, coupling):
     return grid, u, report, crossings
 
 
-def _study_ch_planar(config, tol, well, table, eps, k, out, index):
+def _study_ch_planar(config, well, table, eps, k, out, index):
     def seed(x):
         return table.phi0_at((x - config.center[0]) / eps)
 
@@ -481,12 +384,12 @@ def _study_ch_planar(config, tol, well, table, eps, k, out, index):
     }
     checks = {
         "solver_converged": rep.converged,
-        "energy_within": energy_error <= tol["energy"],
+        "energy_within": energy_error <= config.tolerances["energy"],
     }
     return metrics, checks
 
 
-def _study_ok_disk(config, tol, well, table, eps, k, out, index):
+def _study_ok_disk(config, well, table, eps, k, out, index):
     grid, u, rep, lam, contour, kappa = _solve_disk(
         config, well, table, eps, k, out, index, config.coupling
     )
@@ -502,12 +405,12 @@ def _study_ok_disk(config, tol, well, table, eps, k, out, index):
     }
     checks = {
         "solver_converged": rep.converged,
-        "balance_within": ok_sup <= tol["balance"] * scale,
+        "balance_within": ok_sup <= config.tolerances["balance"] * scale,
     }
     return metrics, checks
 
 
-def _study_ok_lamellar(config, tol, well, table, eps, k, out, index):
+def _study_ok_lamellar(config, well, table, eps, k, out, index):
     left = config.center[0] - config.radius
     right = config.center[0] + config.radius
 
@@ -528,12 +431,12 @@ def _study_ok_lamellar(config, tol, well, table, eps, k, out, index):
     }
     checks = {
         "solver_converged": rep.converged,
-        "flat_within": flat_sup <= tol["flat"],
+        "flat_within": flat_sup <= config.tolerances["flat"],
     }
     return metrics, checks
 
 
-def _study_gt_check(config, tol, well, table, eps, k, out, index):
+def _study_gt_check(config, well, table, eps, k, out, index):
     grid, u, rep, lam, contour, kappa = _solve_disk(
         config, well, table, eps, k, out, index, 0.0
     )
@@ -551,13 +454,13 @@ def _study_gt_check(config, tol, well, table, eps, k, out, index):
     }
     checks = {
         "solver_converged": rep.converged,
-        "balance_within": gt_sup <= tol["balance"] * lam,
+        "balance_within": gt_sup <= config.tolerances["balance"] * lam,
         "bulk_within": dev <= eps * eps,
     }
     return metrics, checks
 
 
-def _study_subsolution(config, tol, well, table, eps, k, out, index):
+def _study_subsolution(config, well, table, eps, k, out, index):
     force = config.force
     if not force > 0.0:
         raise ValueError("subsolution studies need positive force")
@@ -579,7 +482,7 @@ def _study_subsolution(config, tol, well, table, eps, k, out, index):
         (-x_half, -m_lo * h), (x_half, m_hi * h), (2 * half_cells, m_lo + m_hi)
     )
     sub = build_subsolution(patch, schedule, table, force, grid, well)
-    cert = verify_subsolution(sub, slack=tol["slack"] * force)
+    cert = verify_subsolution(sub, slack=config.tolerances["slack"] * force)
     metrics = {
         "max_defect": cert.max_defect,
         "bound": cert.bound,
@@ -594,7 +497,12 @@ def _study_subsolution(config, tol, well, table, eps, k, out, index):
     return metrics, checks
 
 
-def _study_multiplicity(config, tol, well, table, eps, k, out, index):
+def _across_subsolution(config, rows):
+    defects = [r.metrics["max_defect"] for r in rows]
+    return {"defect_non_increasing": all(b <= a for a, b in zip(defects, defects[1:]))}
+
+
+def _study_multiplicity(config, well, table, eps, k, out, index):
     grid = _unit_box(eps, k, 1)
     x = grid.axis(0)
     center = config.center[0]
@@ -612,7 +520,7 @@ def _study_multiplicity(config, tol, well, table, eps, k, out, index):
         est = multiplicity_estimate(u, grid, well, eps, table.sigma, center, 8.0 * eps)
         metrics[f"est_{layers}"] = est
         exact = exact and round(est) == layers
-        within = within and abs(est - layers) <= tol["estimate"]
+        within = within and abs(est - layers) <= config.tolerances["estimate"]
         stack[f"layers_{layers}"] = u
     checks = {"exact_counts": exact, "estimates_within": within}
     if out is not None:
@@ -620,7 +528,7 @@ def _study_multiplicity(config, tol, well, table, eps, k, out, index):
     return metrics, checks
 
 
-def _study_gap(config, tol, well, table, eps, k, out, index):
+def _study_gap(config, well, table, eps, k, out, index):
     (_, upper, lower), = asymptotic_gap(well, table, config.force, [eps])
     limit = config.force / 9.0
     metrics = {
@@ -629,50 +537,145 @@ def _study_gap(config, tol, well, table, eps, k, out, index):
         "upper_gap_error": abs(upper - limit),
         "lower_gap_error": abs(lower - limit),
     }
+    low = config.tolerances["window_low"]
+    high = config.tolerances["window_high"]
     checks = {
         "gaps_positive": upper > 0.0 and lower > 0.0,
-        "window_within": (
-            tol["window_low"] <= upper <= tol["window_high"]
-            and tol["window_low"] <= lower <= tol["window_high"]
-        ),
+        "window_within": low <= upper <= high and low <= lower <= high,
     }
     return metrics, checks
 
 
-_HANDLERS = {
-    "profile": _study_profile,
-    "ch-disk": _study_ch_disk,
-    "ch-planar": _study_ch_planar,
-    "ok-disk": _study_ok_disk,
-    "ok-lamellar": _study_ok_lamellar,
-    "gt-check": _study_gt_check,
-    "subsolution": _study_subsolution,
-    "multiplicity": _study_multiplicity,
-    "gap": _study_gap,
+class _Study(NamedTuple):
+    """Everything one study kind declares.
+
+    run(config, well, table, eps, k, out, index) solves (or constructs) one
+    width and returns its (metrics, checks); defaults are the CLI config
+    values, tolerances the default gates; anchors name the balance law each
+    metric probes; orders lists the error metrics whose eps-to-eps ratios
+    are reported as log2 orders; across(config, rows), given the rows that
+    finished without error, returns the cross-width checks.
+    """
+
+    run: Callable
+    defaults: dict
+    tolerances: dict
+    anchors: dict
+    orders: tuple[str, ...] = ()
+    across: Callable | None = None
+
+
+# Balance laws that anchor more than one metric.
+_GT = "sigma * kappa = lambda"
+_RATIO = "lambda * R / sigma -> 1"
+_LAYER = "energy per layer = 2 * sigma"
+_OK = "sigma * kappa + v = lambda"
+_FLAT = "flat interface: v = lambda"
+_BULK = "|u - lambda_pm| <= eps^2 off the interface"
+_DEFECT = "defect <= (7/9) * force"
+_SHEETS = "ball mass / (2 sigma omega r) -> sheet count"
+_SIGMA = "sigma = scale * sqrt(2)/3"
+
+STUDIES = {
+    "profile": _Study(
+        _study_profile,
+        defaults={"eps": (0.02,), "grid_k": 8},
+        tolerances={
+            "sigma": 1e-10,
+            "residual": 1e-8,
+            "tanh": 1e-7,
+            "tail": 1e-6,
+            "equipartition": 1e-8,
+        },
+        anchors={
+            "sigma": _SIGMA,
+            "sigma_error": _SIGMA,
+            "profile_residual": "phi0'' = W'(phi0)",
+            "tanh_gap": "phi0(r) = tanh(scale * r / sqrt(2))",
+            "tail_error": "phi1(+-inf) = sqrt(2) / (6 * scale)",
+            "equipartition": "phi0'^2 / 2 = W(phi0)",
+        },
+    ),
+    "ch-disk": _Study(
+        _study_ch_disk,
+        defaults={"eps": (0.08, 0.04, 0.02), "grid_k": 4},
+        tolerances={"ratio_first": 0.15, "ratio_last": 0.05},
+        anchors={
+            "lambda": _GT,
+            "r_eps": _RATIO,
+            "ratio": _RATIO,
+            "ratio_error": _RATIO,
+            "gt_sup": _GT,
+            "energy": _LAYER,
+        },
+        orders=("ratio_error",),
+        across=_across_ch_disk,
+    ),
+    "ch-planar": _Study(
+        _study_ch_planar,
+        defaults={"eps": (0.02,), "grid_k": 8},
+        tolerances={"energy": 1e-3},
+        anchors={
+            "lambda": "flat layer: lambda -> 0",
+            "energy": _LAYER,
+            "energy_error": _LAYER,
+        },
+        orders=("energy_error",),
+    ),
+    "ok-disk": _Study(
+        _study_ok_disk,
+        defaults={"eps": (0.02,), "grid_k": 4},
+        tolerances={"balance": 0.1},
+        anchors={"lambda": _OK, "ok_sup": _OK, "ok_scale": _OK},
+    ),
+    "ok-lamellar": _Study(
+        _study_ok_lamellar,
+        defaults={"eps": (0.01,), "grid_k": 8},
+        tolerances={"flat": 0.05},
+        anchors={"lambda": _FLAT, "flat_sup": _FLAT, "n_crossings": _FLAT},
+    ),
+    "gt-check": _Study(
+        _study_gt_check,
+        defaults={"eps": (0.02,), "grid_k": 4},
+        tolerances={"balance": 0.1},
+        anchors={"lambda": _GT, "gt_sup": _GT, "bulk_dev": _BULK, "bulk_bound": _BULK},
+    ),
+    "subsolution": _Study(
+        _study_subsolution,
+        defaults={"eps": (0.02, 0.01), "grid_k": (24, 48), "radius": 0.6},
+        tolerances={"slack": 0.05},
+        anchors={
+            "max_defect": _DEFECT,
+            "bound": _DEFECT,
+            "defect_excess": "defect -> (2/3) * force",
+        },
+        orders=("defect_excess",),
+        across=_across_subsolution,
+    ),
+    "multiplicity": _Study(
+        _study_multiplicity,
+        defaults={"eps": (0.01,), "grid_k": 8},
+        tolerances={"estimate": 0.1},
+        anchors={"est_1": _SHEETS, "est_2": _SHEETS, "est_3": _SHEETS},
+    ),
+    "gap": _Study(
+        _study_gap,
+        defaults={"eps": (0.01, 0.005, 0.0025), "grid_k": 8},
+        tolerances={"window_low": 0.08, "window_high": 0.14},
+        anchors={
+            "upper_gap": "(lambda_plus - beta_plus) / eps -> force/9",
+            "lower_gap": "(lambda_minus - beta_minus) / eps -> force/9",
+            "upper_gap_error": "(lambda_plus - beta_plus) / eps -> force/9",
+            "lower_gap_error": "(lambda_minus - beta_minus) / eps -> force/9",
+        },
+        orders=("upper_gap_error", "lower_gap_error"),
+    ),
 }
 
-
-def _cross_checks(config: StudyConfig, rows: list[EpsRow]) -> dict:
-    clean = [r for r in rows if r.error is None]
-    out: dict = {}
-    if config.kind == "ch-disk" and clean:
-        errors = [r.metrics["ratio_error"] for r in clean]
-        tol = config.tolerances
-        out["ratio_first_within"] = errors[0] <= tol["ratio_first"]
-        out["ratio_last_within"] = errors[-1] <= tol["ratio_last"]
-        out["ratio_strictly_decreasing"] = all(
-            b < a for a, b in zip(errors, errors[1:])
-        )
-    if config.kind == "subsolution" and clean:
-        defects = [r.metrics["max_defect"] for r in clean]
-        out["defect_non_increasing"] = all(
-            b <= a for a, b in zip(defects, defects[1:])
-        )
-    return out
+KINDS = tuple(STUDIES)
 
 
-def _orders(config: StudyConfig, rows: list[EpsRow]) -> dict:
-    names = ERROR_METRICS.get(config.kind, ())
+def _orders(names: tuple[str, ...], rows: list[EpsRow]) -> dict:
     out: dict = {}
     for name in names:
         values = [
@@ -696,21 +699,19 @@ def run_study(config: StudyConfig) -> StudyReport:
     the study passes only if every row completed and every row-level and
     cross-eps check holds.
     """
+    study = STUDIES[config.kind]
     well = DoubleWell(scale=config.well_scale)
     table = first_order_correction(optimal_profile(well), well)
     out = None
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    handler = _HANDLERS[config.kind]
     rows: list[EpsRow] = []
     seconds: list[float] = []
     for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
         start = time.perf_counter()
         try:
-            metrics, checks = handler(
-                config, config.tolerances, well, table, eps, k, out, index
-            )
+            metrics, checks = study.run(config, well, table, eps, k, out, index)
             rows.append(EpsRow(eps=eps, metrics=_plain(metrics), checks=checks))
         except Exception as exc:
             rows.append(
@@ -722,10 +723,10 @@ def run_study(config: StudyConfig) -> StudyReport:
                 )
             )
         seconds.append(time.perf_counter() - start)
-    cross = _cross_checks(config, rows)
-    orders = _orders(config, rows)
+    clean = [r for r in rows if r.error is None]
+    cross = study.across(config, clean) if study.across and clean else {}
     passed = (
-        all(r.error is None for r in rows)
+        len(clean) == len(rows)
         and all(all(r.checks.values()) for r in rows)
         and all(cross.values())
     )
@@ -733,7 +734,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         config=config,
         rows=tuple(rows),
         cross_checks=cross,
-        orders=orders,
+        orders=_orders(study.orders, rows),
         passed=passed,
         seconds=tuple(seconds),
     )
@@ -750,18 +751,10 @@ def report_payload(report: StudyReport) -> dict:
     """Canonical report content: pure function of the configuration."""
     return {
         "config": report.config.to_mapping(),
-        "anchors": ANCHORS[report.config.kind],
-        "rows": [
-            {
-                "eps": row.eps,
-                "metrics": dict(sorted(row.metrics.items())),
-                "checks": dict(sorted(row.checks.items())),
-                "error": row.error,
-            }
-            for row in report.rows
-        ],
-        "cross_checks": dict(sorted(report.cross_checks.items())),
-        "orders": {k: v for k, v in sorted(report.orders.items())},
+        "anchors": STUDIES[report.config.kind].anchors,
+        "rows": [asdict(row) for row in report.rows],
+        "cross_checks": report.cross_checks,
+        "orders": report.orders,
         "passed": report.passed,
     }
 
@@ -779,23 +772,32 @@ def write_report(report: StudyReport, out: Path) -> None:
     (out / "timings.json").write_text(json.dumps(timing, indent=2) + "\n")
 
 
-_GEOMETRY_KINDS = {
-    ("solve-ch", "disk"): "ch-disk",
-    ("solve-ch", "planar"): "ch-planar",
-    ("solve-ok", "disk"): "ok-disk",
-    ("solve-ok", "lamellar"): "ok-lamellar",
-    ("gt-check", "disk"): "gt-check",
-    ("subsolution-check", "arc"): "subsolution",
-}
-
-_COMMAND_KINDS = {
-    "profile": "profile",
-    "solve-ch": "ch-disk",
-    "solve-ok": "ok-disk",
-    "gt-check": "gt-check",
-    "subsolution-check": "subsolution",
-    "multiplicity": "multiplicity",
-    "gap": "gap",
+# Every subcommand: (help, {seed geometry: study kind}).  The first geometry
+# is the default; --seed-geometry exists where a command names geometries.
+_COMMANDS = {
+    "profile": (
+        "transition profile table and its closed-form checks",
+        {None: "profile"},
+    ),
+    "solve-ch": (
+        "stationary conserved states (disk or planar seed)",
+        {"disk": "ch-disk", "planar": "ch-planar"},
+    ),
+    "solve-ok": (
+        "long-range coupled states (disk or lamellar seed)",
+        {"disk": "ok-disk", "lamellar": "ok-lamellar"},
+    ),
+    "gt-check": (
+        "curvature balance and bulk plateaus on a solved disk",
+        {"disk": "gt-check"},
+    ),
+    "subsolution-check": (
+        "defect certificate of the comparison field",
+        {"arc": "subsolution"},
+    ),
+    "multiplicity": ("sheet counts of synthetic layer stacks", {None: "multiplicity"}),
+    "gap": ("bulk-root versus plateau gap rates", {None: "gap"}),
+    "study": ("run a study described by a JSON config", {}),
 }
 
 
@@ -808,13 +810,12 @@ def _parse_list(flag: str, text: str, convert, what: str) -> list:
 
 
 def _parse_geometry(command: str, text: str) -> tuple[str, dict]:
+    geometries = _COMMANDS[command][1]
     name, _, rest = text.partition(":")
-    key = (command, name)
-    if key not in _GEOMETRY_KINDS:
-        options = sorted(n for c, n in _GEOMETRY_KINDS if c == command)
+    if name not in geometries:
         raise ValueError(
             f"unknown seed geometry {name!r} for {command}; expected one of "
-            f"{', '.join(options) if options else '(none)'}"
+            f"{', '.join(geometries)}"
         )
     overrides: dict = {}
     if rest:
@@ -827,7 +828,7 @@ def _parse_geometry(command: str, text: str) -> tuple[str, dict]:
         overrides["radius"] = parts[0]
         if len(parts) == 3:
             overrides["center"] = (parts[1], parts[2])
-    return _GEOMETRY_KINDS[key], overrides
+    return geometries[name], overrides
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:
@@ -859,7 +860,7 @@ def _config_from_args(args) -> StudyConfig:
             raise ValueError("the study command requires --config")
         merged = mapping
     else:
-        kind = _COMMAND_KINDS[args.command]
+        kind = next(iter(_COMMANDS[args.command][1].values()))  # the default
         overrides: dict = {}
         if getattr(args, "seed_geometry", None):
             kind, overrides = _parse_geometry(args.command, args.seed_geometry)
@@ -868,7 +869,7 @@ def _config_from_args(args) -> StudyConfig:
                 f"config key kind = {mapping['kind']!r} conflicts with the "
                 f"{args.command} command (expected {kind!r})"
             )
-        merged = {**DEFAULT_CONFIGS[kind], **mapping, **overrides, "kind": kind}
+        merged = {**STUDIES[kind].defaults, **mapping, **overrides, "kind": kind}
     if args.eps:
         merged["eps"] = _parse_eps(args.eps)
     if args.grid_k:
@@ -887,17 +888,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "profile": "transition profile table and its closed-form checks",
-        "solve-ch": "stationary conserved states (disk or planar seed)",
-        "solve-ok": "long-range coupled states (disk or lamellar seed)",
-        "gt-check": "curvature balance and bulk plateaus on a solved disk",
-        "subsolution-check": "defect certificate of the comparison field",
-        "multiplicity": "sheet counts of synthetic layer stacks",
-        "gap": "bulk-root versus plateau gap rates",
-        "study": "run a study described by a JSON config",
-    }
-    for name, text in helps.items():
+    for name, (text, geometries) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON study configuration file")
         p.add_argument("--out", help="output directory for reports and snapshots")
@@ -905,11 +896,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--grid-k", dest="grid_k", help="cells per eps: one integer or a comma list"
         )
-        if name in ("solve-ch", "solve-ok", "gt-check", "subsolution-check"):
+        if any(geometries):
             p.add_argument(
                 "--seed-geometry",
                 dest="seed_geometry",
-                help="NAME[:RADIUS[,CX,CY]] (disk, planar, lamellar, or arc)",
+                help=f"NAME[:RADIUS[,CX,CY]], NAME one of: {', '.join(geometries)}",
             )
     return parser
 
@@ -943,7 +934,3 @@ def main(argv=None) -> int:
     report = run_study(config)
     _print_summary(report)
     return 0 if report.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -384,7 +384,7 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     return table
 
 
-def _root_near_one(c: float, tolerance: float = 1e-15) -> float:
+def _root_near_one(c: float) -> float:
     """Root of r^3 - r = c on the branch through r = 1 (requires |c| small)."""
     if c >= 0.0:
         lo, hi = 1.0, 1.0 + c + 1e-30
@@ -401,7 +401,7 @@ def _root_near_one(c: float, tolerance: float = 1e-15) -> float:
         r_new = r - val / slope
         if not (lo <= r_new <= hi):
             r_new = 0.5 * (lo + hi)
-        if abs(r_new - r) <= tolerance * max(1.0, abs(r)):
+        if abs(r_new - r) <= 1e-15 * max(1.0, abs(r)):
             return r_new
         r = r_new
     return r

@@ -289,8 +289,8 @@ def solve_conserved(
 def long_range_potential(values: np.ndarray, grid: Grid, coupling: float = 1.0):
     """The screened potential gamma*v with -lap(v) = u - mean(u).
 
-    Subtracting the mean makes the source compatible by construction, so
-    the compatibility check is off: Krylov probe vectors can be nearly
-    constant, leaving a mean-removed part that is pure rounding noise.
+    The mean is taken out here and again inside `poisson_neumann`; the
+    second pass removes only rounding, and dropping the first would move
+    the last bits of every coupled result.
     """
-    return coupling * poisson_neumann(values - values.mean(), grid, compat_tol=np.inf)
+    return coupling * poisson_neumann(values - values.mean(), grid)

@@ -470,7 +470,7 @@ class TestVerifySubsolution:
         assert grid.spacing == pytest.approx(h, rel=1e-12)
         arc = bowl_arc(profile_table.sigma)
         sub = build_subsolution(arc, s, profile_table, 1.0, grid, well)
-        cert = verify_subsolution(sub)
+        cert = verify_subsolution(sub, slack=0.05)
         assert isinstance(cert, DefectCertificate)
         assert cert.max_defect == pytest.approx(BOWL_MAX_DEFECT, rel=1e-9)
         assert cert.bound == pytest.approx(7.0 / 9.0, rel=1e-15)
@@ -494,7 +494,7 @@ class TestVerifySubsolution:
     def test_interior_spike_fails(self):
         defect = np.zeros((12, 12))
         defect[6, 6] = 1.0
-        cert = verify_subsolution(self._fake(defect))
+        cert = verify_subsolution(self._fake(defect), slack=0.05)
         assert cert.max_defect == 1.0
         assert not cert.passed
 
@@ -502,22 +502,22 @@ class TestVerifySubsolution:
         defect = np.zeros((12, 12))
         defect[0, 0] = 5.0
         defect[-1, 3] = 5.0
-        cert = verify_subsolution(self._fake(defect))
+        cert = verify_subsolution(self._fake(defect), slack=0.05)
         assert cert.max_defect == 0.0
         assert cert.passed
 
     def test_custom_slack(self):
         sub = self._fake(np.full((12, 12), 0.8))
-        assert verify_subsolution(sub).passed
+        assert verify_subsolution(sub, slack=0.05).passed
         assert not verify_subsolution(sub, slack=0.01).passed
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive forcing"):
-            verify_subsolution(self._fake(np.zeros((12, 12)), force=0.0))
+            verify_subsolution(self._fake(np.zeros((12, 12)), force=0.0), slack=0.0)
         with pytest.raises(ValueError, match="positive forcing"):
-            verify_subsolution(self._fake(np.zeros((12, 12)), force=-1.0))
+            verify_subsolution(self._fake(np.zeros((12, 12)), force=-1.0), slack=-0.05)
         with pytest.raises(ValueError, match="too small"):
-            verify_subsolution(self._fake(np.zeros((4, 4))))
+            verify_subsolution(self._fake(np.zeros((4, 4))), slack=0.05)
 
 
 class TestAsymptoticGap:

@@ -284,11 +284,6 @@ class TestPoissonNeumann:
         v = poisson_neumann(lam * mode, grid)
         assert np.max(np.abs(v - mode)) <= 1e-10
 
-    def test_incompatible_source_rejected(self):
-        grid = Grid.box((0.0,), (1.0,), (16,))
-        with pytest.raises(ValueError):
-            poisson_neumann(np.ones(16), grid)
-
     def test_shape_mismatch_rejected(self):
         grid = Grid.box((0.0,), (1.0,), (16,))
         with pytest.raises(ValueError):

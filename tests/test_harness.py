@@ -12,10 +12,10 @@ import pytest
 
 from gtlab.comparison import asymptotic_gap
 from gtlab.harness import (
-    ANCHORS,
-    DEFAULT_TOLERANCES,
-    KINDS,
+    STUDIES,
     StudyConfig,
+    _build_parser,
+    _config_from_args,
     main,
     report_payload,
     run_study,
@@ -28,7 +28,7 @@ class TestStudyConfig:
         assert config.kind == "gap"
         assert config.eps == (0.01, 0.005)
         assert config.grid_k == (8, 8)
-        assert config.tolerances == DEFAULT_TOLERANCES["gap"]
+        assert config.tolerances == STUDIES["gap"].tolerances
 
     def test_round_trip_through_mapping(self):
         config = StudyConfig.from_mapping(
@@ -111,11 +111,6 @@ class TestStudyConfig:
         assert config.tolerances["ratio_first"] == 0.15
         with pytest.raises(ValueError, match="windw_low"):
             StudyConfig(kind="gap", eps=(0.01,), tolerances={"windw_low": 0.1})
-
-    def test_every_kind_has_defaults(self):
-        for kind in KINDS:
-            assert kind in DEFAULT_TOLERANCES
-            assert kind in ANCHORS
 
 
 class TestGapStudy:
@@ -248,7 +243,7 @@ class TestReportPayload:
     def test_anchor_strings_cover_metrics(self):
         for kind, eps in (("gap", (0.01,)), ("multiplicity", (0.02,))):
             report = run_study(StudyConfig(kind=kind, eps=eps))
-            for name in ANCHORS[kind]:
+            for name in STUDIES[kind].anchors:
                 assert name in report.rows[0].metrics
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -387,6 +382,71 @@ class TestCommandLine:
         assert main(["solve-ch", "--seed-geometry", "torus"]) == 2
         err = capsys.readouterr().err
         assert "disk" in err and "planar" in err
+
+
+def _routed(argv):
+    # the parser and the config builder only: no study runs
+    return _config_from_args(_build_parser().parse_args(argv))
+
+
+class TestCommandRouting:
+    @pytest.mark.parametrize(
+        "argv, kind, eps, grid_k",
+        [
+            (["profile"], "profile", (0.02,), (8,)),
+            (["solve-ch"], "ch-disk", (0.08, 0.04, 0.02), (4, 4, 4)),
+            (["solve-ch", "--seed-geometry", "disk"], "ch-disk", (0.08, 0.04, 0.02), (4, 4, 4)),
+            (["solve-ch", "--seed-geometry", "planar"], "ch-planar", (0.02,), (8,)),
+            (["solve-ok"], "ok-disk", (0.02,), (4,)),
+            (["solve-ok", "--seed-geometry", "disk"], "ok-disk", (0.02,), (4,)),
+            (["solve-ok", "--seed-geometry", "lamellar"], "ok-lamellar", (0.01,), (8,)),
+            (["gt-check"], "gt-check", (0.02,), (4,)),
+            (["gt-check", "--seed-geometry", "disk"], "gt-check", (0.02,), (4,)),
+            (["subsolution-check"], "subsolution", (0.02, 0.01), (24, 48)),
+            (["subsolution-check", "--seed-geometry", "arc"], "subsolution", (0.02, 0.01), (24, 48)),
+            (["multiplicity"], "multiplicity", (0.01,), (8,)),
+            (["gap"], "gap", (0.01, 0.005, 0.0025), (8, 8, 8)),
+        ],
+        ids=lambda value: ":".join(value) if isinstance(value, list) else None,
+    )
+    def test_command_resolves_kind_and_defaults(self, argv, kind, eps, grid_k):
+        config = _routed(argv)
+        assert config.kind == kind
+        assert config.eps == eps
+        assert config.grid_k == grid_k
+
+    def test_study_command_takes_kind_from_config(self, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"kind": "ok-lamellar", "eps": 0.02}))
+        config = _routed(["study", "--config", str(path)])
+        assert config.kind == "ok-lamellar"
+        assert config.eps == (0.02,)
+        assert config.grid_k == (8,)
+
+    def test_geometry_radius_override(self):
+        config = _routed(["subsolution-check", "--seed-geometry", "arc:0.5"])
+        assert config.kind == "subsolution"
+        assert config.radius == 0.5
+
+    def test_command_without_geometries_rejects_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "--seed-geometry", "disk"])
+        assert exit_info.value.code == 2
+        assert "--seed-geometry" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run(
+            [sys.executable, "-m", "gtlab", "gap", "--eps", "0.01"],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "RuntimeWarning" not in run.stderr
+        assert "result: PASS" in run.stdout
 
 
 ROOT = Path(__file__).resolve().parents[1]
