@@ -159,16 +159,33 @@ class TestMeanZeroSteps:
         assert abs(report.mass - mass) <= 1e-13
 
     def test_eps016_disk_krylov_work(self, eps016):
-        # 101 MINRES iterations in 5 Newton steps; a constant drift in the
+        # 42 MINRES iterations in 5 Newton steps; an unfloored forcing
+        # spent 70 of 101 on the last step, and a constant drift in the
         # iterate cost 3783 over 60 Newton steps
         _, report = eps016
-        assert report.krylov_iterations <= 120
+        assert report.krylov_iterations <= 50
         assert report.krylov_failures == 0
 
     def test_eps01_disk_converges(self, well, profile_table):
+        # 6 Newton steps and 53 MINRES iterations; 135 unfloored
         _, report = _disk_solve(well, profile_table, 0.01, 400)
         assert report.converged
-        assert report.iterations <= 10
+        assert report.iterations <= 6
+        assert report.krylov_iterations <= 65
+        assert report.residual <= 1e-9
+
+    @pytest.mark.parametrize(
+        "eps, n, steps", [(0.08, 50, 5), (0.04, 100, 4), (0.02, 200, 4)]
+    )
+    def test_forcing_floor_costs_no_newton_step(
+        self, well, profile_table, eps, n, steps
+    ):
+        # the solve-ch default ladder (grid_k 4); the step counts are those
+        # of the unfloored forcing 0.01*min(sup, 1)
+        _, report = _disk_solve(well, profile_table, eps, n)
+        assert report.stop_reason == "converged"
+        assert report.iterations <= steps
+        assert report.residual <= 1e-9
 
     def test_default_eps08_disk_keeps_mass(self, well, profile_table):
         # the solve-ch default: eps 0.08, grid_k 4, radius 0.25
