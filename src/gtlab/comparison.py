@@ -11,8 +11,10 @@ the front the field is exactly constant at the plateau values of
     -eps * lap(v) + W'(v) / eps
 
 is measurable on a grid and stays below a fixed multiple of the forcing.
-The pieces here build the constant-curvature graphs, the cutoff schedule,
-the comparison field, and the verdicts derived from its defect.
+A front of constant curvature in the plane is a circular arc (a segment at
+curvature 0), so the graph, its heights and its signed distance are closed
+forms.  The pieces here build those graphs, the cutoff schedule, the
+comparison field, and the verdicts derived from its defect.
 """
 
 from __future__ import annotations
@@ -21,19 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.spatial import cKDTree
 
 from .field import Grid, ScalarField, laplacian
-from .potential import (
-    DoubleWell,
-    ProfileTable,
-    _banded_newton,
-    bulk_roots,
-    far_field_values,
-)
-
-SQRT2 = float(np.sqrt(2.0))
+from .potential import DoubleWell, ProfileTable, bulk_roots, far_field_values
 
 # The taper of the cutoff starts at this fraction of the saturation length
 # and spans the next fraction.  The identity core then covers a third of the
@@ -158,49 +150,82 @@ def make_schedule(eps: float) -> CutoffSchedule:
     return schedule
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GraphPatch:
-    """A height graph sampled over a centered base interval.
+    """Height graph of constant curvature over [center - radius, center + radius].
 
-    ``positions`` are uniform over [center - radius, center + radius] and
-    ``heights`` are the graph values there.
+    The graph runs from (center - radius, left) to (center + radius, right).
+    With curvature c != 0 it is the arc of radius 1/|c| through those two
+    points, convex for c > 0 and concave for c < 0; with c = 0 it is the
+    segment between them.  Heights and distances are closed forms in the
+    start point, the unit tangents at the ends and c: one formula serves arcs
+    and segments, and none of them goes through the circle's centre, which
+    lies 1/|c| away and would cost digits for small |c|.
     """
 
     center: float
     radius: float
-    positions: np.ndarray
-    heights: np.ndarray
+    left: float
+    right: float
+    curvature: float
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        m = self.positions.size
-        if m < 5:
-            raise ValueError("need at least 5 graph samples")
-        for name in ("positions", "heights"):
-            arr = getattr(self, name)
-            if arr.shape != (m,):
-                raise ValueError(f"{name} must be a flat array of {m} samples")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite samples")
-        steps = np.diff(self.positions)
-        if np.min(steps) <= 0.0:
-            raise ValueError("positions must be strictly increasing")
-        if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
-            raise ValueError("positions must be uniformly spaced")
+        values = (self.center, self.left, self.right, self.curvature)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(
+                f"center, boundary heights and curvature must be finite, got {values}"
+            )
+        # an arc through both ends exists while the chord is shorter than the
+        # diameter, and it is a graph while both end tangents point right
+        half_chord = 0.5 * np.hypot(2.0 * self.radius, self.right - self.left)
+        if not (
+            abs(self.curvature) * half_chord < 1.0
+            and np.all(self.tangents()[:, 0] > 0.0)
+        ):
+            raise ValueError(
+                f"curvature {self.curvature:.6g} over the base of radius "
+                f"{self.radius:.6g} from height {self.left:.6g} to {self.right:.6g}: "
+                "no graph of this curvature spans the base"
+            )
+
+    def ends(self) -> np.ndarray:
+        """The two boundary points as rows (x, height)."""
         lo, hi = self.center - self.radius, self.center + self.radius
-        if abs(self.positions[0] - lo) > 1e-12 or abs(self.positions[-1] - hi) > 1e-12:
-            raise ValueError("positions must span the base interval exactly")
+        return np.array([[lo, self.left], [hi, self.right]])
 
-    def points(self) -> np.ndarray:
-        """Graph vertices as an (m, 2) array of (position, height) rows."""
-        return np.column_stack([self.positions, self.heights])
+    def tangents(self) -> np.ndarray:
+        """Unit tangents at the two ends as rows, pointing to larger x.
 
-    @classmethod
-    def from_heights(cls, center: float, radius: float, heights) -> "GraphPatch":
-        heights = np.asarray(heights, dtype=float)
-        positions = center + np.linspace(-radius, radius, heights.size)
-        return cls(float(center), float(radius), positions, heights)
+        Each is the chord direction turned by half the arc's turning angle,
+        whose sine is curvature * half chord: below the chord at the start of
+        a convex arc and above it at the end.
+        """
+        start, end = self.ends()
+        chord = end - start
+        length = np.hypot(*chord)
+        along = chord / length
+        normal = np.array([-along[1], along[0]])
+        sin = 0.5 * self.curvature * length
+        cos = np.sqrt(1.0 - sin * sin)
+        return np.array([cos * along - sin * normal, cos * along + sin * normal])
+
+    def height(self, x):
+        """Graph height over the base interval.
+
+        With t = x - start_x and (tx, ty) the unit tangent at the start, the
+        graph rises from the start height by the root near 0 of the arc's
+        equation c r^2 - 2 tx r + g = 0, g = t (c t + 2 ty), written as
+        g / (tx + sqrt(tx^2 - c g)) so that c = 0 gives the segment.
+        """
+        (x0, y0), _ = self.ends()
+        (tx, ty), _ = self.tangents()
+        c = self.curvature
+        t = np.asarray(x, dtype=float) - x0
+        g = t * (c * t + 2.0 * ty)
+        out = y0 + g / (tx + np.sqrt(tx * tx - c * g))
+        return float(out) if out.ndim == 0 else out
 
 
 def solve_cmc_graph(
@@ -208,162 +233,66 @@ def solve_cmc_graph(
     radius: float,
     boundary: tuple[float, float],
     curvature: float,
-    n_cells: int = 2000,
 ) -> GraphPatch:
     """Height graph of prescribed constant curvature over a base interval.
 
-    Damped Newton for the quasilinear two-point problem
+    The solution of the two-point problem
 
         psi'' = curvature * (1 + psi'^2)^(3/2)
 
-    with exact Dirichlet values at the base endpoints.  A spanning arc of
-    curvature c over a base of radius r exists only for |c| * r < 1; larger
-    products are rejected up front.
+    with Dirichlet values ``boundary`` at the base endpoints is the circular
+    arc of radius 1/|curvature| through the two boundary points (a segment
+    for curvature 0), returned in closed form.  Boundary values and a
+    curvature for which no such arc is a graph over the whole base, among
+    them every |curvature| * radius >= 1, are rejected.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    n = int(n_cells)
-    if n < 8:
-        raise ValueError("need at least 8 cells across the base")
-    if abs(curvature) * radius >= 1.0:
-        raise ValueError(
-            f"|curvature| * radius = {abs(curvature) * radius:.6g} >= 1: "
-            "no graph of this curvature spans the base"
-        )
-    left, right = float(boundary[0]), float(boundary[1])
-    h = 2.0 * radius / n
-    tloc = np.linspace(-radius, radius, n + 1)
-    psi = left + (right - left) * (tloc + radius) / (2.0 * radius)
-    psi += 0.5 * curvature * (tloc**2 - radius**2)
-    psi[0], psi[-1] = left, right
-
-    def residual(vals: np.ndarray) -> np.ndarray:
-        d2 = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h**2
-        dc = (vals[2:] - vals[:-2]) / (2.0 * h)
-        return d2 - curvature * (1.0 + dc * dc) ** 1.5
-
-    def bands(vals: np.ndarray) -> np.ndarray:
-        dc = (vals[2:] - vals[:-2]) / (2.0 * h)
-        cross = 3.0 * curvature * dc * np.sqrt(1.0 + dc * dc) / (2.0 * h)
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = 1.0 / h**2 - cross[:-1]
-        ab[1, :] = -2.0 / h**2
-        ab[2, :-1] = 1.0 / h**2 + cross[1:]
-        return ab
-
-    floor = (8.0 / h**2) * np.finfo(float).eps * max(1.0, float(np.max(np.abs(psi))))
-    threshold = max(1e-9, floor)
-    psi, sup = _banded_newton(psi, residual, bands, threshold, 40)
-    if sup > threshold:
-        raise RuntimeError(
-            f"curvature graph Newton stalled at residual {sup:.3e}; "
-            f"|curvature| * radius = {abs(curvature) * radius:.4g} "
-            "is close to the spanning limit 1"
-        )
-    return GraphPatch.from_heights(center, radius, psi)
-
-
-# Points projected together by signed_distance: each Newton temporary holds
-# one float per point of a block.
-_BLOCK = 1 << 14
+    left, right = boundary
+    return GraphPatch(
+        float(center), float(radius), float(left), float(right), float(curvature)
+    )
 
 
 def signed_distance(patch: GraphPatch, points) -> np.ndarray | float:
-    """Distance to the graph's cubic interpolant, positive strictly above it.
+    """Exact distance to the graph, positive on or above it.
 
-    Main path: Newton's method on the squared distance to the cubic spline
-    through the graph samples, started at the vertical foot t = x clipped to
-    the base interval.  Inside a saturation tube the curvature times the
-    distance stays below one (no focal crossing), so this start needs no
-    nearest-vertex search.  Points run in blocks of ``_BLOCK``, and each one
-    stops once its step falls below 1e-12 * max(1, base length), so its
-    distance depends on that point alone.  The spline, not the polyline,
-    carries the main path: a polyline puts all curvature at its vertices,
-    and grid Laplacians amplify its chord-sag kinks by 1/spacing^2.
+    With q = p - start, m the upward unit normal at the start and c the
+    curvature, a point's distance to the whole circle (or line) that carries
+    the graph is the magnitude of
 
-    Fallback: a point that does not settle within 8 steps, or whose foot
-    ends on an end of the base, takes the exact distance to the polyline
-    through the samples (nearest vertex, then its two adjacent segments).
+        (2 q.m - c |q|^2) / (1 + |c q - m|),
 
-    The sign compares the vertical coordinate against the polyline height at
-    the same horizontal position, which for a height graph is the exact side
-    test.
+    which is sign(c) * (1/|c| - |p - centre|) rewritten without the centre.
+    That is the distance to the graph where the point lies in the arc's
+    sector, between the normal lines at the two ends; elsewhere the nearest
+    graph point is the nearer end.  The sign compares the vertical
+    coordinate with the height at the horizontal position clipped to the
+    base, the exact side test for a height graph.  A flat front at height 0
+    gives y itself.
     """
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
-    spline = CubicSpline(patch.positions, patch.heights)
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _BLOCK):
-        block = pts[start : start + _BLOCK]
-        out[start : start + _BLOCK] = _side(
-            patch, block, _spline_distance(patch, spline, block)
-        )
-    missed = np.isnan(out)
-    if np.any(missed):
-        out[missed] = _polyline_distance(patch, pts[missed])
-    return float(out[0]) if scalar else out
-
-
-def _spline_distance(
-    patch: GraphPatch, spline: CubicSpline, pts: np.ndarray
-) -> np.ndarray:
-    """Unsigned distance to the spline by Newton from the vertical foot;
-    NaN where the foot does not settle or ends on an end of the base."""
-    lo, hi = float(patch.positions[0]), float(patch.positions[-1])
+    (x0, y0), (x1, y1) = patch.ends()
+    (tx0, ty0), (tx1, ty1) = patch.tangents()
+    c = patch.curvature
     x, y = pts[:, 0], pts[:, 1]
-    t = np.clip(x, lo, hi)
-    settled = np.zeros(t.shape, dtype=bool)
-    active = np.arange(t.size)
-    for _ in range(8):
-        ta, xa, ya = t[active], x[active], y[active]
-        e1 = spline(ta, 1)
-        gap = ya - spline(ta)
-        g = -(xa - ta) - gap * e1
-        gp = 1.0 + e1 * e1 - gap * spline(ta, 2)
-        ok = gp > 0.0
-        dt = np.where(ok, -g / np.where(ok, gp, 1.0), 0.0)
-        t[active] = np.clip(ta + dt, lo, hi)
-        done = ok & (np.abs(dt) <= 1e-12 * max(1.0, hi - lo))
-        settled[active[done]] = True
-        # past the focal distance (gp <= 0) the foot no longer moves
-        active = active[ok & ~done]
-        if active.size == 0:
-            break
-    keep = settled & (t > lo) & (t < hi)
-    dist = np.full(t.shape, np.nan)
-    dist[keep] = np.hypot(x[keep] - t[keep], y[keep] - spline(t[keep]))
-    return dist
-
-
-def _polyline_distance(patch: GraphPatch, pts: np.ndarray) -> np.ndarray:
-    """Exact signed distance to the polyline through the graph samples:
-    nearest vertex, then projection onto its two adjacent segments."""
-    curve = patch.points()
-    last = curve.shape[0] - 2
-    _, idx = cKDTree(curve).query(pts)
-    best = np.full(pts.shape[0], np.inf)
-    for start in (idx - 1, idx):
-        valid = (start >= 0) & (start <= last)
-        seg = np.clip(start, 0, last)
-        a = curve[seg]
-        ab = curve[seg + 1] - a
-        denom = np.einsum("ij,ij->i", ab, ab)
-        tpar = np.einsum("ij,ij->i", pts - a, ab) / denom
-        proj = a + np.clip(tpar, 0.0, 1.0)[:, None] * ab
-        gap = pts - proj
-        dist = np.sqrt(np.einsum("ij,ij->i", gap, gap))
-        best = np.minimum(best, np.where(valid, dist, np.inf))
-    return _side(patch, pts, best)
-
-
-def _side(patch: GraphPatch, pts: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Attach the sign: positive where the point lies on or above the
-    polyline height at its horizontal position."""
-    height = np.interp(pts[:, 0], patch.positions, patch.heights)
-    return np.where(pts[:, 1] >= height, dist, -dist)
+    # Ordered and written in place so that at most five point-sized arrays
+    # are alive at once: on a study grid this stays below the peak memory of
+    # the field assembly that follows.
+    below = y < patch.height(np.clip(x, x0, x1))
+    qx, qy = x - x0, y - y0
+    beyond = (qx * tx0 + qy * ty0 < 0.0) | ((x - x1) * tx1 + (y - y1) * ty1 > 0.0)
+    # 2 q.m - c |q|^2 with m = (-ty0, tx0)
+    dist = np.abs(qy * (2.0 * tx0 - c * qy) - qx * (2.0 * ty0 + c * qx))
+    den = c * qx + ty0
+    dist /= np.hypot(den, c * qy - tx0, out=den) + 1.0
+    dist[beyond] = np.minimum(
+        np.hypot(qx[beyond], qy[beyond]), np.hypot(x[beyond] - x1, y[beyond] - y1)
+    )
+    np.negative(dist, out=dist, where=below)
+    return float(dist[0]) if scalar else dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,11 +340,12 @@ def build_subsolution(
     delta = schedule.saturation
     x_lo, y_lo = grid.origin
     x_hi, y_hi = grid.upper()
-    if patch.positions[0] > x_lo or patch.positions[-1] < x_hi:
+    (base_lo, _), (base_hi, _) = patch.ends()
+    if base_lo > x_lo or base_hi < x_hi:
         raise ValueError("graph base does not span the grid horizontally")
-    inside = (patch.positions >= x_lo) & (patch.positions <= x_hi)
-    top_gap = y_hi - float(np.max(patch.heights[inside]))
-    bottom_gap = float(np.min(patch.heights[inside])) - y_lo
+    heights = patch.height(grid.axis(0))
+    top_gap = y_hi - float(np.max(heights))
+    bottom_gap = float(np.min(heights)) - y_lo
     if min(top_gap, bottom_gap) < 2.0 * delta:
         raise ValueError(
             "saturation tube leaves the grid: wall clearance "

@@ -468,14 +468,15 @@ def _study_subsolution(config, well, table, eps, k, out, index):
     rho = config.radius
     # spherical-cap boundary height; solve_cmc_graph rejects curv*rho >= 1
     cap = (1.0 / curv) - np.sqrt(max((1.0 / curv) ** 2 - rho * rho, 0.0))
-    patch = solve_cmc_graph(0.0, rho, (cap, cap), curv, n_cells=4000)
+    patch = solve_cmc_graph(0.0, rho, (cap, cap), curv)
     schedule = make_schedule(eps)
     delta = schedule.saturation
     h = eps / k
     half_cells = int(np.ceil(0.6 * rho / h))
     x_half = half_cells * h
-    inside = np.abs(patch.positions) <= x_half
-    psi_max = float(np.max(patch.heights[inside]))
+    # the bowl is convex and even, so it is highest at the side walls; a
+    # grid wider than the base is rejected by build_subsolution
+    psi_max = patch.height(min(x_half, rho))
     m_lo = int(np.ceil(2.2 * delta / h))
     m_hi = int(np.ceil((psi_max + 2.2 * delta) / h))
     grid = Grid.box(

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.spatial import cKDTree
 
 from gtlab.comparison import (
-    _BLOCK,
     CutoffSchedule,
     DefectCertificate,
     GraphPatch,
@@ -19,7 +19,6 @@ from gtlab.comparison import (
     asymptotic_gap,
     build_subsolution,
     make_schedule,
-    _polyline_distance,
     signed_distance,
     solve_cmc_graph,
     verify_subsolution,
@@ -48,7 +47,7 @@ FLAT_GRID_DEFECT_SUP = 0.0009110229277375526
 
 # Constant-curvature bowl (force 1, curvature sqrt(2), base radius 0.6,
 # box [-0.36, 0.36] x [-0.54, 0.72]) at eps = 0.04, h = eps/16.
-BOWL_MAX_DEFECT = 0.71872078424895847
+BOWL_MAX_DEFECT = 0.718720807750115
 
 # Normalized gaps between bulk roots and plateau values at force 1,
 # rows keyed by eps as (upper gap, lower gap).
@@ -66,11 +65,11 @@ def circle_height(radius, t):
     return radius - np.sqrt(radius * radius - t * t)
 
 
-def bowl_arc(sigma, force=1.0, n_cells=4000):
+def bowl_arc(sigma, force=1.0):
     curvature = 2.0 * force / (3.0 * sigma)
     rho = 0.6
     cap = circle_height(1.0 / curvature, rho)
-    return solve_cmc_graph(0.0, rho, (cap, cap), curvature, n_cells=n_cells)
+    return solve_cmc_graph(0.0, rho, (cap, cap), curvature)
 
 
 class TestCutoffSchedule:
@@ -161,154 +160,239 @@ class TestCutoffSchedule:
 
 
 class TestGraphPatch:
-    def test_from_heights_quadratic(self):
-        t = np.linspace(-0.5, 0.5, 101) + 0.2
-        heights = 0.3 + 0.1 * t + 3.0 * t * t
-        patch = GraphPatch.from_heights(0.2, 0.5, heights)
-        assert np.max(np.abs(patch.positions - t)) <= 1e-15
-        assert np.max(np.abs(np.diff(patch.positions) - 0.01)) <= 1e-14
-        assert np.array_equal(patch.heights, heights)
-        pts = patch.points()
-        assert pts.shape == (101, 2)
-        assert np.array_equal(pts[:, 0], patch.positions)
-        assert np.array_equal(pts[:, 1], patch.heights)
+    def test_ends_tangents_and_height(self):
+        R = 1.0 / SQRT2
+        patch = GraphPatch(0.1, 0.6, 0.2, 0.2, SQRT2)
+        assert np.array_equal(patch.ends(), [[0.1 - 0.6, 0.2], [0.1 + 0.6, 0.2]])
+        tangents = patch.tangents()
+        assert np.allclose(np.hypot(*tangents.T), 1.0, rtol=0.0, atol=1e-15)
+        # a convex arc leaves its start below the chord at slope
+        # -rho / sqrt(R^2 - rho^2)
+        slope = 0.6 / np.sqrt(R * R - 0.36)
+        assert tangents[0, 1] / tangents[0, 0] == pytest.approx(-slope, rel=1e-14)
+        assert tangents[1, 1] / tangents[1, 0] == pytest.approx(slope, rel=1e-14)
+        t = np.linspace(-0.6, 0.6, 1201)
+        exact = 0.2 - circle_height(R, 0.6) + circle_height(R, t)
+        dev = patch.height(0.1 + t) - exact
+        assert np.max(np.abs(dev)) <= 1e-15
+        assert isinstance(patch.height(0.1), float)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least 5"):
-            GraphPatch.from_heights(0.0, 1.0, np.zeros(4))
-        with pytest.raises(ValueError, match="non-finite"):
-            GraphPatch.from_heights(0.0, 1.0, np.array([0.0, 1.0, np.nan, 1.0, 0.0]))
         with pytest.raises(ValueError, match="radius"):
-            GraphPatch.from_heights(0.0, -1.0, np.zeros(9))
-        good = np.linspace(-1.0, 1.0, 9)
-        zeros = np.zeros(9)
-        with pytest.raises(ValueError, match="increasing"):
-            GraphPatch(0.0, 1.0, good[::-1], zeros)
-        warped = np.sign(good) * np.abs(good) ** 1.5
-        with pytest.raises(ValueError, match="uniform"):
-            GraphPatch(0.0, 1.0, warped, zeros)
-        with pytest.raises(ValueError, match="span the base"):
-            GraphPatch(0.0, 1.0, good + 0.1, zeros)
-        with pytest.raises(ValueError, match="flat array"):
-            GraphPatch(0.0, 1.0, good, zeros[:5])
+            GraphPatch(0.0, -1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="radius"):
+            GraphPatch(0.0, np.inf, 0.0, 0.0, 0.0)
+        for bad in (
+            (np.nan, 1.0, 0.0, 0.0, 0.0),
+            (0.0, 1.0, np.inf, 0.0, 0.0),
+            (0.0, 1.0, 0.0, np.nan, 0.0),
+            (0.0, 1.0, 0.0, 0.0, -np.inf),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                GraphPatch(*bad)
+        with pytest.raises(ValueError, match="spans the base"):
+            GraphPatch(0.0, 1.0, 0.0, 0.0, 1.0)
 
 
 class TestSolveCmcGraph:
     def test_zero_curvature_is_affine(self):
-        patch = solve_cmc_graph(0.0, 0.7, (0.1, 0.5), 0.0, n_cells=64)
-        t = patch.positions
+        patch = solve_cmc_graph(0.0, 0.7, (0.1, 0.5), 0.0)
+        assert patch == GraphPatch(0.0, 0.7, 0.1, 0.5, 0.0)
+        t = np.linspace(-0.7, 0.7, 65)
         affine = 0.3 + (0.4 / 1.4) * t
-        assert np.max(np.abs(patch.heights - affine)) <= 1e-13
-        assert patch.heights[0] == 0.1
-        assert patch.heights[-1] == 0.5
+        assert np.max(np.abs(patch.height(t) - affine)) <= 2e-16
+        assert patch.height(-0.7) == 0.1
+        assert patch.height(0.7) == 0.5
 
     def test_circle_arcs(self):
-        cases = [
-            (0.5, 1.0, 2000, 3e-8),
-            (SQRT2, 0.6, 2000, 1.2e-7),
-            (SQRT2, 0.6, 4000, 3e-8),
-        ]
-        devs = []
-        for c, rho, n, bound in cases:
-            R = 1.0 / c
-            patch = solve_cmc_graph(0.0, rho, (circle_height(R, rho),) * 2, c, n_cells=n)
-            dev = np.max(np.abs(patch.heights - circle_height(R, patch.positions)))
-            assert dev <= bound
-            devs.append(dev)
-        # halving the cell width quarters the deviation
-        assert 3.8 <= devs[1] / devs[2] <= 4.2
+        for c, rho in ((0.5, 1.0), (SQRT2, 0.6), (-SQRT2, 0.6)):
+            R = 1.0 / abs(c)
+            cap = np.copysign(circle_height(R, rho), c)
+            patch = solve_cmc_graph(0.0, rho, (cap, cap), c)
+            t = np.linspace(-rho, rho, 4001)
+            exact = np.copysign(circle_height(R, t), c)
+            assert np.max(np.abs(patch.height(t) - exact)) <= 1e-15
+            assert abs(patch.height(0.0)) <= 1e-16
 
     def test_prescribed_curvature_recovered(self):
+        # the circle through any three graph points has the prescribed
+        # curvature: 4 * area / (product of the side lengths)
         c = SQRT2
-        patch = solve_cmc_graph(0.0, 0.6, (0.05, 0.05), c, n_cells=2000)
-        u = patch.heights
-        h = patch.positions[1] - patch.positions[0]
-        # centred differences at the interior vertices, then the graph
-        # curvature u'' / (1 + u'^2)^(3/2)
-        p = (u[2:] - u[:-2]) / (2.0 * h)
-        X = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-        out = X / (1.0 + p * p) ** 1.5
-        assert np.max(np.abs(out - c)) <= 2e-9
+        patch = solve_cmc_graph(0.0, 0.6, (0.05, 0.05), c)
+        x = np.linspace(-0.6, 0.6, 201)
+        p = np.column_stack([x, patch.height(x)])
+        a, b, d = p[:-2], p[1:-1], p[2:]
+        u, v = b - a, d - a
+        area2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        sides = np.hypot(*u.T) * np.hypot(*v.T) * np.hypot(*(d - b).T)
+        assert np.max(np.abs(2.0 * area2 / sides - c)) <= 1e-10
+        assert np.all(area2 > 0.0)
 
     def test_rejects_spanning_limit(self):
         with pytest.raises(ValueError, match="spans the base"):
             solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 2.0)
         with pytest.raises(ValueError, match="spans the base"):
             solve_cmc_graph(0.0, 0.8, (0.0, 0.0), -1.5)
+        # |curvature| * radius < 1, but the chord is longer than the diameter
+        with pytest.raises(ValueError, match="spans the base"):
+            solve_cmc_graph(0.0, 0.5, (0.0, 1.2), 1.5)
+        # the arc exists but turns back over its base at one end
+        with pytest.raises(ValueError, match="spans the base"):
+            solve_cmc_graph(0.0, 0.5, (0.0, 0.8), 1.5)
+        with pytest.raises(ValueError, match="spans the base"):
+            solve_cmc_graph(0.0, 0.5, (0.8, 0.0), -1.5)
+        # the same ends with a gentler bend are a graph
+        solve_cmc_graph(0.0, 0.5, (0.0, 0.8), 0.5)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="radius"):
             solve_cmc_graph(0.0, 0.0, (0.0, 0.0), 0.5)
-        with pytest.raises(ValueError, match="at least 8"):
-            solve_cmc_graph(0.0, 1.0, (0.0, 0.0), 0.5, n_cells=7)
+        with pytest.raises(ValueError, match="finite"):
+            solve_cmc_graph(0.0, 1.0, (0.0, np.nan), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            solve_cmc_graph(0.0, 1.0, (0.0, 0.0), np.inf)
+
+
+def arc_samples(patch, n=100_001):
+    """Dense samples of the patch's arc (or segment), placed by angle about
+    its circle's centre, independently of the closed forms under test."""
+    (x0, y0), (x1, y1) = patch.ends()
+    c = patch.curvature
+    if c == 0.0:
+        s = np.linspace(0.0, 1.0, n)[:, None]
+        return (1.0 - s) * [x0, y0] + s * [x1, y1]
+    R = 1.0 / abs(c)
+    chord = np.array([x1 - x0, y1 - y0])
+    half = 0.5 * np.hypot(*chord)
+    up = np.array([-chord[1], chord[0]]) / (2.0 * half)
+    rise = np.sign(c) * np.sqrt(R * R - half * half)
+    centre = np.array([x0 + x1, y0 + y1]) / 2.0 + rise * up
+    # the arc is the lower half of its circle for c > 0, the upper for c < 0
+    ang = np.linspace(
+        np.arctan2(y0 - centre[1], x0 - centre[0]),
+        np.arctan2(y1 - centre[1], x1 - centre[0]),
+        n,
+    )
+    return centre + R * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def reference_distance(samples, pts):
+    """Brute-force distance: nearest dense sample, refined over the two
+    chords next to it (their sag is below 1e-10)."""
+    _, idx = cKDTree(samples).query(pts)
+    best = np.full(len(pts), np.inf)
+    for start in (idx - 1, idx):
+        seg = np.clip(start, 0, len(samples) - 2)
+        a = samples[seg]
+        ab = samples[seg + 1] - a
+        t = np.einsum("ij,ij->i", pts - a, ab) / np.einsum("ij,ij->i", ab, ab)
+        foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+        best = np.minimum(best, np.hypot(*(pts - foot).T))
+    return best
+
+
+# Tube of the eps 0.02 certificate (twice the saturation length), and the
+# brute-force agreement asked of the closed form inside it.
+TUBE = 2.0 * make_schedule(0.02).saturation
+TUBE_TOL = 1e-6 * TUBE
+
+PATCHES = [
+    (0.0, 0.6, (0.3, 0.3), 1.0 / SQRT2),
+    (0.2, 0.5, (0.1, 0.6), 0.8),
+    (0.0, 0.5, (0.2, -0.1), -1.2),
+    (0.1, 0.7, (0.1, 0.5), 0.0),
+]
 
 
 class TestSignedDistance:
     def test_flat_graph_is_vertical_offset(self):
-        patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(101))
+        patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         rng = np.random.default_rng(5)
         pts = np.column_stack(
-            [rng.uniform(-0.45, 0.45, 300), rng.uniform(-0.3, 0.3, 300)]
+            [rng.uniform(-0.5, 0.5, 300), rng.uniform(-0.3, 0.3, 300)]
         )
         assert np.array_equal(signed_distance(patch, pts), pts[:, 1])
-        assert np.array_equal(_polyline_distance(patch, pts), pts[:, 1])
 
     def test_vertices_at_zero(self, profile_table):
-        patch = bowl_arc(profile_table.sigma, n_cells=500)
-        d = signed_distance(patch, patch.points()[50:-50])
-        assert np.max(np.abs(d)) <= 1e-12
+        patch = bowl_arc(profile_table.sigma)
+        d = signed_distance(patch, arc_samples(patch, 1001))
+        assert np.max(np.abs(d)) <= 1e-15
+
+    @pytest.mark.parametrize("args", PATCHES)
+    def test_matches_brute_force_in_tube(self, args):
+        patch = solve_cmc_graph(*args)
+        (x0, y0), (x1, y1) = patch.ends()
+        rng = np.random.default_rng(13)
+        pts = np.column_stack(
+            [
+                rng.uniform(x0 - TUBE, x1 + TUBE, 3000),
+                rng.uniform(min(y0, y1) - TUBE, max(y0, y1) + TUBE, 3000),
+            ]
+        )
+        ref = reference_distance(arc_samples(patch), pts)
+        pts, ref = pts[ref <= TUBE], ref[ref <= TUBE]
+        d = signed_distance(patch, pts)
+        assert np.max(np.abs(np.abs(d) - ref)) <= TUBE_TOL
+        # both sides of the front and feet beyond both ends are covered
+        assert np.sum(d > 0.0) > 500 and np.sum(d < 0.0) > 500
+        assert np.sum(pts[:, 0] < x0) > 50 and np.sum(pts[:, 0] > x1) > 50
+
+    @pytest.mark.parametrize("args", PATCHES)
+    def test_endpoint_feet(self, args):
+        # points in the wedges past each end, and above the centre of an
+        # arc, where the nearest point of the full circle is off the arc
+        patch = solve_cmc_graph(*args)
+        ends = patch.ends()
+        tangents = patch.tangents()
+        normals = tangents[:, ::-1] * [-1.0, 1.0]
+        rng = np.random.default_rng(17)
+        for end, tangent, normal, way in zip(ends, tangents, normals, (-1.0, 1.0)):
+            s = rng.uniform(0.01, 0.5, (200, 1))
+            n = rng.uniform(-0.5, 0.5, (200, 1))
+            pts = end + way * s * tangent + n * normal
+            d = signed_distance(patch, pts)
+            exact = np.hypot(*(pts - end).T)
+            assert np.max(np.abs(np.abs(d) - exact)) <= 1e-15
+            ref = reference_distance(arc_samples(patch), pts)
+            assert np.max(np.abs(np.abs(d) - ref)) <= TUBE_TOL
+        if patch.curvature != 0.0:
+            R = 1.0 / abs(patch.curvature)
+            mid = patch.height(patch.center)
+            rise = np.sign(patch.curvature) * R
+            pts = np.array([[patch.center, mid + f * rise] for f in (2.5, 3.0)])
+            exact = np.min([np.hypot(*(pts - end).T) for end in ends], axis=0)
+            assert np.max(np.abs(np.abs(signed_distance(patch, pts)) - exact)) <= 1e-15
 
     def test_circle_cross_check(self, profile_table):
         c = 2.0 / (3.0 * profile_table.sigma)
         R = 1.0 / c
-        patch = bowl_arc(profile_table.sigma, n_cells=20000)
+        patch = bowl_arc(profile_table.sigma)
         rng = np.random.default_rng(7)
         ang = rng.uniform(np.pi / 3.0, 2.0 * np.pi / 3.0, 4000)
         rad = rng.uniform(0.55 * R, 1.6 * R, 4000)
         pts = np.column_stack([rad * np.cos(ang), R - rad * np.sin(ang)])
         pts = pts[np.abs(pts[:, 0]) <= 0.55]
         exact = R - np.hypot(pts[:, 0], pts[:, 1] - R)
-        smooth = signed_distance(patch, pts)
-        poly = _polyline_distance(patch, pts)
-        assert np.max(np.abs(smooth - exact)) <= 2e-9
-        assert np.max(np.abs(poly - exact)) <= 3e-9
+        assert np.max(np.abs(signed_distance(patch, pts) - exact)) <= 1e-15
 
-    def test_smooth_within_chord_sag_of_polyline(self, profile_table):
-        patch = bowl_arc(profile_table.sigma, n_cells=2000)
-        rng = np.random.default_rng(9)
+    def test_small_curvature_keeps_digits(self):
+        # the closed form never forms the circle's centre, 1/|c| away, so a
+        # tiny bend stays within its own sag c * half_chord^2 / 2 of the
+        # segment instead of losing digits to that distance
+        rng = np.random.default_rng(19)
         pts = np.column_stack(
-            [rng.uniform(-0.5, 0.5, 2000), rng.uniform(-0.2, 0.6, 2000)]
+            [rng.uniform(-0.8, 0.8, 5000), rng.uniform(-0.5, 0.7, 5000)]
         )
-        gap = signed_distance(patch, pts) - _polyline_distance(patch, pts)
-        # Hausdorff gap between the polyline and its cubic interpolant:
-        # chord sag c (h sqrt(1 + slope^2))^2 / 8, slope up to 1.6 at the ends
-        assert np.max(np.abs(gap)) <= 3e-7
-
-    def test_fallback_takes_polyline_value(self, profile_table):
-        patch = bowl_arc(profile_table.sigma, n_cells=500)
-        end = patch.heights[-1]
-        R = 1.5 * profile_table.sigma
-        # vertical feet past the ends of the base, above and below the end
-        # height, whose nearest graph point is the end itself
-        beyond = [
-            [0.65, end + 0.1],
-            [-0.7, end + 0.3],
-            [0.7, end - 0.05],
-            [-0.62, end - 0.01],
-        ]
-        # above the bowl past its focal distance R, where the squared
-        # distance is concave at the vertical foot (gp <= 0)
-        focal = [[0.0, 1.3 * R], [0.1, 1.5 * R], [-0.15, 2.0 * R]]
-        pts = np.array(beyond + focal)
-        d = signed_distance(patch, pts)
-        assert np.array_equal(d, _polyline_distance(patch, pts))
-        assert np.array_equal(np.sign(d), [1, 1, -1, -1, 1, 1, 1])
+        flat = signed_distance(solve_cmc_graph(0.0, 0.6, (0.1, 0.2), 0.0), pts)
+        for c in (1e-9, -1e-12):
+            bent = signed_distance(solve_cmc_graph(0.0, 0.6, (0.1, 0.2), c), pts)
+            assert np.max(np.abs(bent - flat)) <= abs(c) + 1e-15
 
     def test_points_independent_of_block(self, profile_table):
-        patch = bowl_arc(profile_table.sigma, n_cells=500)
+        patch = bowl_arc(profile_table.sigma)
         rng = np.random.default_rng(11)
-        n = _BLOCK + 1000
-        pts = np.column_stack([rng.uniform(-0.55, 0.55, n), rng.uniform(-0.3, 1.2, n)])
+        n = 20000
+        pts = np.column_stack([rng.uniform(-0.8, 0.8, n), rng.uniform(-0.3, 2.0, n)])
         d = signed_distance(patch, pts)
         order = rng.permutation(n)
         assert np.array_equal(signed_distance(patch, pts[order]), d[order])
@@ -317,20 +401,15 @@ class TestSignedDistance:
 
     def test_default_study_grid_settles_everywhere(self, profile_table):
         # the grid of the default subsolution-check width (eps 0.02,
-        # grid_k 24, base radius 0.6, 4001 graph samples) built as the
-        # harness builds it, over exact samples of the study's circle: a
-        # cell that fell back to the polyline would sit up to 4.5e-8 off the
-        # circle distance, a spline foot sits 1.5e-14 off it
+        # grid_k 24, base radius 0.6) built as the harness builds it: every
+        # cell's foot lies on the arc, so the distance is the circle's
         eps, k, rho = 0.02, 24, 0.6
         R = 1.5 * profile_table.sigma
-        patch = GraphPatch.from_heights(
-            0.0, rho, circle_height(R, np.linspace(-rho, rho, 4001))
-        )
+        patch = solve_cmc_graph(0.0, rho, (circle_height(R, rho),) * 2, 1.0 / R)
         delta = make_schedule(eps).saturation
         h = eps / k
         half_cells = int(np.ceil(0.6 * rho / h))
-        inside = np.abs(patch.positions) <= half_cells * h
-        psi_max = float(np.max(patch.heights[inside]))
+        psi_max = patch.height(half_cells * h)
         m_lo = int(np.ceil(2.2 * delta / h))
         m_hi = int(np.ceil((psi_max + 2.2 * delta) / h))
         grid = Grid.box(
@@ -341,19 +420,43 @@ class TestSignedDistance:
         xs, ys = grid.mesh()
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         exact = R - np.hypot(pts[:, 0], pts[:, 1] - R)
-        assert np.max(np.abs(signed_distance(patch, pts) - exact)) <= 2e-9
+        assert np.max(np.abs(signed_distance(patch, pts) - exact)) <= 1e-15
 
     def test_sign_rule(self, profile_table):
-        patch = bowl_arc(profile_table.sigma, n_cells=500)
+        patch = bowl_arc(profile_table.sigma)
         assert signed_distance(patch, np.array([0.0, 0.2])) > 0.0
         assert signed_distance(patch, np.array([0.0, -0.2])) < 0.0
+        assert abs(signed_distance(patch, np.array([0.0, 0.0]))) <= 1e-16
+        # past the base the side is read at the nearer end's height
+        end = patch.height(0.6)
+        beyond = np.array(
+            [
+                [0.65, end + 0.1],
+                [-0.7, end + 0.3],
+                [0.7, end - 0.05],
+                [-0.62, end - 0.01],
+            ]
+        )
+        assert np.array_equal(np.sign(signed_distance(patch, beyond)), [1, 1, -1, -1])
+        for args in PATCHES:
+            patch = solve_cmc_graph(*args)
+            (x0, _), (x1, _) = patch.ends()
+            rng = np.random.default_rng(23)
+            pts = np.column_stack(
+                [rng.uniform(x0 - 0.3, x1 + 0.3, 5000), rng.uniform(-1.0, 1.0, 5000)]
+            )
+            above = pts[:, 1] >= patch.height(np.clip(pts[:, 0], x0, x1))
+            assert np.array_equal(signed_distance(patch, pts) >= 0.0, above)
 
     def test_scalar_and_validation(self, profile_table):
-        patch = bowl_arc(profile_table.sigma, n_cells=500)
+        patch = bowl_arc(profile_table.sigma)
         out = signed_distance(patch, np.array([0.1, 0.2]))
         assert isinstance(out, float)
+        assert out == signed_distance(patch, np.array([[0.1, 0.2]]))[0]
         with pytest.raises(ValueError, match="shape"):
             signed_distance(patch, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            signed_distance(patch, np.zeros(3))
 
 
 class TestBuildSubsolution:
@@ -362,7 +465,7 @@ class TestBuildSubsolution:
         s = make_schedule(eps)
         h = eps / 16.0
         grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
-        patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(2001))
+        patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         expected = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
         for col in sub.field.values:
@@ -378,7 +481,7 @@ class TestBuildSubsolution:
         s = make_schedule(eps)
         h = eps / 32.0
         grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 1280))
-        patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(4001))
+        patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         v1 = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
         d1 = -eps * laplacian(v1, h) + well.derivative(v1) / eps
@@ -389,7 +492,7 @@ class TestBuildSubsolution:
         s = make_schedule(eps)
         h = eps / 16.0
         grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
-        patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(2001))
+        patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         sub = build_subsolution(patch, s, profile_table, 1.0, grid, well)
         y = grid.axis(1)
         above = sub.field.values[:, y >= 2.0 * s.saturation]
@@ -406,14 +509,14 @@ class TestBuildSubsolution:
         s = make_schedule(eps)
         h = eps / 128.0
         grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 5120))
-        patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(4001))
+        patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         sup = float(np.max(np.abs(sub.defect.values[:, 2:-2])))
         assert sup == pytest.approx(FLAT_GRID_DEFECT_SUP, rel=1e-9)
 
     def test_validation_errors(self, profile_table, well):
         s = make_schedule(0.02)
-        patch = GraphPatch.from_heights(0.0, 0.5, np.zeros(101))
+        patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="2D"):
             build_subsolution(
                 patch, s, profile_table, 0.0, Grid.box((0.0,), (1.0,), (64,)), well

@@ -453,6 +453,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _TRACED_STUDY = """
 import json
+import math
 import tracing
 counts = tracing.install().counts
 from gtlab import harness
@@ -467,12 +468,26 @@ harness.run_study(harness.StudyConfig(kind="ch-planar", eps=(0.04,), grid_k=8))
 planar = dict(counts)
 harness.run_study(harness.StudyConfig(kind="ok-disk", eps=(0.08,), grid_k=4))
 ok_disk = {key: counts[key] - planar.get(key, 0.0) for key in counts}
+traced_build = harness.build_subsolution
+cells = []
+def build(*args, **kwargs):
+    cells.append(math.prod(args[4].shape))
+    return traced_build(*args, **kwargs)
+harness.build_subsolution = build
+before = dict(counts)
+config = harness.StudyConfig(kind="subsolution", eps=(0.04, 0.03), grid_k=8)
+sub = harness.run_study(config)
+subsolution = {key: counts[key] - before.get(key, 0.0) for key in counts}
 report = reports[0]
 print(json.dumps({
     "newton_steps": planar["newton_steps"],
     "newton_converged": planar["newton_converged"],
     "iterations": report.iterations,
     "ok_disk": ok_disk,
+    "subsolution": subsolution,
+    "subsolution_rows": len(sub.rows),
+    "subsolution_errors": [row.error for row in sub.rows],
+    "subsolution_cells": sum(cells),
 }))
 """
 
@@ -481,7 +496,7 @@ class TestBenchmarkTracer:
     def test_traced_planar_study_counts_newton_steps(self):
         # the benchmark's tracer rebinds gtlab names and reads _newton's
         # result by position; a rename or reorder must fail here, in the 1D
-        # ch-planar study and the 2D ok-disk study
+        # ch-planar study, the 2D ok-disk study and the subsolution study
         env = {
             **os.environ,
             "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
@@ -506,3 +521,12 @@ class TestBenchmarkTracer:
         assert ok_disk.get("poisson_neumann.n", 0) > 0
         assert ok_disk.get("laplacian.n", 0) > 0
         assert ok_disk.get("newton_converged") == 1
+        # the comparison layers of a subsolution study: one graph, one field
+        # and one distance call per row, over every cell of the row's grid
+        sub = counts["subsolution"]
+        rows = counts["subsolution_rows"]
+        assert rows == 2
+        assert counts["subsolution_errors"] == [None] * rows
+        for name in ("solve_cmc_graph.n", "build_subsolution.n", "signed_distance.n"):
+            assert sub.get(name) == rows, name
+        assert sub.get("signed_distance.points") == counts["subsolution_cells"] > 0
