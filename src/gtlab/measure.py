@@ -10,7 +10,6 @@ the far-from-interface deviation of the field from its bulk plateaus.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .field import Grid, gradient, integrate, squared_distance
 from .potential import DoubleWell
@@ -59,7 +58,10 @@ def multiplicity_estimate(
 
 def distance_to_points(grid: Grid, points: np.ndarray) -> np.ndarray:
     """Distance from every cell center to a finite point set (interface
-    vertices, shape (m, ndim)) by a KD-tree query."""
+    vertices, shape (m, ndim)) by a KD-tree query.  scipy.spatial is
+    imported here, on first use, so that only the bulk check pays for it."""
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.ndim:
         raise ValueError("points must have shape (m, ndim)")

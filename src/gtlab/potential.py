@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 SQRT2 = float(np.sqrt(2.0))
@@ -29,6 +27,10 @@ _BRANCH_LIMIT = 2.0 / (3.0 * np.sqrt(3.0))
 
 # Midpoint intervals of the surface-tension quadrature.
 _TENSION_INTERVALS = 1_000_000
+
+# Points per block of a profile-table evaluation: the block's scratch arrays
+# stay small next to the output however many points are asked for.
+_EVAL_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,55 @@ def _derivative_table(values: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
+def _cumulative_trapezoid(y: np.ndarray, spacing: float) -> np.ndarray:
+    """Running trapezoid integral of a uniform table from its first node,
+    with the arithmetic of scipy's cumulative_trapezoid(y, dx=spacing,
+    initial=0), so the two agree bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(spacing * (y[1:] + y[:-1]) / 2.0)))
+
+
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n - 1, 4) power coefficients, cubic first, of the not-a-knot cubic
+    spline through (x, y), one row per knot interval.
+
+    The arithmetic is scipy's CubicSpline construction step for step (the
+    tridiagonal system for the knot slopes s, its two not-a-knot end rows
+    and the Hermite coefficients), so the rows are its PPoly coefficients
+    bit for bit.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    b = np.empty(n)
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.column_stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 @dataclass
 class ProfileTable:
     """Uniform tabulation of the transition profile on [-half_width, half_width].
 
     Outside the tabulated window the profile is extended by its limits
     (+-1 for phi0, the stored tail constants for phi1); inside, evaluation
-    uses a cubic spline.
+    uses the not-a-knot cubic spline through the knots, built once per
+    table and evaluated in blocks of points.  Each interval is found by one
+    division on the uniform knots, and the values are bitwise those of
+    scipy's CubicSpline(positions, values, extrapolate=False).  NaN gives
+    NaN.
     """
 
     half_width: float
@@ -134,25 +178,49 @@ class ProfileTable:
     fredholm_ratio: float | None = None
     _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _spline(self, key: str, values: np.ndarray) -> CubicSpline:
-        sp = self._splines.get(key)
-        if sp is None:
-            sp = CubicSpline(self.positions, values, extrapolate=False)
-            self._splines[key] = sp
-        return sp
+    def _spline(self, key: str, values: np.ndarray) -> np.ndarray:
+        coefficients = self._splines.get(key)
+        if coefficients is None:
+            coefficients = _spline_coefficients(self.positions, values)
+            self._splines[key] = coefficients
+        return coefficients
 
     def _eval(self, key: str, values: np.ndarray | None, r, lo: float, hi: float):
         if values is None:
             raise ValueError(f"table has no {key} data; run first_order_correction")
+        coefficients = self._spline(key, values)
+        x = self.positions
+        last = x.size - 2
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        inside = np.abs(r) <= self.half_width
-        out[inside] = self._spline(key, values)(r[inside])
-        out[(~inside) & (r < 0.0)] = lo
-        out[(~inside) & (r > 0.0)] = hi
-        return float(out[0]) if scalar else out
+        out = np.empty(r.shape)
+        flat, flat_out = r.reshape(-1), out.reshape(-1)
+        for start in range(0, flat.size, _EVAL_BLOCK):
+            rb = flat[start : start + _EVAL_BLOCK]
+            ob = flat_out[start : start + _EVAL_BLOCK]
+            # The knots are uniform, so one division finds the interval to
+            # within one place (NaN lands on 0); one comparison each way
+            # settles x[i] <= r < x[i+1], the last interval closed.
+            q = np.fmin(np.fmax((rb - x[0]) / self.spacing, 0.0), last)
+            i = q.astype(np.intp)
+            i -= rb < x.take(i)
+            i += rb >= x.take(i + 1)
+            np.clip(i, 0, last, out=i)
+            # PPoly's power sum, term by term in its order, for its bits.
+            z = rb - x.take(i)
+            c = coefficients.take(i, axis=0)
+            np.multiply(c[:, 2], z, out=ob)
+            ob += c[:, 3]
+            zz = z * z
+            ob += c[:, 1] * zz
+            zz *= z
+            zz *= c[:, 0]
+            ob += zz
+            # Beyond the knots the spline is undefined, then the window's
+            # limits take over (they agree with the knots to rounding).
+            ob[(rb < x[0]) | (rb > x[-1])] = np.nan
+            ob[rb < -self.half_width] = lo
+            ob[rb > self.half_width] = hi
+        return float(out[()]) if r.ndim == 0 else out
 
     def phi0_at(self, r):
         return self._eval("phi0", self.phi0, r, -1.0, 1.0)
@@ -346,16 +414,16 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
             "before any usable correction region"
         )
 
-    gw_int = cumulative_trapezoid(g * w, dx=h, initial=0.0)
+    gw_int = _cumulative_trapezoid(g * w, h)
     # Re-anchor: P(r) = -int_r^inf g w, using the analytic tail of the
     # remainder (g -> sigma, int w = 1 - phi0).  The projection makes the
     # full-line value zero, so this is a cancellation made structural.
     gw_int = gw_int - (gw_int[i_cut] + sigma * (1.0 - phi0[i_cut]))
 
     sl = slice(0, i_cut + 1)
-    growth = cumulative_trapezoid(1.0 / w[sl] ** 2, dx=h, initial=0.0)
+    growth = _cumulative_trapezoid(1.0 / w[sl] ** 2, h)
     w2 = w[sl] * growth
-    q_int = cumulative_trapezoid(g[sl] * w2, dx=h, initial=0.0)
+    q_int = _cumulative_trapezoid(g[sl] * w2, h)
     particular = w[sl] * q_int - w2 * gw_int[sl]
 
     half = np.empty_like(w)

@@ -530,8 +530,10 @@ class TestBuildSubsolution:
 
 
 def phi0_prime_at(table, z):
-    """phi0' by the table's own evaluation rule: its cubic spline inside the
-    tabulated window, the limit 0 outside."""
+    """phi0' by the rule of the table's phi0_at and phi1_at: the not-a-knot
+    cubic spline through the knots inside the tabulated window (scipy's
+    CubicSpline, which the table's own spline equals bit for bit), the
+    limit 0 outside."""
     out = np.zeros_like(z)
     inside = np.abs(z) <= table.half_width
     spline = CubicSpline(table.positions, table.phi0_prime, extrapolate=False)

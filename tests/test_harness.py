@@ -448,6 +448,39 @@ class TestCommandRouting:
         assert "RuntimeWarning" not in run.stderr
         assert "result: PASS" in run.stdout
 
+    def test_import_and_cli_leave_heavy_scipy_unloaded(self, tmp_path):
+        # importing gtlab pays for scipy.fft, scipy.linalg and
+        # scipy.sparse.linalg only; these subpackages (and scipy.optimize,
+        # which they load) must stay out of a default command's process
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        script = (
+            "import runpy, sys\n"
+            "import gtlab\n"
+            "heavy = ('integrate', 'interpolate', 'optimize', 'spatial')\n"
+            "def loaded():\n"
+            "    return [n for n in heavy if 'scipy.' + n in sys.modules]\n"
+            "print('loaded after import:', loaded())\n"
+            "sys.argv = ['gtlab', 'gap', '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('gtlab', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0, stop.code\n"
+            "print('loaded after gap:', loaded())\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "gap")],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert "loaded after import: []" in lines, run.stdout
+        assert "loaded after gap: []" in lines, run.stdout
+        assert (tmp_path / "gap" / "report.json").is_file()
+
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -6,15 +6,21 @@ closed-form homogeneous solutions and adaptive quadrature) before the
 module was written.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
+from gtlab import potential
 from gtlab.potential import (
     DoubleWell,
     bulk_roots,
     far_field_values,
+    first_order_correction,
     optimal_profile,
     surface_tension,
 )
@@ -172,6 +178,98 @@ class TestFirstOrderCorrection:
         table = optimal_profile(well, half_width=8.0, spacing=2e-3)
         with pytest.raises(ValueError):
             table.phi1_at(0.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestProfileTableSpline:
+    """The table's in-house spline is scipy's CubicSpline, bit for bit."""
+
+    @pytest.mark.parametrize("key", ["phi0", "phi1"])
+    def test_coefficients_equal_cubic_spline(self, profile_table, key):
+        values = getattr(profile_table, key)
+        spline = CubicSpline(profile_table.positions, values, extrapolate=False)
+        coefficients = profile_table._spline(key, values)
+        assert coefficients.shape == (values.size - 1, 4)
+        assert np.array_equal(_bits(coefficients), _bits(spline.c.T))
+
+    @pytest.mark.parametrize("key", ["phi0", "phi1"])
+    def test_evaluation_equals_cubic_spline(self, profile_table, key):
+        table = profile_table
+        values = getattr(table, key)
+        lo, hi = (-1.0, 1.0) if key == "phi0" else (table.phi1_tail_minus, table.phi1_tail_plus)
+        knots = table.positions
+        points = np.concatenate(
+            [
+                knots,
+                np.nextafter(knots, -np.inf),
+                np.nextafter(knots, np.inf),
+                [table.half_width, -table.half_width, 0.0, -0.0],
+                np.random.default_rng(0).uniform(-table.half_width, table.half_width, 10**6),
+            ]
+        )
+        got = getattr(table, f"{key}_at")(points)
+        # the table's rule: the spline inside the window, the limits outside
+        inside = np.abs(points) <= table.half_width
+        want = np.where(points < 0.0, lo, hi)
+        want[inside] = CubicSpline(knots, values, extrapolate=False)(points[inside])
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_window_edge_beyond_last_knot(self, well):
+        # 12 * 0.3 rounds below 3.6, so the window's edges lie just beyond
+        # the knots, where CubicSpline(extrapolate=False) gives NaN
+        table = optimal_profile(well, half_width=3.6, spacing=0.3)
+        assert table.positions[-1] < table.half_width
+        points = np.array([-3.6, -3.5, 3.5, 3.6, 3.7])
+        want = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
+        inside = np.abs(points) <= table.half_width
+        want[inside] = CubicSpline(table.positions, table.phi0, extrapolate=False)(
+            points[inside]
+        )
+        assert np.isnan(want[[0, 3]]).all()
+        assert np.array_equal(_bits(table.phi0_at(points)), _bits(want))
+
+    def test_nan_gives_nan(self, profile_table):
+        values = profile_table.phi0_at(np.array([np.nan, 1.0, np.nan]))
+        assert np.isnan(values[[0, 2]]).all()
+        assert values[1] == profile_table.phi0_at(1.0)
+        assert np.isnan(profile_table.phi0_at(np.nan))
+        assert np.isnan(profile_table.phi1_at(np.array([np.nan]))).all()
+        assert np.isnan(profile_table.phi1_at(np.nan))
+
+    def test_keeps_input_shape(self, profile_table):
+        r = np.array([[-30.0, -0.5], [0.5, 30.0]])
+        values = profile_table.phi0_at(r)
+        assert values.shape == (2, 2)
+        assert values[0, 0] == -1.0 and values[1, 1] == 1.0
+        assert values[0, 1] == profile_table.phi0_at(-0.5)
+        assert isinstance(profile_table.phi0_at(0.5), float)
+
+    def test_phi1_equals_scipy_trapezoid_reference(self, well, monkeypatch):
+        table = first_order_correction(optimal_profile(well, 8.0, 2e-3), well)
+        monkeypatch.setattr(
+            potential,
+            "_cumulative_trapezoid",
+            lambda y, spacing: cumulative_trapezoid(y, dx=spacing, initial=0.0),
+        )
+        reference = first_order_correction(optimal_profile(well, 8.0, 2e-3), well)
+        assert np.array_equal(_bits(table.phi1), _bits(reference.phi1))
+
+    def test_blocked_evaluation_memory(self, well):
+        # the evaluation works in fixed blocks, so its scratch stays a small
+        # fraction of the output (an unblocked evaluator peaks above 3x)
+        table = optimal_profile(well, half_width=8.0, spacing=2e-3)
+        points = np.random.default_rng(1).uniform(-8.0, 8.0, 10**6)
+        table.phi0_at(0.5)  # build the coefficients before measuring
+        tracemalloc.start()
+        try:
+            values = table.phi0_at(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * values.nbytes
 
 
 class TestBulkRoots:
