@@ -30,7 +30,6 @@ from gtlab.field import (
     sample,
 )
 from gtlab.harness import (
-    KINDS,
     EpsRow,
     StudyConfig,
     StudyReport,
@@ -79,7 +78,6 @@ __all__ = [
     "EpsRow",
     "GraphPatch",
     "Grid",
-    "KINDS",
     "ProfileTable",
     "ScalarField",
     "SolveReport",

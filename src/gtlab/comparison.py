@@ -354,15 +354,9 @@ def build_subsolution(
 
     dist = signed_distance(patch, np.column_stack([m.ravel() for m in grid.mesh()]))
     z = schedule.value(dist.reshape(grid.shape)) / eps
-    values = table.phi0_at(z)
-    if force != 0.0:
-        coeff = eps * (2.0 / (3.0 * table.sigma)) * force
-        values = values + coeff * table.phi1_at(z)
-        plateau_minus, plateau_plus = far_field_values(table, eps, delta, force)
-    else:
-        arg = delta / eps
-        plateau_minus = float(table.phi0_at(-arg))
-        plateau_plus = float(table.phi0_at(arg))
+    coeff = eps * (2.0 / (3.0 * table.sigma)) * force
+    values = table.phi0_at(z) + coeff * table.phi1_at(z)
+    plateau_minus, plateau_plus = far_field_values(table, eps, delta, force)
     defect = -eps * laplacian(values, grid.spacing) + well.derivative(values) / eps
     return SubsolutionField(
         field=ScalarField(grid, values),
@@ -401,31 +395,21 @@ def verify_subsolution(sub: SubsolutionField, slack: float) -> DefectCertificate
 
 
 def asymptotic_gap(
-    well: DoubleWell,
-    table: ProfileTable,
-    force: float,
-    eps_list,
-) -> list[tuple[float, float, float]]:
-    """Per-eps normalized gaps between bulk roots and plateau values.
+    well: DoubleWell, table: ProfileTable, force: float, eps: float
+) -> tuple[float, float]:
+    """Normalized gaps between bulk roots and plateau values at one width.
 
-    For each eps the bulk roots under the forcing (8/9) * force, the roots
-    of W'(r) = eps * (8/9) * force, are compared against the plateau values
-    of the comparison field at saturation 2 * eps * ln(1/eps); rows are
-    (eps, (lam_plus - plateau_plus) / eps, (lam_minus - plateau_minus) / eps).
+    The bulk roots under the forcing (8/9) * force, the roots of
+    W'(r) = eps * (8/9) * force, are compared against the plateau values of
+    the comparison field at saturation 2 * eps * ln(1/eps); the result is
+    ((lam_plus - plateau_plus) / eps, (lam_minus - plateau_minus) / eps).
     For positive forcing both gaps are positive with common limit force / 9.
     """
     if not (force > 0.0):
         raise ValueError("gap rates are defined for positive forcing")
-    rows = []
-    for eps in eps_list:
-        schedule = make_schedule(float(eps))
-        # the barrier argument compares against the bulk state forced at
-        # (8/9) * force, strictly above the (7/9) * force defect bound
-        lam_minus, lam_plus = bulk_roots(well, eps, (8.0 / 9.0) * force)
-        beta_minus, beta_plus = far_field_values(
-            table, eps, schedule.saturation, force
-        )
-        rows.append(
-            (float(eps), (lam_plus - beta_plus) / eps, (lam_minus - beta_minus) / eps)
-        )
-    return rows
+    schedule = make_schedule(float(eps))
+    # the barrier argument compares against the bulk state forced at
+    # (8/9) * force, strictly above the (7/9) * force defect bound
+    lam_minus, lam_plus = bulk_roots(well, eps, (8.0 / 9.0) * force)
+    beta_minus, beta_plus = far_field_values(table, eps, schedule.saturation, force)
+    return (lam_plus - beta_plus) / eps, (lam_minus - beta_minus) / eps

@@ -530,7 +530,7 @@ def _study_multiplicity(config, well, table, eps, k, out, index):
 
 
 def _study_gap(config, well, table, eps, k, out, index):
-    (_, upper, lower), = asymptotic_gap(well, table, config.force, [eps])
+    upper, lower = asymptotic_gap(well, table, config.force, eps)
     limit = config.force / 9.0
     metrics = {
         "upper_gap": upper,
@@ -672,8 +672,6 @@ STUDIES = {
         orders=("upper_gap_error", "lower_gap_error"),
     ),
 }
-
-KINDS = tuple(STUDIES)
 
 
 def _orders(names: tuple[str, ...], rows: list[EpsRow]) -> dict:

@@ -112,41 +112,27 @@ def extract_contours(values: np.ndarray, grid: Grid):
         t = -a / (b - a)
         return (x[i], y[j] + t * grid.spacing)
 
-    visited = set()
-    contours = []
-
-    def walk(start, first_step):
-        path = [start, first_step]
-        visited.add(start)
-        visited.add(first_step)
-        while True:
-            options = [k for k in neighbors[path[-1]] if k != path[-2]]
-            options = [k for k in options if k not in visited or k == path[0]]
-            if not options:
-                return path, False
-            nxt = options[0]
-            if nxt == path[0]:
-                return path, True
-            path.append(nxt)
-            visited.add(nxt)
-
-    # open paths first (deterministic: sorted endpoints), then loops
+    # A crossing lies on a lattice edge, which borders at most two squares,
+    # and no two squares share two edges: every crossing joins one or two
+    # distinct others, so each component is a path or a loop, and the next
+    # vertex of a walk is the neighbour it did not come from.  Paths start
+    # at their smaller endpoint, loops at their smallest key.
     endpoints = sorted(k for k, adj in neighbors.items() if len(adj) == 1)
-    for key in endpoints:
-        if key in visited:
-            continue
-        path, closed = walk(key, neighbors[key][0])
-        contours.append((path, closed))
-    for key in sorted(neighbors):
-        if key in visited:
-            continue
-        path, closed = walk(key, neighbors[key][0])
-        contours.append((path, closed))
-
+    visited = set()
     out = []
-    for path, closed in contours:
+    for start in endpoints + sorted(neighbors):
+        if start in visited:
+            continue
+        path = [start, neighbors[start][0]]
+        while len(neighbors[path[-1]]) == 2:
+            a, b = neighbors[path[-1]]
+            nxt = b if a == path[-2] else a
+            if nxt == start:
+                break
+            path.append(nxt)
+        visited.update(path)
         pts = np.array([position(k) for k in path])
-        out.append(Contour(points=pts, closed=closed))
+        out.append(Contour(points=pts, closed=len(neighbors[path[-1]]) == 2))
     return out
 
 

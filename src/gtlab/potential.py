@@ -43,10 +43,6 @@ class DoubleWell:
         if not (self.scale > 0.0 and np.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
-    @property
-    def wells(self) -> tuple[float, float]:
-        return (-1.0, 1.0)
-
     def value(self, r):
         r = np.asarray(r, dtype=float)
         q = 1.0 - r * r
@@ -215,9 +211,8 @@ class ProfileTable:
             zz *= z
             zz *= c[:, 0]
             ob += zz
-            # Beyond the knots the spline is undefined, then the window's
-            # limits take over (they agree with the knots to rounding).
-            ob[(rb < x[0]) | (rb > x[-1])] = np.nan
+            # The window ends on the outer knots; beyond them its limits
+            # take over.
             ob[rb < -self.half_width] = lo
             ob[rb > self.half_width] = hi
         return float(out[()]) if r.ndim == 0 else out
@@ -255,38 +250,6 @@ class ProfileTable:
         )
 
 
-def _banded_newton(u, residual, bands, threshold: float, max_iterations: int):
-    """Damped Newton for a two-point problem with fixed end values.
-
-    residual(u) is the residual at the interior nodes of u and bands(u) the
-    (3, len(u) - 2) band array of its tridiagonal Jacobian.  Each step halves
-    down to 2^-20 until the sup residual falls; the loop stops at the
-    threshold, on a step below 8 ulp, or when no damped step helps.
-    Returns (u, sup residual).
-    """
-    f = residual(u)
-    sup = float(np.max(np.abs(f)))
-    for _ in range(max_iterations):
-        if sup <= threshold:
-            break
-        du = solve_banded((1, 1), bands(u), -f)
-        if float(np.max(np.abs(du))) <= 8.0 * np.finfo(float).eps:
-            break
-        step = 1.0
-        while step >= 2.0**-20:
-            trial = u.copy()
-            trial[1:-1] += step * du
-            f_trial = residual(trial)
-            sup_trial = float(np.max(np.abs(f_trial)))
-            if sup_trial < sup:
-                u, f, sup = trial, f_trial, sup_trial
-                break
-            step *= 0.5
-        else:
-            break
-    return u, sup
-
-
 def optimal_profile(
     well: DoubleWell, half_width: float = 20.0, spacing: float = 5e-4
 ) -> ProfileTable:
@@ -306,12 +269,16 @@ def optimal_profile(
     if abs(m * spacing - half_width) > 1e-9 * half_width:
         raise ValueError("half_width must be an integer multiple of spacing")
 
+    # The window ends on its last knot, which rounding may put a few ulp
+    # inside the requested half width.
+    half_width = m * spacing
     h = spacing
-    r_half = np.arange(m + 1) * h
-    u = well.transition(r_half)
+    # The quadrature's million-point temporaries come and go before the
+    # Newton arrays exist, so the two peaks do not stack.
+    sigma = surface_tension(well)
+    u = well.transition(np.arange(m + 1) * h)
     u[0] = 0.0
-    right_bc = float(well.transition(half_width))
-    u[-1] = right_bc
+    u[-1] = float(well.transition(half_width))
 
     def residual(vals: np.ndarray) -> np.ndarray:
         lap = _second_difference(vals, h)
@@ -321,16 +288,35 @@ def optimal_profile(
     # ~(2/h^2) ulp, so the sup residual cannot be driven below this floor
     # no matter how many Newton steps run.
     floor = (4.0 / h**2) * float(np.finfo(float).eps)
+    threshold = max(1e-12, floor)
 
-    def bands(vals: np.ndarray) -> np.ndarray:
+    # Damped Newton on the tridiagonal Jacobian of the interior nodes: each
+    # step halves down to 2^-20 until the sup residual falls; the loop stops
+    # at the threshold, on a step below 8 ulp, or when no damped step helps.
+    f = residual(u)
+    sup = float(np.max(np.abs(f)))
+    for _ in range(50):
+        if sup <= threshold:
+            break
         ab = np.zeros((3, m - 1))
         ab[0, 1:] = -1.0 / h**2
-        ab[1, :] = 2.0 / h**2 + well.second_derivative(vals[1:-1])
+        ab[1, :] = 2.0 / h**2 + well.second_derivative(u[1:-1])
         ab[2, :-1] = -1.0 / h**2
-        return ab
-
-    threshold = max(1e-12, floor)
-    u, sup = _banded_newton(u, residual, bands, threshold, 50)
+        du = solve_banded((1, 1), ab, -f)
+        if float(np.max(np.abs(du))) <= 8.0 * np.finfo(float).eps:
+            break
+        step = 1.0
+        while step >= 2.0**-20:
+            trial = u.copy()
+            trial[1:-1] += step * du
+            f_trial = residual(trial)
+            sup_trial = float(np.max(np.abs(f_trial)))
+            if sup_trial < sup:
+                u, f, sup = trial, f_trial, sup_trial
+                break
+            step *= 0.5
+        else:
+            break
     if sup > threshold:
         raise RuntimeError(
             f"profile Newton stalled at residual {sup:.3e} "
@@ -345,7 +331,7 @@ def optimal_profile(
     return ProfileTable(
         half_width=half_width,
         spacing=h,
-        sigma=surface_tension(well),
+        sigma=sigma,
         positions=positions,
         phi0=phi0,
         phi0_prime=_derivative_table(phi0, h),
@@ -384,10 +370,10 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     sigma = table.sigma
     scale = well.scale
 
-    w_full = table.phi0_prime
+    kern = table.phi0_prime
     weights = np.full(n, h)
     weights[0] = weights[-1] = h / 2.0
-    pairing = float(np.sum(weights * (w_full + sigma) * w_full))
+    pairing = float(np.sum(weights * (kern + sigma) * kern))
     ratio = pairing / (2.0 * sigma)
 
     tail_plus = sigma / float(well.second_derivative(1.0))
@@ -438,9 +424,6 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     # pairing against the stored derivative table, so downstream projections
     # see a correction with no kernel component.  phi0_prime is exactly even
     # (odd data through symmetric stencils), so this keeps phi1 exactly even.
-    weights = np.full(phi1.size, h)
-    weights[0] = weights[-1] = h / 2.0
-    kern = table.phi0_prime
     coeff = -float(np.sum(weights * phi1 * kern) / np.sum(weights * kern * kern))
     phi1 = phi1 + coeff * kern
 

@@ -200,7 +200,7 @@ def _newton(residual_fn, coefficient_fn, symbol, seed, grid, well, eps):
     still re-centred on mean zero against the rounding of the inverse DCT.
     """
     u = np.array(seed, dtype=float)
-    shift = well.second_derivative(well.wells[1]) / eps
+    shift = well.second_derivative(1.0) / eps
     precond = _SpectralInverse(grid, eps, shift)
 
     def split(u):

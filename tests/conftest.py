@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The full-resolution profile table is expensive enough (160001 nodes, two
-sparse solves) that it is built once per session and shared; tests that
-need a quick disposable table build their own small one.
+The full-resolution profile table is expensive enough (80001 nodes, a
+banded Newton solve and the first-order correction) that it is built once
+per session and shared; tests that need a quick disposable table build
+their own small one.
 """
 
 import numpy as np

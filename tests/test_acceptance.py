@@ -257,8 +257,8 @@ class TestSubsolutionCertificate:
 
 class TestGapWindow:
     def test_gaps_in_window_and_positive(self, well, profile_table):
-        rows = asymptotic_gap(well, profile_table, 1.0, [0.01, 0.005, 0.0025])
-        for _, upper, lower in rows:
+        for eps in (0.01, 0.005, 0.0025):
+            upper, lower = asymptotic_gap(well, profile_table, 1.0, eps)
             assert upper > 0.0 and lower > 0.0
             assert 0.08 <= upper <= 0.14
             assert 0.08 <= lower <= 0.14

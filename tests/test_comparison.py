@@ -627,19 +627,18 @@ class TestVerifySubsolution:
 
 class TestAsymptoticGap:
     def test_frozen_rows(self, profile_table, well):
-        rows = asymptotic_gap(well, profile_table, 1.0, [0.01, 0.005, 0.0025])
-        assert [row[0] for row in rows] == [0.01, 0.005, 0.0025]
-        for eps, upper, lower in rows:
-            ref_upper, ref_lower = GAP_ROWS[eps]
+        for eps, (ref_upper, ref_lower) in GAP_ROWS.items():
+            upper, lower = asymptotic_gap(well, profile_table, 1.0, eps)
             assert upper == pytest.approx(ref_upper, rel=1e-9)
             assert lower == pytest.approx(ref_lower, rel=1e-9)
 
     def test_windows_and_trends(self, profile_table, well):
-        rows = asymptotic_gap(well, profile_table, 1.0, [0.01, 0.005, 0.0025])
-        uppers = [row[1] for row in rows]
-        lowers = [row[2] for row in rows]
+        gaps = [
+            asymptotic_gap(well, profile_table, 1.0, eps) for eps in (0.01, 0.005, 0.0025)
+        ]
+        uppers, lowers = zip(*gaps)
         limit = 1.0 / 9.0
-        for u, lo in zip(uppers, lowers):
+        for u, lo in gaps:
             assert 0.08 <= u <= 0.14 and 0.08 <= lo <= 0.14
             assert u > 0.0 and lo > 0.0
         # the upper gap rises toward force/9, the lower gap falls toward it
@@ -647,12 +646,12 @@ class TestAsymptoticGap:
         assert lowers[0] > lowers[1] > lowers[2] > limit
 
     def test_matches_high_precision_roots(self, profile_table, well):
-        rows = asymptotic_gap(well, profile_table, 1.0, [0.01])
-        assert abs(rows[0][1] - GAP_UPPER_EXACT) <= 1e-5
-        assert abs(rows[0][2] - GAP_LOWER_EXACT) <= 1e-5
+        upper, lower = asymptotic_gap(well, profile_table, 1.0, 0.01)
+        assert abs(upper - GAP_UPPER_EXACT) <= 1e-5
+        assert abs(lower - GAP_LOWER_EXACT) <= 1e-5
 
     def test_force_validation(self, profile_table, well):
         with pytest.raises(ValueError, match="positive"):
-            asymptotic_gap(well, profile_table, 0.0, [0.01])
+            asymptotic_gap(well, profile_table, 0.0, 0.01)
         with pytest.raises(ValueError, match="positive"):
-            asymptotic_gap(well, profile_table, -1.0, [0.01])
+            asymptotic_gap(well, profile_table, -1.0, 0.01)

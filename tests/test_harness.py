@@ -1,5 +1,6 @@
 """Study configuration, report determinism, runners, and the CLI."""
 
+import ast
 import csv
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gtlab
 from gtlab.comparison import asymptotic_gap
 from gtlab.harness import (
     STUDIES,
@@ -117,8 +119,8 @@ class TestGapStudy:
     def test_matches_direct_evaluation(self, well, profile_table):
         config = StudyConfig(kind="gap", eps=(0.01, 0.005))
         report = run_study(config)
-        rows = asymptotic_gap(well, profile_table, 1.0, [0.01, 0.005])
-        for row, (_, upper, lower) in zip(report.rows, rows):
+        for row in report.rows:
+            upper, lower = asymptotic_gap(well, profile_table, 1.0, row.eps)
             assert row.metrics["upper_gap"] == pytest.approx(upper, rel=1e-12)
             assert row.metrics["lower_gap"] == pytest.approx(lower, rel=1e-12)
         assert report.passed
@@ -563,3 +565,19 @@ class TestBenchmarkTracer:
         for name in ("solve_cmc_graph.n", "build_subsolution.n", "signed_distance.n"):
             assert sub.get(name) == rows, name
         assert sub.get("signed_distance.points") == counts["subsolution_cells"] > 0
+
+
+class TestPublicApi:
+    def test_every_public_name_has_a_caller(self):
+        # a name in gtlab.__all__ must be read by the package itself or by the
+        # benchmark, not only by tests
+        files = [p for p in (ROOT / "src" / "gtlab").glob("*.py") if p.name != "__init__.py"]
+        files += (ROOT / "perfbench").glob("*.py")
+        used = set()
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        assert sorted(set(gtlab.__all__) - used) == []

@@ -217,19 +217,29 @@ class TestProfileTableSpline:
         want[inside] = CubicSpline(knots, values, extrapolate=False)(points[inside])
         assert np.array_equal(_bits(got), _bits(want))
 
-    def test_window_edge_beyond_last_knot(self, well):
-        # 12 * 0.3 rounds below 3.6, so the window's edges lie just beyond
-        # the knots, where CubicSpline(extrapolate=False) gives NaN
-        table = optimal_profile(well, half_width=3.6, spacing=0.3)
-        assert table.positions[-1] < table.half_width
-        points = np.array([-3.6, -3.5, 3.5, 3.6, 3.7])
-        want = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
-        inside = np.abs(points) <= table.half_width
-        want[inside] = CubicSpline(table.positions, table.phi0, extrapolate=False)(
-            points[inside]
-        )
-        assert np.isnan(want[[0, 3]]).all()
-        assert np.array_equal(_bits(table.phi0_at(points)), _bits(want))
+    def test_window_ends_on_last_knot(self, well):
+        # 12 * 0.3 and 24 * 0.03 round below 3.6 and 7.2; the window ends on
+        # the last knot, so no point near its edges falls between the knots
+        # and the limits
+        for half_width, spacing in ((3.6, 0.3), (7.2, 0.03)):
+            table = optimal_profile(well, half_width=half_width, spacing=spacing)
+            edge = half_width + 0.1
+            points = np.concatenate(
+                [np.linspace(-edge, edge, 2001), [-half_width, half_width]]
+            )
+            got = table.phi0_at(points)
+            assert np.isfinite(got).all()
+            assert table.half_width == table.positions[-1] == -table.positions[0]
+            beyond = np.abs(points) > table.half_width
+            assert np.array_equal(got[beyond], np.sign(points[beyond]))
+            want = CubicSpline(table.positions, table.phi0, extrapolate=False)
+            assert np.array_equal(_bits(got[~beyond]), _bits(want(points[~beyond])))
+        # the wider table has room for the correction
+        first_order_correction(table, well)
+        got = table.phi1_at(points)
+        assert np.isfinite(got).all()
+        tails = np.where(points < 0.0, table.phi1_tail_minus, table.phi1_tail_plus)
+        assert np.array_equal(got[beyond], tails[beyond])
 
     def test_nan_gives_nan(self, profile_table):
         values = profile_table.phi0_at(np.array([np.nan, 1.0, np.nan]))
