@@ -22,7 +22,6 @@ from gtlab.comparison import (
 )
 from gtlab.field import (
     Grid,
-    ScalarField,
     gradient,
     integrate,
     laplacian,
@@ -43,7 +42,6 @@ from gtlab.interface import (
     curvature,
     curvature_balance,
     extract_contours,
-    write_contour_csv,
     zero_crossings_1d,
 )
 from gtlab.measure import (
@@ -66,7 +64,6 @@ from gtlab.solve import (
     disk_signed_distance,
     long_range_potential,
     mixing_energy,
-    seed_from_signed_distance,
     solve_conserved,
 )
 
@@ -79,7 +76,6 @@ __all__ = [
     "GraphPatch",
     "Grid",
     "ProfileTable",
-    "ScalarField",
     "SolveReport",
     "StudyConfig",
     "StudyReport",
@@ -109,13 +105,11 @@ __all__ = [
     "report_payload",
     "run_study",
     "sample",
-    "seed_from_signed_distance",
     "signed_distance",
     "solve_cmc_graph",
     "solve_conserved",
     "surface_tension",
     "verify_subsolution",
-    "write_contour_csv",
     "write_report",
     "zero_crossings_1d",
 ]

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Grid, ScalarField, laplacian
+from .field import Grid, laplacian
 from .potential import DoubleWell, ProfileTable, bulk_roots, far_field_values
 
 # The taper of the cutoff starts at this fraction of the saturation length
@@ -299,13 +299,14 @@ def signed_distance(patch: GraphPatch, points) -> np.ndarray | float:
 class SubsolutionField:
     """A comparison field on a grid together with its elliptic defect.
 
-    ``defect`` holds -eps * lap(field) + W'(field) / eps cell by cell;
+    ``values`` holds the field on the grid's cells and ``defect`` holds
+    -eps * lap(values) + W'(values) / eps cell by cell;
     ``plateau_minus`` and ``plateau_plus`` are the exact constants the field
     takes below and above the saturation tube.
     """
 
-    field: ScalarField
-    defect: ScalarField
+    values: np.ndarray
+    defect: np.ndarray
     force: float
     plateau_minus: float
     plateau_plus: float
@@ -359,8 +360,8 @@ def build_subsolution(
     plateau_minus, plateau_plus = far_field_values(table, eps, delta, force)
     defect = -eps * laplacian(values, grid.spacing) + well.derivative(values) / eps
     return SubsolutionField(
-        field=ScalarField(grid, values),
-        defect=ScalarField(grid, defect),
+        values=values,
+        defect=defect,
         force=float(force),
         plateau_minus=plateau_minus,
         plateau_plus=plateau_plus,
@@ -384,7 +385,7 @@ def verify_subsolution(sub: SubsolutionField, slack: float) -> DefectCertificate
     force = sub.force
     if not (force > 0.0):
         raise ValueError("the defect bound applies to positive forcing only")
-    vals = sub.defect.values
+    vals = sub.defect
     k = _WALL_LAYERS
     if any(n <= 2 * k for n in vals.shape):
         raise ValueError("grid too small for the wall exclusion")

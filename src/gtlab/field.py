@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -176,12 +176,14 @@ def sample(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def neumann_symbol(grid: Grid) -> np.ndarray:
     """Eigenvalues of -lap in the orthonormal cosine basis of the reflecting
     grid, one per mode, as a full array shaped like the grid.
 
     Mode (k_0, .., k_d) has the eigenvalue sum_j (4/h^2) sin^2(pi k_j / 2n_j);
-    mode 0, the constants, has eigenvalue 0.
+    mode 0, the constants, has eigenvalue 0.  The array is cached per grid
+    and read-only, since every solve on the grid shares it.
     """
     out = np.zeros(grid.shape)
     for j, n in enumerate(grid.shape):
@@ -189,17 +191,8 @@ def neumann_symbol(grid: Grid) -> np.ndarray:
         shape = [1] * grid.ndim
         shape[j] = n
         out += lam.reshape(shape)
+    out.flags.writeable = False
     return out
-
-
-@functools.lru_cache(maxsize=8)
-def _poisson_denominator(grid: Grid) -> np.ndarray:
-    """The symbol of -lap with its zero (constant) mode set to 1; read-only,
-    since every solve on the grid shares it."""
-    denom = neumann_symbol(grid)
-    denom.flat[0] = 1.0
-    denom.flags.writeable = False
-    return denom
 
 
 def poisson_neumann(source: np.ndarray, grid: Grid) -> np.ndarray:
@@ -212,31 +205,10 @@ def poisson_neumann(source: np.ndarray, grid: Grid) -> np.ndarray:
     if g.shape != grid.shape:
         raise ValueError("source shape does not match the grid")
     # every array below is a fresh temporary, so the transforms and the
-    # division may work in place
+    # division may work in place; mode 0 has eigenvalue 0 and is set to 0
     vhat = dctn(g - g.mean(), type=2, norm="ortho", overwrite_x=True)
-    vhat /= _poisson_denominator(grid)
+    vhat.reshape(-1)[1:] /= neumann_symbol(grid).reshape(-1)[1:]
     vhat.flat[0] = 0.0
     v = idctn(vhat, type=2, norm="ortho", overwrite_x=True)
     v -= v.mean()
     return v
-
-
-@dataclass
-class ScalarField:
-    """A scalar sample on every cell of a grid, stored as a snapshot."""
-
-    grid: Grid
-    values: np.ndarray = dataclass_field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError("values shape does not match the grid")
-
-    def save(self, path) -> None:
-        np.savez(
-            path,
-            origin=np.asarray(self.grid.origin),
-            spacing=np.asarray(self.grid.spacing),
-            values=self.values,
-        )

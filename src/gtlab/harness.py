@@ -34,12 +34,12 @@ from .comparison import (
     solve_cmc_graph,
     verify_subsolution,
 )
-from .field import Grid, ScalarField, gradient, integrate, sample
+from .field import Grid, gradient, integrate, sample
 from .interface import (
+    Contour,
     curvature,
     curvature_balance,
     extract_contours,
-    write_contour_csv,
     zero_crossings_1d,
 )
 from .measure import bulk_deviation, multiplicity_estimate
@@ -49,12 +49,7 @@ from .potential import (
     first_order_correction,
     optimal_profile,
 )
-from .solve import (
-    disk_signed_distance,
-    long_range_potential,
-    seed_from_signed_distance,
-    solve_conserved,
-)
+from .solve import disk_signed_distance, long_range_potential, solve_conserved
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -104,12 +99,15 @@ class StudyConfig:
     """One experiment kind swept over a decreasing list of widths.
 
     eps may be given as one number or a strictly decreasing list, and is
-    stored as a tuple.  The grid rule is h = eps / grid_k; grid_k may be
-    given as one integer or a per-eps list, and is stored, like eps, as a
-    tuple with one entry per eps.  Geometry means the seed disk (radius,
-    center) for the 2D solves, the wall positions center[0] +- radius for
-    the lamellar case, and the graph base radius for the subsolution
-    study.  A mass of None keeps the mass of the seed.
+    stored as a tuple.  grid_k counts cells per eps: the solved kinds use
+    the unit box with round(grid_k / eps) cells per side, so
+    h = 1 / round(grid_k / eps), and the subsolution study uses
+    h = eps / grid_k.  grid_k may be given as one integer or a per-eps
+    list, and is stored, like eps, as a tuple with one entry per eps.
+    Geometry means the seed disk (radius, center) for the 2D solves, the
+    wall positions center[0] +- radius for the lamellar case, and the
+    graph base radius for the subsolution study.  A mass of None keeps the
+    mass of the seed.
     """
 
     kind: str
@@ -186,18 +184,9 @@ class StudyConfig:
     def to_mapping(self) -> dict:
         """Canonical mapping for reports; omits the output location so the
         report content does not depend on where it is written."""
-        return {
-            "kind": self.kind,
-            "eps": list(self.eps),
-            "grid_k": list(self.grid_k),
-            "well_scale": self.well_scale,
-            "radius": self.radius,
-            "center": list(self.center),
-            "mass": self.mass,
-            "force": self.force,
-            "coupling": self.coupling,
-            "tolerances": dict(self.tolerances),
-        }
+        mapping = asdict(self)
+        del mapping["out_dir"]
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -238,7 +227,12 @@ def _main_contour(values: np.ndarray, grid: Grid):
 
 def _save_field(out: Path | None, name: str, grid: Grid, values: np.ndarray) -> None:
     if out is not None:
-        ScalarField(grid, values).save(out / name)
+        np.savez(
+            out / name,
+            origin=np.asarray(grid.origin),
+            spacing=np.asarray(grid.spacing),
+            values=values,
+        )
 
 
 def _write_crossings(out: Path | None, name: str, crossings: np.ndarray) -> None:
@@ -249,6 +243,26 @@ def _write_crossings(out: Path | None, name: str, crossings: np.ndarray) -> None
         writer.writerow(["index", "x"])
         for i, x in enumerate(crossings):
             writer.writerow([i, "%.17g" % x])
+
+
+def write_contour_csv(path, contour: Contour, kappa, force, sigma: float) -> None:
+    """Vertex table: index,x,y,kappa,f,residual."""
+    kappa = np.asarray(kappa, dtype=float)
+    force = np.asarray(force, dtype=float)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["index", "x", "y", "kappa", "f", "residual"])
+        for k, (p, kap, f) in enumerate(zip(contour.points, kappa, force)):
+            writer.writerow(
+                [
+                    k,
+                    "%.17g" % p[0],
+                    "%.17g" % p[1],
+                    "%.17g" % kap,
+                    "%.17g" % f,
+                    "%.17g" % (sigma * kap - f),
+                ]
+            )
 
 
 # Profile-study table resolution.  The equipartition defect of the discrete
@@ -265,7 +279,7 @@ def _study_profile(config, well, table, eps, k, out, index):
     scale = well.scale
     sigma_exact = scale * SQRT2 / 3.0
     r = np.linspace(-10.0, 10.0, 20001)
-    tanh_gap = float(np.max(np.abs(table.phi0_at(r) - np.tanh(scale * r / SQRT2))))
+    tanh_gap = float(np.max(np.abs(table.phi0_at(r) - well.transition(r))))
     tail = SQRT2 / (6.0 * scale)
     tail_error = max(
         abs(float(table.phi1[0]) - tail), abs(float(table.phi1[-1]) - tail)
@@ -298,7 +312,7 @@ def _solve_disk(config, well, table, eps, k, out, index, coupling):
     """
     grid = _unit_box(eps, k, 2)
     dist = disk_signed_distance(grid, config.center, config.radius)
-    seed = seed_from_signed_distance(table, dist, eps)
+    seed = table.phi0_at(dist / eps)
     mass = integrate(seed, grid) if config.mass is None else config.mass
     u, report = solve_conserved(
         well, grid, eps, mass, seed, long_range=coupling
@@ -493,8 +507,8 @@ def _study_subsolution(config, well, table, eps, k, out, index):
         "h": grid.spacing,
     }
     checks = {"defect_within": cert.passed}
-    _save_field(out, f"subsolution-field-{index:02d}.npz", grid, sub.field.values)
-    _save_field(out, f"subsolution-defect-{index:02d}.npz", grid, sub.defect.values)
+    _save_field(out, f"subsolution-field-{index:02d}.npz", grid, sub.values)
+    _save_field(out, f"subsolution-defect-{index:02d}.npz", grid, sub.defect)
     return metrics, checks
 
 
@@ -868,11 +882,22 @@ def _config_from_args(args) -> StudyConfig:
                 f"config key kind = {mapping['kind']!r} conflicts with the "
                 f"{args.command} command (expected {kind!r})"
             )
-        merged = {**STUDIES[kind].defaults, **mapping, **overrides, "kind": kind}
+        merged = {**mapping, **overrides, "kind": kind}
     if args.eps:
         merged["eps"] = _parse_eps(args.eps)
     if args.grid_k:
         merged["grid_k"] = _parse_grid_k(args.grid_k)
+    if args.command != "study":
+        defaults = STUDIES[kind].defaults
+        # a per-eps default grid_k pairs with the default eps list only
+        per_eps = not np.isscalar(defaults["grid_k"])
+        if per_eps and "eps" in merged and "grid_k" not in merged:
+            raise ValueError(
+                f"{kind} pairs its default grid_k {list(defaults['grid_k'])} with "
+                f"its default eps {list(defaults['eps'])}; with another eps, give --grid-k "
+                "(or grid_k in the config file)"
+            )
+        merged = {**defaults, **merged}
     if args.out:
         merged["out_dir"] = args.out
     return StudyConfig.from_mapping(merged)

@@ -4,17 +4,15 @@ The zero set of a sampled field is traced over the squares of the lattice
 of cell centers whose corner signs differ (16-case lookup, classified for
 all squares at once; saddles resolved by the cell-average sign), chained
 into polylines through shared edge crossings; in 1D it is the list of
-interpolated sign changes.  Curvature along a polyline comes from an
-algebraic circle fit over a sliding arclength window, which wraps around
-closed loops and is left out (NaN) where an open end clips it; its sign
-follows the field gradient, positive when the enclosed phase is the
-positive one.  Those two ingredients feed the sup of the pointwise
+interpolated sign changes.  Curvature along a closed loop comes from an
+algebraic circle fit over a sliding arclength window that wraps around the
+loop; its sign follows the field gradient, positive when the enclosed phase
+is the positive one.  Those two ingredients feed the sup of the pointwise
 curvature-balance residual sigma*kappa - f.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,13 +146,6 @@ def zero_crossings_1d(values: np.ndarray, grid: Grid):
     return x[hits] + t * grid.spacing
 
 
-def _arclengths(points: np.ndarray, closed: bool) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    if closed:
-        seg = np.append(seg, np.linalg.norm(points[0] - points[-1]))
-    return seg
-
-
 def _fit_circle(pts: np.ndarray):
     """Algebraic circle fit; returns (center, radius) or None if degenerate."""
     ax = np.column_stack([2.0 * pts, np.ones(len(pts))])
@@ -175,39 +166,29 @@ def curvature(
     grad_fields: tuple[np.ndarray, np.ndarray],
     window: float,
 ) -> np.ndarray:
-    """Signed curvature at every polyline vertex by windowed circle fit.
+    """Signed curvature at every vertex of a closed loop by windowed circle fit.
 
-    The fit uses all vertices within arclength window/2 on either side.
-    On open polylines, vertices whose window is clipped by an endpoint get
-    NaN (downstream statistics trim them).  The sign convention makes the
+    The fit uses all vertices within arclength window/2 on either side,
+    wrapping around the loop; an open contour is rejected.  A degenerate
+    (collinear) window gives curvature 0.  The sign convention makes the
     curvature of a bubble of the positive phase positive: kappa carries the
     sign of (fit center - vertex) . grad(u).
     """
+    if not contour.closed:
+        raise ValueError("curvature is measured on closed loops only")
     pts = contour.points
     m = len(pts)
-    if m < 3:
-        return np.full(m, np.nan)
-    seg = _arclengths(pts, contour.closed)
+    seg = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
     gx = sample(grad_fields[0], grid, pts)
     gy = sample(grad_fields[1], grid, pts)
-    kappa = np.full(m, np.nan)
+    kappa = np.empty(m)
     half = window / 2.0
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
-    if contour.closed:
-        cum = cum[:-1]  # one arclength per vertex; total closes the loop
+    cum = cum[:-1]  # one arclength per vertex; total closes the loop
     for k in range(m):
-        if contour.closed:
-            d = np.abs(cum - cum[k])
-            idx = np.nonzero(np.minimum(d, total - d) <= half)[0]
-        else:
-            lo = cum[k] - half
-            hi = cum[k] + half
-            if lo < 0.0 or hi > total:
-                continue  # clipped window: leave NaN
-            idx = np.nonzero((cum >= lo) & (cum <= hi))[0]
-            if len(idx) < 3:
-                continue
+        d = np.abs(cum - cum[k])
+        idx = np.nonzero(np.minimum(d, total - d) <= half)[0]
         fit = _fit_circle(pts[idx])
         if fit is None:
             kappa[k] = 0.0
@@ -234,23 +215,3 @@ def curvature_balance(
     if not np.any(good):
         raise ValueError("no usable vertices: all curvatures are NaN")
     return float(np.max(np.abs(res[good])))
-
-
-def write_contour_csv(path, contour: Contour, kappa, force, sigma: float) -> None:
-    """Vertex table: index,x,y,kappa,f,residual (NaN rows included as-is)."""
-    kappa = np.asarray(kappa, dtype=float)
-    force = np.asarray(force, dtype=float)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "x", "y", "kappa", "f", "residual"])
-        for k, (p, kap, f) in enumerate(zip(contour.points, kappa, force)):
-            writer.writerow(
-                [
-                    k,
-                    "%.17g" % p[0],
-                    "%.17g" % p[1],
-                    "%.17g" % kap,
-                    "%.17g" % f,
-                    "%.17g" % (sigma * kap - f),
-                ]
-            )

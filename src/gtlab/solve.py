@@ -51,7 +51,6 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .field import (
     Grid,
-    _poisson_denominator,
     integrate,
     laplacian,
     neumann_symbol,
@@ -59,7 +58,7 @@ from .field import (
     squared_distance,
 )
 from .measure import energy_density
-from .potential import DoubleWell, ProfileTable
+from .potential import DoubleWell
 
 # Newton step cap, sup-residual tolerance, backtracking factor, and the
 # smallest damped step tried.
@@ -105,15 +104,6 @@ def disk_signed_distance(grid: Grid, center, radius: float) -> np.ndarray:
     return radius - np.sqrt(squared_distance(grid, center, radius))
 
 
-def seed_from_signed_distance(
-    table: ProfileTable, distance: np.ndarray, eps: float
-) -> np.ndarray:
-    """Compose the transition profile with a signed distance: +1 inside."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return table.phi0_at(np.asarray(distance, dtype=float) / eps)
-
-
 class _SpectralInverse:
     """Exact inverse of (-eps*lap + shift) on the reflecting grid, acting on
     orthonormal cosine coefficients, where it is diagonal."""
@@ -130,13 +120,12 @@ def _jacobian_symbol(grid: Grid, eps: float, long_range: float) -> np.ndarray:
     """The constant-coefficient part of the Jacobian in the cosine basis:
     eps*Lambda + gamma/Lambda, Lambda the symbol of -lap, with mode 0 at 0.
 
-    The gamma term is the screened potential's (-lap)^+ P, which solves with
-    the same denominator poisson_neumann divides by.
+    The gamma term is the screened potential's (-lap)^+ P: on modes 1 and
+    up it divides by the symbol poisson_neumann divides by.
     """
     symbol = eps * neumann_symbol(grid)
     if long_range != 0.0:
-        symbol += long_range / _poisson_denominator(grid)
-    symbol.flat[0] = 0.0
+        symbol.reshape(-1)[1:] += long_range / neumann_symbol(grid).reshape(-1)[1:]
     return symbol
 
 
@@ -179,7 +168,7 @@ def _krylov_solve(matvec, rhs, precond, rtol):
     return x, info, iterations
 
 
-def _newton(residual_fn, coefficient_fn, symbol, seed, grid, well, eps):
+def _newton(residual_fn, symbol, seed, grid, well, eps):
     """Damped-Newton loop.
 
     Returns (u, lam, iterations, sup, converged, stop_reason,
@@ -187,8 +176,8 @@ def _newton(residual_fn, coefficient_fn, symbol, seed, grid, well, eps):
 
     residual_fn(u) -> array, the residual without the multiplier; lam is
     the mean of residual_fn(u), its best constant fit.  The Jacobian is
-    diag(symbol) + C diag(coefficient_fn(u)) C^T in the orthonormal cosine
-    basis C, where each Newton system is solved (see _cosine_jacobian).
+    diag(symbol) + C diag(W''(u)/eps) C^T in the orthonormal cosine basis C,
+    where each Newton system is solved (see _cosine_jacobian).
     For a stable constrained state P J P is positive definite on the
     mean-zero subspace even though J itself carries the negative growth
     mode, which is what makes the projected solve robust where a bordered
@@ -224,7 +213,7 @@ def _newton(residual_fn, coefficient_fn, symbol, seed, grid, well, eps):
         rhs[0] = 0.0
         norm0 = float(np.linalg.norm(r))
         c, info, inner = _krylov_solve(
-            _cosine_jacobian(symbol, coefficient_fn(u)),
+            _cosine_jacobian(symbol, well.second_derivative(u) / eps),
             rhs,
             precond,
             max(0.01 * min(sup, 1.0), 0.5 * _TOLERANCE / norm0),
@@ -272,12 +261,9 @@ def solve_conserved(
             r = r + long_range_potential(u, grid, long_range)
         return r
 
-    def coefficient(u):
-        return well.second_derivative(u) / eps
-
     symbol = _jacobian_symbol(grid, eps, long_range)
     u, lam, iters, sup, ok, reason, inner, failures = _newton(
-        residual, coefficient, symbol, u0, grid, well, eps
+        residual, symbol, u0, grid, well, eps
     )
     report = SolveReport(
         converged=ok,

@@ -30,7 +30,6 @@ from gtlab.potential import (
 from gtlab.solve import (
     disk_signed_distance,
     long_range_potential,
-    seed_from_signed_distance,
     solve_conserved,
 )
 
@@ -76,7 +75,7 @@ def disk_states(well, profile_table):
     for eps in DISK_EPS:
         grid = _disk_grid(eps, 4)
         dist = disk_signed_distance(grid, DISK_CENTER, DISK_RADIUS)
-        seed = seed_from_signed_distance(profile_table, dist, eps)
+        seed = profile_table.phi0_at(dist / eps)
         start = time.perf_counter()
         u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
         seconds = time.perf_counter() - start
@@ -193,7 +192,7 @@ class TestLongRangeBalance:
         eps = 0.02
         grid = _disk_grid(eps, 4)
         dist = disk_signed_distance(grid, DISK_CENTER, DISK_RADIUS)
-        seed = seed_from_signed_distance(profile_table, dist, eps)
+        seed = profile_table.phi0_at(dist / eps)
         u, report = solve_conserved(
             well, grid, eps, integrate(seed, grid), seed, long_range=1.0
         )

@@ -23,7 +23,7 @@ from gtlab.comparison import (
     solve_cmc_graph,
     verify_subsolution,
 )
-from gtlab.field import Grid, ScalarField, laplacian
+from gtlab.field import Grid, laplacian
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -468,7 +468,7 @@ class TestBuildSubsolution:
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         expected = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
-        for col in sub.field.values:
+        for col in sub.values:
             assert np.array_equal(col, expected)
         assert sub.plateau_plus == profile_table.phi0_at(s.saturation / eps)
         assert sub.plateau_minus == profile_table.phi0_at(-s.saturation / eps)
@@ -485,7 +485,7 @@ class TestBuildSubsolution:
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         v1 = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
         d1 = -eps * laplacian(v1, h) + well.derivative(v1) / eps
-        assert np.max(np.abs(sub.defect.values - d1[None, :])) <= 1e-12
+        assert np.max(np.abs(sub.defect - d1[None, :])) <= 1e-12
 
     def test_plateau_cells_bitwise_constant(self, profile_table, well):
         eps = 0.02
@@ -495,8 +495,8 @@ class TestBuildSubsolution:
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         sub = build_subsolution(patch, s, profile_table, 1.0, grid, well)
         y = grid.axis(1)
-        above = sub.field.values[:, y >= 2.0 * s.saturation]
-        below = sub.field.values[:, y <= -2.0 * s.saturation]
+        above = sub.values[:, y >= 2.0 * s.saturation]
+        below = sub.values[:, y <= -2.0 * s.saturation]
         assert above.size > 0 and below.size > 0
         assert np.all(above == sub.plateau_plus)
         assert np.all(below == sub.plateau_minus)
@@ -511,7 +511,7 @@ class TestBuildSubsolution:
         grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 5120))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
-        sup = float(np.max(np.abs(sub.defect.values[:, 2:-2])))
+        sup = float(np.max(np.abs(sub.defect[:, 2:-2])))
         assert sup == pytest.approx(FLAT_GRID_DEFECT_SUP, rel=1e-9)
 
     def test_validation_errors(self, profile_table, well):
@@ -582,10 +582,9 @@ class TestVerifySubsolution:
         assert cert.passed
 
     def _fake(self, defect, force=1.0):
-        grid = Grid.box((0.0, 0.0), (1.0, 1.0), defect.shape)
         return SubsolutionField(
-            field=ScalarField(grid, np.zeros(defect.shape)),
-            defect=ScalarField(grid, defect),
+            values=np.zeros(defect.shape),
+            defect=defect,
             force=force,
             plateau_minus=-1.0,
             plateau_plus=1.0,

@@ -9,15 +9,15 @@ from scipy.fft import dctn, idctn
 
 from gtlab.field import (
     Grid,
-    ScalarField,
     gradient,
     integrate,
     laplacian,
+    neumann_symbol,
     poisson_neumann,
     sample,
     squared_distance,
 )
-from gtlab.solve import _SpectralInverse
+from gtlab.solve import _SpectralInverse, _jacobian_symbol
 
 finite = st.floats(-100.0, 100.0, allow_nan=False)
 
@@ -310,19 +310,18 @@ class TestSpectralInverse:
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
-class TestScalarField:
-    def test_roundtrip_bitwise(self, tmp_path):
-        grid = Grid.box((-1.0, 2.0), (1.0, 4.0), (8, 8))
-        rng = np.random.default_rng(11)
-        f = ScalarField(grid, rng.standard_normal(grid.shape))
-        path = tmp_path / "snap.npz"
-        f.save(path)
-        with np.load(path) as blob:
-            assert blob["origin"].tobytes() == np.asarray(grid.origin).tobytes()
-            assert float(blob["spacing"]) == grid.spacing
-            assert blob["values"].tobytes() == f.values.tobytes()
-
-    def test_shape_validation(self):
-        grid = Grid.box((0.0,), (1.0,), (8,))
-        with pytest.raises(ValueError):
-            ScalarField(grid, np.zeros(9))
+class TestNeumannSymbol:
+    def test_one_cached_read_only_symbol_never_divided_at_mode_0(self):
+        # one array per grid, shared by the Poisson solve and the Newton
+        # solver; both divide modes 1 and up only, so mode 0 (eigenvalue 0)
+        # raises no floating-point flag
+        grid = Grid.box((0.0, 0.0), (1.5, 1.0), (24, 16))
+        symbol = neumann_symbol(grid)
+        assert symbol is neumann_symbol(grid)
+        assert not symbol.flags.writeable and symbol.flat[0] == 0.0
+        f = np.random.default_rng(3).standard_normal(grid.shape)
+        with np.errstate(all="raise"):
+            v = poisson_neumann(f, grid)
+            jacobian = _jacobian_symbol(grid, 0.03, 0.7)
+        assert np.max(np.abs(-laplacian(v, grid.spacing) - (f - f.mean()))) <= 1e-9
+        assert jacobian.flat[0] == 0.0 and np.all(jacobian.flat[1:] > 0.0)

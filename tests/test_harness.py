@@ -13,15 +13,19 @@ import pytest
 
 import gtlab
 from gtlab.comparison import asymptotic_gap
+from gtlab.field import Grid
 from gtlab.harness import (
     STUDIES,
     StudyConfig,
     _build_parser,
     _config_from_args,
+    _save_field,
     main,
     report_payload,
     run_study,
+    write_contour_csv,
 )
+from gtlab.interface import Contour
 
 
 class TestStudyConfig:
@@ -80,7 +84,7 @@ class TestStudyConfig:
     def test_grid_k_broadcast_and_per_eps(self):
         one = StudyConfig(kind="gap", eps=(0.01, 0.005), grid_k=16)
         assert one.grid_k == (16, 16)
-        assert one.to_mapping()["grid_k"] == [16, 16]
+        assert one.to_mapping()["grid_k"] == (16, 16)
         two = StudyConfig(kind="gap", eps=(0.01, 0.005), grid_k=(8, 16))
         assert two.grid_k == (8, 16)
         assert two == StudyConfig.from_mapping(
@@ -425,6 +429,22 @@ class TestCommandRouting:
         assert config.eps == (0.02,)
         assert config.grid_k == (8,)
 
+    def test_per_eps_default_grid_k_needs_the_default_eps(self, tmp_path, capsys):
+        # subsolution's default grid_k (24, 48) belongs to its default eps
+        # (0.02, 0.01); another eps, from the flag or a config file, must
+        # bring its own grid_k, and the refusal names the flag
+        assert main(["subsolution-check", "--eps", "0.02"]) == 2
+        err = capsys.readouterr().err
+        assert "--grid-k" in err and "[24, 48]" in err and "[0.02, 0.01]" in err
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps({"eps": [0.02]}))
+        assert main(["subsolution-check", "--config", str(path)]) == 2
+        assert "--grid-k" in capsys.readouterr().err
+        config = _routed(["subsolution-check", "--eps", "0.02", "--grid-k", "24"])
+        assert config.eps == (0.02,) and config.grid_k == (24,)
+        # a scalar default grid_k still applies to any eps
+        assert _routed(["solve-ch", "--eps", "0.05"]).grid_k == (4,)
+
     def test_geometry_radius_override(self):
         config = _routed(["subsolution-check", "--seed-geometry", "arc:0.5"])
         assert config.kind == "subsolution"
@@ -565,6 +585,38 @@ class TestBenchmarkTracer:
         for name in ("solve_cmc_graph.n", "build_subsolution.n", "signed_distance.n"):
             assert sub.get(name) == rows, name
         assert sub.get("signed_distance.points") == counts["subsolution_cells"] > 0
+
+
+class TestSaveField:
+    def test_roundtrip_bitwise(self, tmp_path):
+        grid = Grid.box((-1.0, 2.0), (1.0, 4.0), (8, 8))
+        values = np.random.default_rng(11).standard_normal(grid.shape)
+        _save_field(tmp_path, "snap.npz", grid, values)
+        with np.load(tmp_path / "snap.npz") as blob:
+            assert blob["origin"].tobytes() == np.asarray(grid.origin).tobytes()
+            assert float(blob["spacing"]) == grid.spacing
+            assert blob["values"].tobytes() == values.tobytes()
+
+
+class TestCsv:
+    def test_roundtrip_and_determinism(self, tmp_path):
+        c = Contour(
+            points=np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), closed=False
+        )
+        kappa = np.array([np.nan, 1.2345678901234567, 2.0])
+        force = np.array([0.0, 0.5, 0.25])
+        p1 = tmp_path / "a.csv"
+        p2 = tmp_path / "b.csv"
+        write_contour_csv(p1, c, kappa, force, sigma=0.5)
+        write_contour_csv(p2, c, kappa, force, sigma=0.5)
+        assert p1.read_bytes() == p2.read_bytes()
+        with open(p1) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["index", "x", "y", "kappa", "f", "residual"]
+        assert len(rows) == 4
+        assert float(rows[2][3]) == 1.2345678901234567
+        assert float(rows[2][5]) == 0.5 * 1.2345678901234567 - 0.5
+        assert np.isnan(float(rows[1][3]))
 
 
 class TestPublicApi:

@@ -15,7 +15,6 @@ from gtlab.solve import (
     disk_signed_distance,
     long_range_potential,
     mixing_energy,
-    seed_from_signed_distance,
     solve_conserved,
 )
 
@@ -24,9 +23,7 @@ SIGMA = float(np.sqrt(2.0) / 3.0)
 
 def _disk_solve(well, table, eps, n, radius=0.25):
     grid = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
-    seed = seed_from_signed_distance(
-        table, disk_signed_distance(grid, (0.5, 0.5), radius), eps
-    )
+    seed = table.phi0_at(disk_signed_distance(grid, (0.5, 0.5), radius) / eps)
     mass = integrate(seed, grid)
     return mass, solve_conserved(well, grid, eps, mass, seed)[1]
 
@@ -49,12 +46,10 @@ class TestDistances:
     def test_seed_composition(self, profile_table):
         grid = Grid.box((0.0,), (1.0,), (64,))
         d = grid.axis(0) - 0.5
-        u = seed_from_signed_distance(profile_table, d, 0.05)
+        u = profile_table.phi0_at(d / 0.05)
         assert u.shape == grid.shape
         assert u[0] == pytest.approx(-1.0, abs=1e-5)
         assert u[-1] == pytest.approx(1.0, abs=1e-5)
-        with pytest.raises(ValueError):
-            seed_from_signed_distance(profile_table, d, -0.05)
 
 
 class TestConserved:
@@ -63,9 +58,7 @@ class TestConserved:
         grid = Grid.box((0.0,), (1.0,), (160,))  # h = eps/8
         # interface seated on a cell center; the frozen energy oracle used
         # that seating (a face-seated kink differs at the 3e-6 level)
-        seed = seed_from_signed_distance(
-            profile_table, grid.axis(0) - float(grid.axis(0)[56]), eps
-        )
+        seed = profile_table.phi0_at((grid.axis(0) - float(grid.axis(0)[56])) / eps)
         mass = integrate(seed, grid)
         u, report = solve_conserved(well, grid, eps, mass, seed)
         assert report.converged
@@ -108,7 +101,7 @@ class TestConserved:
     def test_deterministic_rerun(self, well, profile_table):
         eps = 0.05
         grid = Grid.box((0.0,), (1.0,), (160,))
-        seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.35, eps)
+        seed = profile_table.phi0_at((grid.axis(0) - 0.35) / eps)
         mass = integrate(seed, grid)
         u1, r1 = solve_conserved(well, grid, eps, mass, seed)
         u2, r2 = solve_conserved(well, grid, eps, mass, seed)
@@ -217,7 +210,7 @@ class TestResidualEvaluations:
         # never twice at the same point
         eps = 0.05
         grid = Grid.box((0.0,), (1.0,), (160,))
-        seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.35, eps)
+        seed = profile_table.phi0_at((grid.axis(0) - 0.35) / eps)
         calls = 0
 
         def residual(u):
@@ -225,12 +218,9 @@ class TestResidualEvaluations:
             calls += 1
             return -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
 
-        def coefficient(u):
-            return well.second_derivative(u) / eps
-
         symbol = _jacobian_symbol(grid, eps, 0.0)
         _, _, iterations, _, converged, *_ = _newton(
-            residual, coefficient, symbol, seed, grid, well, eps
+            residual, symbol, seed, grid, well, eps
         )
         assert converged and iterations > 0
         assert calls == iterations + 1
@@ -238,20 +228,18 @@ class TestResidualEvaluations:
 
 class TestStopReason:
     def test_ascent_direction_fails_line_search(self, well, profile_table):
-        # a sign-flipped Jacobian turns every Newton step uphill: the solve
-        # must stop at once and leave u where it was
+        # a sign-flipped residual (with the Jacobian left as it is) turns
+        # every Newton step uphill: the solve must stop at once and leave u
+        # where it was
         eps = 0.05
         grid = Grid.box((0.0,), (1.0,), (160,))
-        seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.4, eps)
-
-        def residual(u):
-            return -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
+        seed = profile_table.phi0_at((grid.axis(0) - 0.4) / eps)
 
         def flipped(u):
-            return -well.second_derivative(u) / eps
+            return eps * laplacian(u, grid.spacing) - well.derivative(u) / eps
 
         u, lam, iterations, sup, converged, reason, inner, failures = _newton(
-            residual, flipped, -_jacobian_symbol(grid, eps, 0.0), seed, grid, well, eps
+            flipped, _jacobian_symbol(grid, eps, 0.0), seed, grid, well, eps
         )
         assert reason == "line_search_failed" and not converged
         assert iterations == 0 and np.array_equal(u, seed)
@@ -289,8 +277,8 @@ class TestBall3d:
     def test_ball_converges_without_mass_drift(self, well, profile_table):
         eps = 0.1
         grid = Grid.box((0.0,) * 3, (1.0,) * 3, (40,) * 3)
-        seed = seed_from_signed_distance(
-            profile_table, disk_signed_distance(grid, (0.5, 0.5, 0.5), 0.3), eps
+        seed = profile_table.phi0_at(
+            disk_signed_distance(grid, (0.5, 0.5, 0.5), 0.3) / eps
         )
         mass = integrate(seed, grid)
         _, report = solve_conserved(well, grid, eps, mass, seed)
@@ -308,7 +296,7 @@ class TestPlanarLayerEnergy:
         remainders = []
         for k in (2, 4, 8, 16):
             grid = Grid.box((0.0,), (1.0,), (int(round(k / eps)),))
-            seed = seed_from_signed_distance(profile_table, grid.axis(0) - 0.5, eps)
+            seed = profile_table.phi0_at((grid.axis(0) - 0.5) / eps)
             _, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
             assert report.converged
             ratio = report.energy / (2.0 * SIGMA)
