@@ -25,7 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import Grid, laplacian
-from .potential import DoubleWell, ProfileTable, bulk_roots, far_field_values
+from .potential import (
+    _EVAL_BLOCK,
+    DoubleWell,
+    ProfileTable,
+    bulk_roots,
+    far_field_values,
+)
 
 # The taper of the cutoff starts at this fraction of the saturation length
 # and spans the next fraction.  The identity core then covers a third of the
@@ -279,8 +285,8 @@ def signed_distance(patch: GraphPatch, points) -> np.ndarray | float:
     c = patch.curvature
     x, y = pts[:, 0], pts[:, 1]
     # Ordered and written in place so that at most five point-sized arrays
-    # are alive at once: on a study grid this stays below the peak memory of
-    # the field assembly that follows.
+    # are alive at once; the field assembly passes one block of grid rows
+    # per call, so this scratch stays small next to the field.
     below = y < patch.height(np.clip(x, x0, x1))
     qx, qy = x - x0, y - y0
     beyond = (qx * tx0 + qy * ty0 < 0.0) | ((x - x1) * tx1 + (y - y1) * ty1 > 0.0)
@@ -353,12 +359,31 @@ def build_subsolution(
             f"{min(top_gap, bottom_gap):.4g} < {2.0 * delta:.4g}"
         )
 
-    dist = signed_distance(patch, np.column_stack([m.ravel() for m in grid.mesh()]))
-    z = schedule.value(dist.reshape(grid.shape)) / eps
+    # Field and defect are built one block of grid rows at a time, so the
+    # two output arrays set the peak memory.  Every step is cell by cell
+    # except the Laplacian, which sees its block plus one halo row on each
+    # interior side and keeps only the block's own rows: the flux-form
+    # stencil then gives each cell the bits of the whole-grid call, and
+    # only the true walls get the wall formula.
+    xs, ys = grid.axes()
+    rows = max(1, _EVAL_BLOCK // ys.size)
     coeff = eps * (2.0 / (3.0 * table.sigma)) * force
-    values = table.phi0_at(z) + coeff * table.phi1_at(z)
+    values = np.empty(grid.shape)
+    for start in range(0, xs.size, rows):
+        block = slice(start, start + rows)
+        bx = xs[block]
+        points = np.column_stack([np.repeat(bx, ys.size), np.tile(ys, bx.size)])
+        dist = signed_distance(patch, points).reshape(bx.size, ys.size)
+        z = schedule.value(dist) / eps
+        values[block] = table.phi0_at(z) + coeff * table.phi1_at(z)
+    defect = np.empty(grid.shape)
+    for start in range(0, xs.size, rows):
+        block = slice(start, start + rows)
+        lo = max(start - 1, 0)
+        lap = laplacian(values[lo : start + rows + 1], grid.spacing)
+        lap = lap[start - lo : start - lo + rows]
+        defect[block] = -eps * lap + well.derivative(values[block]) / eps
     plateau_minus, plateau_plus = far_field_values(table, eps, delta, force)
-    defect = -eps * laplacian(values, grid.spacing) + well.derivative(values) / eps
     return SubsolutionField(
         values=values,
         defect=defect,

@@ -410,7 +410,7 @@ def _study_ok_disk(config, well, table, eps, k, out, index):
     w = long_range_potential(u, grid, config.coupling)
     target = lam - sample(w, grid, contour.points)
     ok_sup = _balance(config, table, contour, kappa, target, out, index)
-    scale = float(np.max(np.abs(target[~np.isnan(kappa)])))
+    scale = float(np.max(np.abs(target)))
     metrics = {
         "lambda": lam,
         "ok_sup": ok_sup,

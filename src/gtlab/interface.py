@@ -207,11 +207,8 @@ def curvature_balance(
     """Sup over the vertices of the residual sigma*kappa - force.
 
     force holds the driving value at each vertex (a constant multiplier, a
-    prescribed forcing sampled there, or multiplier minus potential).  NaN
-    curvature entries are excluded.
+    prescribed forcing sampled there, or multiplier minus potential).  A NaN
+    entry makes the sup NaN, so every gate on it fails.
     """
     res = sigma * np.asarray(kappa, dtype=float) - np.asarray(force, dtype=float)
-    good = ~np.isnan(res)
-    if not np.any(good):
-        raise ValueError("no usable vertices: all curvatures are NaN")
-    return float(np.max(np.abs(res[good])))
+    return float(np.max(np.abs(res)))

@@ -4,6 +4,8 @@ Numeric reference values were measured once from this code on the stated
 grids and frozen; they are deterministic for a fixed profile table.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from gtlab.comparison import (
     verify_subsolution,
 )
 from gtlab.field import Grid, laplacian
+from gtlab.potential import _EVAL_BLOCK
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -513,6 +516,43 @@ class TestBuildSubsolution:
         sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
         sup = float(np.max(np.abs(sub.defect[:, 2:-2])))
         assert sup == pytest.approx(FLAT_GRID_DEFECT_SUP, rel=1e-9)
+
+    def test_row_blocks_bitwise_whole_grid(self, profile_table, well):
+        # the bowl grid spans five row blocks, the last one ragged; the
+        # whole-grid assembly below is the one the blocks replace, and the
+        # clipped halos at the first and last rows keep the wall formula
+        eps, force = 0.04, 1.0
+        s = make_schedule(eps)
+        grid = Grid.box((-0.36, -0.54), (0.36, 0.72), (288, 504))
+        rows = _EVAL_BLOCK // grid.shape[1]
+        assert grid.shape[0] > 2 * rows and grid.shape[0] % rows
+        arc = bowl_arc(profile_table.sigma)
+        sub = build_subsolution(arc, s, profile_table, force, grid, well)
+        dist = signed_distance(arc, np.column_stack([m.ravel() for m in grid.mesh()]))
+        z = s.value(dist.reshape(grid.shape)) / eps
+        coeff = eps * (2.0 / (3.0 * profile_table.sigma)) * force
+        values = profile_table.phi0_at(z) + coeff * profile_table.phi1_at(z)
+        defect = -eps * laplacian(values, grid.spacing) + well.derivative(values) / eps
+        assert sub.values.tobytes() == values.tobytes()
+        assert sub.defect.tobytes() == defect.tobytes()
+
+    def test_peak_memory_two_outputs(self, profile_table, well):
+        # about 1M cells: the field and its defect are the only full-grid
+        # arrays, so the peak stays below three of them
+        eps = 0.04
+        s = make_schedule(eps)
+        grid = Grid.box((-0.36, -0.54), (0.36, 0.72), (768, 1344))
+        arc = bowl_arc(profile_table.sigma)
+        profile_table.phi0_at(0.5)  # build the spline coefficients first
+        profile_table.phi1_at(0.5)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            sub = build_subsolution(arc, s, profile_table, 1.0, grid, well)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 3 * sub.values.nbytes
 
     def test_validation_errors(self, profile_table, well):
         s = make_schedule(0.02)

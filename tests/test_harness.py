@@ -577,7 +577,8 @@ class TestBenchmarkTracer:
         assert ok_disk.get("laplacian.n", 0) > 0
         assert ok_disk.get("newton_converged") == 1
         # the comparison layers of a subsolution study: one graph, one field
-        # and one distance call per row, over every cell of the row's grid
+        # and one distance call per block of grid rows, over every cell of
+        # the study row's grid; both grids here (under 21k cells) are one block
         sub = counts["subsolution"]
         rows = counts["subsolution_rows"]
         assert rows == 2

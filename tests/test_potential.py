@@ -89,6 +89,19 @@ class TestSurfaceTension:
         value = surface_tension(DoubleWell(scale=scale))
         assert value == pytest.approx(scale * SIGMA, rel=1e-9)
 
+    def test_frozen_bits_two_node_arrays(self):
+        # the quadrature runs in place, so it holds two node-sized arrays at
+        # a time and keeps the sum's bits
+        tracemalloc.start()
+        try:
+            sigma = surface_tension(DoubleWell())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sigma == 0.4714045207912674
+        assert surface_tension(DoubleWell(1.7)) == 0.8013876853451545
+        assert peak <= 2.5 * 8 * potential._TENSION_INTERVALS
+
 
 class TestOptimalProfile:
     def test_interior_residual(self, profile_table, well):
