@@ -313,6 +313,7 @@ def _solve_disk(config, well, table, eps, k, out, index, coupling):
     grid = _unit_box(eps, k, 2)
     dist = disk_signed_distance(grid, config.center, config.radius)
     seed = table.phi0_at(dist / eps)
+    del dist
     mass = integrate(seed, grid) if config.mass is None else config.mass
     u, report = solve_conserved(
         well, grid, eps, mass, seed, long_range=coupling

@@ -6,9 +6,11 @@ Two problem shapes share one damped-Newton loop:
 * long-range coupled       -eps lap(u) + W'(u)/eps + gamma*v = lam,
                            -lap(v) = u - mean(u),  integral(u) = m
 
-The linearizations are symmetric, so the inner solves use MINRES.  Both
-problems are solved in the mean-zero subspace: the multiplier is the mean
-of the unconstrained residual, Newton steps solve the projected system
+The linearizations are symmetric, so the inner solves use MINRES, an
+in-house transcription of scipy's that gives the same bits and works on a
+fixed set of vectors reused in place (see `minres`).  Both problems are
+solved in the mean-zero subspace: the multiplier is the mean of the
+unconstrained residual, Newton steps solve the projected system
 P J P du = -P F(u), and updates have zero mean, so the mass fixed by the
 (pre-shifted) seed never drifts.
 
@@ -31,9 +33,13 @@ Each inner solve is asked for a relative tolerance of 0.01*min(sup, 1),
 floored at 0.5*_TOLERANCE/||r||_2.  The 2-norm bounds the sup norm, so a
 linear residual of half the stop tolerance is all the stop needs, and
 the last Newton step no longer solves its system far past it.  MINRES
-measures its residual in the preconditioned norm, so the floor is a
-target, not a bound; the stop itself is unchanged, and a floor that
-proves too loose costs one more Newton step, never a looser answer.
+measures its residual in the preconditioned norm, which hardly sees a
+grid-scale residual, so the floor is a target, not a bound.  The stop is
+unchanged, so a floor that proves too loose never gives a looser answer,
+but it can cost far more than one Newton step: on a 1D lamella seeded off
+its stationary positions (gamma 1, eps 0.02) the floored solve runs all 60
+steps and ends in ``max_iterations``, where the unfloored one converges
+in 10 (ROADMAP item 1).
 
 A solve stops for one of three reasons, kept in ``SolveReport.stop_reason``:
 ``converged`` (sup residual at most 1e-9), ``line_search_failed`` (no step
@@ -44,10 +50,10 @@ down to 2**-20 decreases the residual; the step is not applied) or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, sqrt
 
 import numpy as np
 from scipy.fft import dctn, idctn
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .field import (
     Grid,
@@ -112,8 +118,8 @@ class _SpectralInverse:
         self._denom = eps * neumann_symbol(grid).ravel()
         self._denom += shift
 
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs / self._denom
+    def __call__(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.divide(coeffs, self._denom, out=out)
 
 
 def _jacobian_symbol(grid: Grid, eps: float, long_range: float) -> np.ndarray:
@@ -131,26 +137,167 @@ def _jacobian_symbol(grid: Grid, eps: float, long_range: float) -> np.ndarray:
 
 def _cosine_jacobian(symbol: np.ndarray, w2: np.ndarray):
     """The projected Jacobian P J acting on flat cosine coefficients:
-    diag(symbol) + C diag(w2) C^T, with coefficient 0 (the mean) set to 0."""
+    diag(symbol) + C diag(w2) C^T, with coefficient 0 (the mean) set to 0.
+
+    The product lands in `out` and `scratch` holds diag(symbol)*coeffs when
+    they are given; both are fresh arrays otherwise.
+    """
     shape = symbol.shape
     diagonal = symbol.ravel()
 
-    def matvec(coeffs):
-        y = idctn(coeffs.reshape(shape), type=2, norm="ortho")
+    def matvec(coeffs, out=None, scratch=None):
+        if out is None:
+            out = np.empty_like(coeffs)
+        np.copyto(out, coeffs)
+        y = idctn(out.reshape(shape), type=2, norm="ortho", overwrite_x=True)
         y *= w2
         out = dctn(y, type=2, norm="ortho", overwrite_x=True).ravel()
-        out += diagonal * coeffs
+        out += np.multiply(diagonal, coeffs, out=scratch)
         out[0] = 0.0
         return out
 
     return matvec
 
 
+def minres(matvec, b, precond, rtol, maxiter, callback=None):
+    """Preconditioned MINRES (Paige & Saunders 1975) for a symmetric operator;
+    returns (x, info), info = maxiter if the iteration limit stopped it.
+
+    matvec(v, out, scratch) returns A v, written into out unless out is
+    None, and may overwrite scratch; precond(r, out=None) returns M r the
+    same way, M symmetric positive definite.  The recurrences and stop tests
+    are those of scipy.sparse.linalg.minres (shift 0, no starting guess, the
+    scalars only its printout reads left out), evaluated in the same order,
+    so x, info and the number of callback(x) calls are bitwise the same.
+
+    The vectors are a fixed set worked on in place: b is consumed as the
+    first residual r1; from the third iteration on r1, r2 and tmp rotate,
+    the retired r1 receiving the next product matvec(v, tmp, z); z holds
+    precond(r2, out=z) and is the matvec's and the updates' scratch; w_k is
+    written over w_(k-2); v is scratch once w_k is formed.
+    """
+    x = np.zeros(b.size)
+    r1 = b
+    z = precond(r1)
+    beta1 = np.inner(r1, z)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = sqrt(beta1)
+    eps = np.finfo(float).eps
+
+    istop = 0
+    itn = 0
+    oldb = 0
+    beta = beta1
+    dbar = 0
+    epsln = 0
+    phibar = beta1
+    tnorm2 = 0
+    gmax = 0
+    gmin = np.finfo(float).max
+    cs = -1
+    sn = 0
+    v = np.empty_like(x)
+    w = np.zeros_like(x)
+    w2 = np.zeros_like(x)
+    r2 = r1
+    tmp = None
+
+    while itn < maxiter:
+        itn += 1
+
+        s = 1.0 / beta
+        np.multiply(s, z, out=v)
+        y = matvec(v, tmp, z)
+        if itn >= 2:
+            y -= np.multiply(beta / oldb, r1, out=z)
+            # r1 retires here (in the first iteration it is r2), and its
+            # buffer takes the next product
+            tmp = r1
+        alfa = np.inner(v, y)
+        y -= np.multiply(alfa / beta, r2, out=z)
+        r1 = r2
+        r2 = y
+        precond(r2, out=z)
+        oldb = beta
+        beta = np.inner(r2, z)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # terminate later
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+
+        gamma = np.linalg.norm([gbar, beta])
+        gamma = max(gamma, eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        # w_k = (v - oldeps*w_(k-2) - delta*w_(k-1)) / gamma, over w_(k-2)
+        denom = 1.0 / gamma
+        w, w2 = w2, w
+        w *= oldeps
+        np.subtract(v, w, out=w)
+        w -= np.multiply(delta, w2, out=v)
+        w *= denom
+        x += np.multiply(phi, w, out=v)
+
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+
+        anorm = sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        epsx = anorm * ynorm * eps
+        if ynorm == 0 or anorm == 0:
+            test1 = inf
+        else:
+            test1 = phibar / (anorm * ynorm)  # ||r|| / (||A|| ||x||)
+        if anorm == 0:
+            test2 = inf
+        else:
+            test2 = root / anorm  # ||Ar|| / (||A|| ||r||)
+        acond = gmax / gmin
+
+        if istop == 0:
+            t1 = 1 + test1  # these tests work if rtol < eps
+            t2 = 1 + test2
+            if t2 <= 1:
+                istop = 2
+            if t1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if acond >= 0.1 / eps:
+                istop = 4
+            if epsx >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+
+        if callback is not None:
+            callback(x)
+        if istop != 0:
+            break
+
+    return x, maxiter if istop == 6 else 0
+
+
 def _krylov_solve(matvec, rhs, precond, rtol):
-    """MINRES solve; returns (x, info, iterations)."""
-    n = rhs.size
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    m_op = LinearOperator((n, n), matvec=precond, dtype=float)
+    """MINRES solve, consuming rhs; returns (x, info, iterations)."""
     iterations = 0
 
     def count(_):
@@ -158,17 +305,17 @@ def _krylov_solve(matvec, rhs, precond, rtol):
         iterations += 1
 
     x, info = minres(
-        op,
+        matvec,
         rhs,
+        precond,
         rtol=rtol,
-        maxiter=20 * int(np.sqrt(n)) + 200,
-        M=m_op,
+        maxiter=20 * int(np.sqrt(rhs.size)) + 200,
         callback=count,
     )
     return x, info, iterations
 
 
-def _newton(residual_fn, symbol, seed, grid, well, eps):
+def _newton(residual_fn, symbol, u, grid, well, eps):
     """Damped-Newton loop.
 
     Returns (u, lam, iterations, sup, converged, stop_reason,
@@ -187,8 +334,11 @@ def _newton(residual_fn, symbol, seed, grid, well, eps):
     operator's output and the diagonal preconditioner all keep it at exactly
     0, so the MINRES iterate has no constant part to drift; the step is
     still re-centred on mean zero against the rounding of the inverse DCT.
+
+    The starting state u is neither copied nor written to.  Every grid array
+    a step has finished with is dropped before the next inner solve, so that
+    solve's vectors are the loop's peak.
     """
-    u = np.array(seed, dtype=float)
     shift = well.second_derivative(1.0) / eps
     precond = _SpectralInverse(grid, eps, shift)
 
@@ -209,9 +359,10 @@ def _newton(residual_fn, symbol, seed, grid, well, eps):
         sup = float(np.max(np.abs(r)))
         if sup <= _TOLERANCE:
             return stop(iteration, sup, lam, "converged")
-        rhs = dctn(r, type=2, norm="ortho").ravel()
-        rhs[0] = 0.0
         norm0 = float(np.linalg.norm(r))
+        rhs = dctn(r, type=2, norm="ortho").ravel()
+        del r
+        rhs[0] = 0.0
         c, info, inner = _krylov_solve(
             _cosine_jacobian(symbol, well.second_derivative(u) / eps),
             rhs,
@@ -222,6 +373,7 @@ def _newton(residual_fn, symbol, seed, grid, well, eps):
         krylov_failures += int(info != 0)
         x = idctn(c.reshape(grid.shape), type=2, norm="ortho", overwrite_x=True)
         du = x.mean() - x
+        del rhs, c, x
         step = 1.0
         while True:
             trial = u + step * du
@@ -234,6 +386,7 @@ def _newton(residual_fn, symbol, seed, grid, well, eps):
                 return stop(iteration, sup, lam, "line_search_failed")
         # the accepted trial's residual is the next iteration's
         u, r, lam = trial, r_trial, lam_trial
+        del du, trial, r_trial
     sup = float(np.max(np.abs(r)))
     return stop(_MAX_STEPS, sup, lam, "converged" if sup <= _TOLERANCE else "max_iterations")
 
@@ -252,8 +405,8 @@ def solve_conserved(
     -lap(v) = u - mean(u) on the same grid (the lamellar-forming case).
     """
     volume = grid.cell_volume * float(np.prod(grid.shape))
-    u0 = np.array(seed, dtype=float)
-    u0 += (mass - integrate(u0, grid)) / volume
+    seed = np.asarray(seed, dtype=float)
+    shift = (mass - integrate(seed, grid)) / volume
 
     def residual(u):
         r = -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
@@ -262,8 +415,9 @@ def solve_conserved(
         return r
 
     symbol = _jacobian_symbol(grid, eps, long_range)
+    # the shifted seed is a fresh array that only _newton holds
     u, lam, iters, sup, ok, reason, inner, failures = _newton(
-        residual, symbol, u0, grid, well, eps
+        residual, symbol, seed + shift, grid, well, eps
     )
     report = SolveReport(
         converged=ok,

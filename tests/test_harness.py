@@ -471,14 +471,14 @@ class TestCommandRouting:
         assert "result: PASS" in run.stdout
 
     def test_import_and_cli_leave_heavy_scipy_unloaded(self, tmp_path):
-        # importing gtlab pays for scipy.fft, scipy.linalg and
-        # scipy.sparse.linalg only; these subpackages (and scipy.optimize,
-        # which they load) must stay out of a default command's process
+        # importing gtlab pays for scipy.fft and scipy.linalg only (MINRES
+        # is in-house); these subpackages, scipy.sparse among them, must stay
+        # out of a default command's process
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         script = (
             "import runpy, sys\n"
             "import gtlab\n"
-            "heavy = ('integrate', 'interpolate', 'optimize', 'spatial')\n"
+            "heavy = ('integrate', 'interpolate', 'optimize', 'sparse', 'spatial')\n"
             "def loaded():\n"
             "    return [n for n in heavy if 'scipy.' + n in sys.modules]\n"
             "print('loaded after import:', loaded())\n"

@@ -1,12 +1,16 @@
 """Tests for the stationary Newton-Krylov solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dctn, idctn
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import minres as scipy_minres
 
-from gtlab.field import Grid, integrate, laplacian, sample
+from gtlab.field import Grid, integrate, laplacian, neumann_symbol, sample
 from gtlab.potential import bulk_roots
 from gtlab.solve import (
     _cosine_jacobian,
@@ -14,6 +18,7 @@ from gtlab.solve import (
     _newton,
     disk_signed_distance,
     long_range_potential,
+    minres,
     mixing_energy,
     solve_conserved,
 )
@@ -268,9 +273,100 @@ class TestCosineJacobian:
             want = want + long_range_potential(x, grid, gamma)
         want -= want.mean()
         matvec = _cosine_jacobian(_jacobian_symbol(grid, eps, gamma), w2)
-        coeffs = matvec(dctn(x, type=2, norm="ortho").ravel())
+        c = dctn(x, type=2, norm="ortho").ravel()
+        coeffs = matvec(c)
         got = idctn(coeffs.reshape(grid.shape), type=2, norm="ortho")
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # MINRES passes a buffer for the product and a scratch; neither may
+        # change a bit of it, and the coefficients must be left as they were
+        before = c.copy()
+        out, scratch = np.full_like(c, np.nan), np.full_like(c, np.nan)
+        assert matvec(c, out, scratch).tobytes() == coeffs.tobytes()
+        assert c.tobytes() == before.tobytes()
+
+
+class TestMinres:
+    """The in-house MINRES must reproduce scipy.sparse.linalg.minres bit for
+    bit: the Newton steps, and so every report, depend on its last digits."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_scipy(self, seed, definite):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigenvalues = rng.uniform(0.1, 10.0, n)
+        if not definite:
+            eigenvalues *= np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        a = (q * eigenvalues) @ q.T
+        a = 0.5 * (a + a.T)
+        d = rng.uniform(0.5, 5.0, n)
+        b = rng.standard_normal(n)
+        rtol = 10.0 ** rng.uniform(-12.0, -1.0)
+        maxiter = int(rng.integers(1, 3 * n + 1))
+
+        def matvec(v, out=None, scratch=None):
+            # writes into the buffer it is given and spoils its scratch, as
+            # the cosine Jacobian may
+            if scratch is not None:
+                scratch.fill(np.nan)
+            return np.matmul(a, v, out=out)
+
+        def precond(r, out=None):
+            return np.divide(r, d, out=out)
+
+        calls = [0, 0]
+
+        def count(i):
+            def callback(_):
+                calls[i] += 1
+
+            return callback
+
+        op = LinearOperator((n, n), matvec=lambda v: a @ v, dtype=float)
+        m_op = LinearOperator((n, n), matvec=lambda r: r / d, dtype=float)
+        want, want_info = scipy_minres(
+            op, b, rtol=rtol, maxiter=maxiter, M=m_op, callback=count(0)
+        )
+        got, info = minres(matvec, b.copy(), precond, rtol, maxiter, callback=count(1))
+        assert got.tobytes() == want.tobytes()
+        assert info == want_info
+        assert calls[0] == calls[1] > 0
+
+    def test_zero_right_hand_side(self):
+        calls = []
+        x, info = minres(
+            lambda v, out=None, scratch=None: 2.0 * v,
+            np.zeros(7),
+            lambda r, out=None: np.divide(r, 3.0, out=out),
+            1e-8,
+            21,
+            callback=calls.append,
+        )
+        assert info == 0 and not calls
+        assert x.tobytes() == np.zeros(7).tobytes()
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_solve_peaks_below_fifteen_grid_arrays(self, well, profile_table, gamma):
+        # the fixed MINRES vectors (8), the iterate, W''(u)/eps, the Jacobian
+        # symbol, the preconditioner's denominator and the cached Neumann
+        # symbol make 13; with scipy's minres and the stale references the
+        # Newton loop held, the peak was 20 arrays
+        eps, n = 0.02, 200
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
+        seed = profile_table.phi0_at(disk_signed_distance(grid, (0.5, 0.5), 0.25) / eps)
+        mass = integrate(seed, grid)
+        neumann_symbol.cache_clear()
+        tracemalloc.start()
+        try:
+            _, report = solve_conserved(well, grid, eps, mass, seed, long_range=gamma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak <= 15 * 8 * n * n
 
 
 class TestBall3d:
