@@ -12,6 +12,14 @@ A kind is one `STUDIES` entry: its runner, CLI defaults, default
 tolerances, metric anchors, order metrics and cross-width check.  A CLI
 command is one `_COMMANDS` entry: its help and the kind of each seed
 geometry it accepts.
+
+The solved kinds share one runner, made by `_solved(seed, measure)`: it
+solves from the kind's seed, locates the interface before any write,
+saves the snapshot and reports lambda, h and solver_converged; the seed
+function and the measurement are all a kind adds.  Every function the
+benchmark's tracer (perfbench/tracing.py) rebinds on this module is looked
+up as a global at call time, never captured in a closure or a default,
+or the tracer would stop seeing its calls.
 """
 
 from __future__ import annotations
@@ -305,23 +313,63 @@ def _study_profile(config, well, table, eps, k, out, index):
     return metrics, checks
 
 
-def _solve_disk(config, well, table, eps, k, out, index, coupling):
-    """Solve the seeded disk, measure its main interface, save the snapshot.
-
-    Returns (grid, u, report, lam, contour, kappa).
-    """
+def _disk(config, table, eps, k):
     grid = _unit_box(eps, k, 2)
     dist = disk_signed_distance(grid, config.center, config.radius)
-    seed = table.phi0_at(dist / eps)
-    del dist
-    mass = integrate(seed, grid) if config.mass is None else config.mass
-    u, report = solve_conserved(
-        well, grid, eps, mass, seed, long_range=coupling
-    )
-    contour = _main_contour(u, grid)
-    kappa = curvature(contour, grid, gradient(u, grid.spacing), window=8.0 * eps)
-    _save_field(out, f"{config.kind}-field-{index:02d}.npz", grid, u)
-    return grid, u, report, float(report.multiplier), contour, kappa
+    return grid, table.phi0_at(dist / eps)
+
+
+def _planar(config, table, eps, k):
+    grid = _unit_box(eps, k, 1)
+    return grid, table.phi0_at((grid.axis(0) - config.center[0]) / eps)
+
+
+def _lamellar(config, table, eps, k):
+    grid = _unit_box(eps, k, 1)
+    x = grid.axis(0)
+    left = config.center[0] - config.radius
+    right = config.center[0] + config.radius
+    return grid, table.phi0_at((x - left) / eps) - table.phi0_at((x - right) / eps) - 1.0
+
+
+def _solved(seed, measure, coupled=False):
+    """The runner of a solved kind: seed, solve, locate, snapshot, measure.
+
+    seed(config, table, eps, k) returns (grid, values).  The solve couples
+    the long-range term at config.coupling if coupled.  The interface is
+    located before anything is written: the main contour and its curvature
+    in 2D, the crossings in 1D, where a state without any raises.
+    measure(config, well, table, eps, grid, u, rep, lam, found, out, index),
+    found being (contour, kappa) or the crossings, returns the kind's own
+    metrics and checks; lambda, h and solver_converged are added here.
+    """
+
+    def run(config, well, table, eps, k, out, index):
+        grid, values = seed(config, table, eps, k)
+        mass = integrate(values, grid) if config.mass is None else config.mass
+        u, rep = solve_conserved(
+            well, grid, eps, mass, values, long_range=config.coupling if coupled else 0.0
+        )
+        del values
+        if grid.ndim == 2:
+            contour = _main_contour(u, grid)
+            found = contour, curvature(
+                contour, grid, gradient(u, grid.spacing), window=8.0 * eps
+            )
+        else:
+            found = zero_crossings_1d(u, grid)
+            if found.size == 0:
+                raise RuntimeError(f"{config.kind.partition('-')[2]} state lost its interfaces")
+        _save_field(out, f"{config.kind}-field-{index:02d}.npz", grid, u)
+        if grid.ndim == 1:
+            _write_crossings(out, f"{config.kind}-crossings-{index:02d}.csv", found)
+        lam = float(rep.multiplier)
+        metrics, checks = measure(config, well, table, eps, grid, u, rep, lam, found, out, index)
+        metrics.update({"lambda": lam, "h": grid.spacing})
+        checks["solver_converged"] = rep.converged
+        return metrics, checks
+
+    return run
 
 
 def _balance(config, table, contour, kappa, target, out, index):
@@ -338,24 +386,19 @@ def _balance(config, table, contour, kappa, target, out, index):
     return curvature_balance(kappa, target, table.sigma)
 
 
-def _study_ch_disk(config, well, table, eps, k, out, index):
-    grid, u, rep, lam, contour, kappa = _solve_disk(
-        config, well, table, eps, k, out, index, 0.0
-    )
+def _ch_disk(config, well, table, eps, grid, u, rep, lam, found, out, index):
+    contour, kappa = found
     r_eps = _shoelace_radius(contour.points)
     ratio = lam * r_eps / table.sigma
     gt_sup = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
     metrics = {
-        "lambda": lam,
         "r_eps": r_eps,
         "ratio": ratio,
         "ratio_error": abs(ratio - 1.0),
         "gt_sup": gt_sup,
         "energy": rep.energy,
-        "h": grid.spacing,
     }
-    checks = {"solver_converged": rep.converged}
-    return metrics, checks
+    return metrics, {}
 
 
 def _across_ch_disk(config, rows):
@@ -367,108 +410,38 @@ def _across_ch_disk(config, rows):
     }
 
 
-def _solve_line(config, well, eps, k, out, index, seed, coupling):
-    """Solve the 1D seed(x), find its crossings, save the snapshot and the
-    crossings CSV; a state without crossings raises before any write.
-
-    Returns (grid, u, report, crossings).
-    """
-    grid = _unit_box(eps, k, 1)
-    values = seed(grid.axis(0))
-    mass = integrate(values, grid) if config.mass is None else config.mass
-    u, report = solve_conserved(well, grid, eps, mass, values, long_range=coupling)
-    crossings = zero_crossings_1d(u, grid)
-    if crossings.size == 0:
-        raise RuntimeError(f"{config.kind.partition('-')[2]} state lost its interfaces")
-    _save_field(out, f"{config.kind}-field-{index:02d}.npz", grid, u)
-    _write_crossings(out, f"{config.kind}-crossings-{index:02d}.csv", crossings)
-    return grid, u, report, crossings
-
-
-def _study_ch_planar(config, well, table, eps, k, out, index):
-    def seed(x):
-        return table.phi0_at((x - config.center[0]) / eps)
-
-    grid, _, rep, _ = _solve_line(config, well, eps, k, out, index, seed, 0.0)
+def _ch_planar(config, well, table, eps, grid, u, rep, lam, found, out, index):
     energy_error = abs(rep.energy - 2.0 * table.sigma)
-    metrics = {
-        "lambda": float(rep.multiplier),
-        "energy": rep.energy,
-        "energy_error": energy_error,
-        "h": grid.spacing,
-    }
-    checks = {
-        "solver_converged": rep.converged,
-        "energy_within": energy_error <= config.tolerances["energy"],
-    }
-    return metrics, checks
+    metrics = {"energy": rep.energy, "energy_error": energy_error}
+    return metrics, {"energy_within": energy_error <= config.tolerances["energy"]}
 
 
-def _study_ok_disk(config, well, table, eps, k, out, index):
-    grid, u, rep, lam, contour, kappa = _solve_disk(
-        config, well, table, eps, k, out, index, config.coupling
-    )
+def _ok_disk(config, well, table, eps, grid, u, rep, lam, found, out, index):
+    contour, kappa = found
     w = long_range_potential(u, grid, config.coupling)
     target = lam - sample(w, grid, contour.points)
     ok_sup = _balance(config, table, contour, kappa, target, out, index)
     scale = float(np.max(np.abs(target)))
-    metrics = {
-        "lambda": lam,
-        "ok_sup": ok_sup,
-        "ok_scale": scale,
-        "h": grid.spacing,
-    }
-    checks = {
-        "solver_converged": rep.converged,
-        "balance_within": ok_sup <= config.tolerances["balance"] * scale,
-    }
-    return metrics, checks
+    metrics = {"ok_sup": ok_sup, "ok_scale": scale}
+    return metrics, {"balance_within": ok_sup <= config.tolerances["balance"] * scale}
 
 
-def _study_ok_lamellar(config, well, table, eps, k, out, index):
-    left = config.center[0] - config.radius
-    right = config.center[0] + config.radius
-
-    def seed(x):
-        return table.phi0_at((x - left) / eps) - table.phi0_at((x - right) / eps) - 1.0
-
-    grid, u, rep, crossings = _solve_line(
-        config, well, eps, k, out, index, seed, config.coupling
-    )
-    lam = float(rep.multiplier)
+def _ok_lamellar(config, well, table, eps, grid, u, rep, lam, found, out, index):
     w = long_range_potential(u, grid, config.coupling)
-    flat_sup = float(np.max(np.abs(lam - np.interp(crossings, grid.axis(0), w))))
-    metrics = {
-        "lambda": lam,
-        "flat_sup": flat_sup,
-        "n_crossings": float(crossings.size),
-        "h": grid.spacing,
-    }
-    checks = {
-        "solver_converged": rep.converged,
-        "flat_within": flat_sup <= config.tolerances["flat"],
-    }
-    return metrics, checks
+    flat_sup = float(np.max(np.abs(lam - np.interp(found, grid.axis(0), w))))
+    metrics = {"flat_sup": flat_sup, "n_crossings": float(found.size)}
+    return metrics, {"flat_within": flat_sup <= config.tolerances["flat"]}
 
 
-def _study_gt_check(config, well, table, eps, k, out, index):
-    grid, u, rep, lam, contour, kappa = _solve_disk(
-        config, well, table, eps, k, out, index, 0.0
-    )
+def _gt_check(config, well, table, eps, grid, u, rep, lam, found, out, index):
+    contour, kappa = found
     gt_sup = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
     # bulk plateaus continue the wells under the constant forcing lam:
     # roots of W'(r) = eps * lam
     lam_minus, lam_plus = bulk_roots(well, eps, lam)
     dev = bulk_deviation(u, grid, contour.points, 10.0 * eps, lam_plus, lam_minus)
-    metrics = {
-        "lambda": lam,
-        "gt_sup": gt_sup,
-        "bulk_dev": dev,
-        "bulk_bound": eps * eps,
-        "h": grid.spacing,
-    }
+    metrics = {"gt_sup": gt_sup, "bulk_dev": dev, "bulk_bound": eps * eps}
     checks = {
-        "solver_converged": rep.converged,
         "balance_within": gt_sup <= config.tolerances["balance"] * lam,
         "bulk_within": dev <= eps * eps,
     }
@@ -613,7 +586,7 @@ STUDIES = {
         },
     ),
     "ch-disk": _Study(
-        _study_ch_disk,
+        _solved(_disk, _ch_disk),
         defaults={"eps": (0.08, 0.04, 0.02), "grid_k": 4},
         tolerances={"ratio_first": 0.15, "ratio_last": 0.05},
         anchors={
@@ -628,7 +601,7 @@ STUDIES = {
         across=_across_ch_disk,
     ),
     "ch-planar": _Study(
-        _study_ch_planar,
+        _solved(_planar, _ch_planar),
         defaults={"eps": (0.02,), "grid_k": 8},
         tolerances={"energy": 1e-3},
         anchors={
@@ -639,19 +612,19 @@ STUDIES = {
         orders=("energy_error",),
     ),
     "ok-disk": _Study(
-        _study_ok_disk,
+        _solved(_disk, _ok_disk, coupled=True),
         defaults={"eps": (0.02,), "grid_k": 4},
         tolerances={"balance": 0.1},
         anchors={"lambda": _OK, "ok_sup": _OK, "ok_scale": _OK},
     ),
     "ok-lamellar": _Study(
-        _study_ok_lamellar,
+        _solved(_lamellar, _ok_lamellar, coupled=True),
         defaults={"eps": (0.01,), "grid_k": 8},
         tolerances={"flat": 0.05},
         anchors={"lambda": _FLAT, "flat_sup": _FLAT, "n_crossings": _FLAT},
     ),
     "gt-check": _Study(
-        _study_gt_check,
+        _solved(_disk, _gt_check),
         defaults={"eps": (0.02,), "grid_k": 4},
         tolerances={"balance": 0.1},
         anchors={"lambda": _GT, "gt_sup": _GT, "bulk_dev": _BULK, "bulk_bound": _BULK},

@@ -161,7 +161,8 @@ def _cosine_jacobian(symbol: np.ndarray, w2: np.ndarray):
 
 def minres(matvec, b, precond, rtol, maxiter, callback=None):
     """Preconditioned MINRES (Paige & Saunders 1975) for a symmetric operator;
-    returns (x, info), info = maxiter if the iteration limit stopped it.
+    returns (x, info, itn): info = maxiter if the iteration limit stopped
+    it, else 0, and itn the iterations run, one per callback(x) call.
 
     matvec(v, out, scratch) returns A v, written into out unless out is
     None, and may overwrite scratch; precond(r, out=None) returns M r the
@@ -183,7 +184,7 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0:
-        return x, 0
+        return x, 0, 0
     beta1 = sqrt(beta1)
     eps = np.finfo(float).eps
 
@@ -293,26 +294,7 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
         if istop != 0:
             break
 
-    return x, maxiter if istop == 6 else 0
-
-
-def _krylov_solve(matvec, rhs, precond, rtol):
-    """MINRES solve, consuming rhs; returns (x, info, iterations)."""
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = minres(
-        matvec,
-        rhs,
-        precond,
-        rtol=rtol,
-        maxiter=20 * int(np.sqrt(rhs.size)) + 200,
-        callback=count,
-    )
-    return x, info, iterations
+    return x, maxiter if istop == 6 else 0, itn
 
 
 def _newton(residual_fn, symbol, u, grid, well, eps):
@@ -363,11 +345,12 @@ def _newton(residual_fn, symbol, u, grid, well, eps):
         rhs = dctn(r, type=2, norm="ortho").ravel()
         del r
         rhs[0] = 0.0
-        c, info, inner = _krylov_solve(
+        c, info, inner = minres(
             _cosine_jacobian(symbol, well.second_derivative(u) / eps),
             rhs,
             precond,
             max(0.01 * min(sup, 1.0), 0.5 * _TOLERANCE / norm0),
+            20 * int(sqrt(rhs.size)) + 200,
         )
         krylov_iterations += inner
         krylov_failures += int(info != 0)

@@ -192,15 +192,62 @@ class TestOneDimensionalSolves:
         assert row.metrics["flat_sup"] <= 1e-10
 
     @pytest.mark.parametrize(
-        "kind, name", [("ch-planar", "planar"), ("ok-lamellar", "lamellar")]
+        "kind, settings, error",
+        [
+            # mass 0.99 leaves room for no minus phase: the state goes uniform
+            pytest.param(
+                "ch-planar",
+                {"eps": (0.02,), "mass": 0.99},
+                "planar state lost its interfaces",
+                id="ch-planar-planar",
+            ),
+            pytest.param(
+                "ok-lamellar",
+                {"eps": (0.02,), "mass": 0.99},
+                "lamellar state lost its interfaces",
+                id="ok-lamellar-lamellar",
+            ),
+            # a disk of radius 0.05 is below eps 0.08's resolution: it dissolves
+            pytest.param(
+                "ch-disk",
+                {"eps": (0.08,), "grid_k": 4, "radius": 0.05},
+                "no closed interface contour found",
+                id="ch-disk-dissolved",
+            ),
+        ],
     )
-    def test_lost_interfaces_recorded_before_any_write(self, tmp_path, kind, name):
-        # mass 0.99 leaves room for no minus phase: the state goes uniform
+    def test_lost_interfaces_recorded_before_any_write(self, tmp_path, kind, settings, error):
         out = tmp_path / kind
-        config = StudyConfig(kind=kind, eps=(0.02,), mass=0.99, out_dir=str(out))
-        row = run_study(config).rows[0]
-        assert row.error == f"RuntimeError: {name} state lost its interfaces"
+        row = run_study(StudyConfig(kind=kind, out_dir=str(out), **settings)).rows[0]
+        assert row.error == f"RuntimeError: {error}"
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
+
+
+class TestSolvedKindFiles:
+    @pytest.mark.parametrize(
+        "kind, located",
+        [
+            ("ch-disk", "interface"),
+            ("ok-disk", "interface"),
+            ("gt-check", "interface"),
+            ("ch-planar", "crossings"),
+            ("ok-lamellar", "crossings"),
+        ],
+    )
+    def test_exact_file_set(self, tmp_path, kind, located):
+        # every solved kind writes its snapshot, then the interface CSV in 2D
+        # or the crossings CSV in 1D, beside the report and its timings
+        out = tmp_path / kind
+        report = run_study(StudyConfig(kind=kind, eps=(0.04,), grid_k=4, out_dir=str(out)))
+        assert report.rows[0].error is None
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [
+                f"{kind}-field-00.npz",
+                f"{kind}-{located}-00.csv",
+                "report.json",
+                "timings.json",
+            ]
+        )
 
 
 class TestOkDiskStudy:
@@ -509,8 +556,10 @@ ROOT = Path(__file__).resolve().parents[1]
 _TRACED_STUDY = """
 import json
 import math
+import tempfile
 import tracing
 counts = tracing.install().counts
+out = tempfile.TemporaryDirectory()
 from gtlab import harness
 traced_solve = harness.solve_conserved
 reports = []
@@ -519,10 +568,16 @@ def solve(*args, **kwargs):
     reports.append(report)
     return u, report
 harness.solve_conserved = solve
-harness.run_study(harness.StudyConfig(kind="ch-planar", eps=(0.04,), grid_k=8))
+config = harness.StudyConfig(kind="ch-planar", eps=(0.04,), grid_k=8, out_dir=out.name + "/p")
+harness.run_study(config)
 planar = dict(counts)
 harness.run_study(harness.StudyConfig(kind="ok-disk", eps=(0.08,), grid_k=4))
 ok_disk = {key: counts[key] - planar.get(key, 0.0) for key in counts}
+before = dict(counts)
+config = harness.StudyConfig(kind="gt-check", eps=(0.04,), grid_k=4, out_dir=out.name + "/g")
+harness.run_study(config)
+gt_check = {key: counts[key] - before.get(key, 0.0) for key in counts}
+out.cleanup()
 traced_build = harness.build_subsolution
 cells = []
 def build(*args, **kwargs):
@@ -538,7 +593,9 @@ print(json.dumps({
     "newton_steps": planar["newton_steps"],
     "newton_converged": planar["newton_converged"],
     "iterations": report.iterations,
+    "planar_io": planar["io.n"],
     "ok_disk": ok_disk,
+    "gt_check": gt_check,
     "subsolution": subsolution,
     "subsolution_rows": len(sub.rows),
     "subsolution_errors": [row.error for row in sub.rows],
@@ -569,13 +626,22 @@ class TestBenchmarkTracer:
         assert counts["newton_steps"] > 0
         assert counts["newton_steps"] == counts["iterations"]
         assert counts["newton_converged"] == 1
-        # the 2D layers: contours, the Poisson solve of the long-range term
-        # and the Laplacian, each through the binding its caller looks up
+        # the 2D layers: contours, curvature, the Poisson solve of the
+        # long-range term, the Laplacian and the MINRES iterations, each
+        # through the binding its caller looks up
         ok_disk = counts["ok_disk"]
         assert ok_disk.get("extract_contours.n") == 1
+        assert ok_disk.get("curvature.n") == 1
+        assert ok_disk.get("krylov_iters", 0) > 0
         assert ok_disk.get("poisson_neumann.n", 0) > 0
         assert ok_disk.get("laplacian.n", 0) > 0
         assert ok_disk.get("newton_converged") == 1
+        # the written files: the report, the snapshot and its np.savez, and
+        # the crossings CSV in 1D or the interface CSV in 2D; the bulk check
+        assert counts["planar_io"] == 4
+        gt_check = counts["gt_check"]
+        assert gt_check.get("io.n") == 4
+        assert gt_check.get("bulk_deviation.n") == 1
         # the comparison layers of a subsolution study: one graph, one field
         # and one distance call per block of grid rows, over every cell of
         # the study row's grid; both grids here (under 21k cells) are one block

@@ -328,14 +328,14 @@ class TestMinres:
         want, want_info = scipy_minres(
             op, b, rtol=rtol, maxiter=maxiter, M=m_op, callback=count(0)
         )
-        got, info = minres(matvec, b.copy(), precond, rtol, maxiter, callback=count(1))
+        got, info, itn = minres(matvec, b.copy(), precond, rtol, maxiter, callback=count(1))
         assert got.tobytes() == want.tobytes()
         assert info == want_info
-        assert calls[0] == calls[1] > 0
+        assert calls[0] == calls[1] == itn > 0
 
     def test_zero_right_hand_side(self):
         calls = []
-        x, info = minres(
+        x, info, itn = minres(
             lambda v, out=None, scratch=None: 2.0 * v,
             np.zeros(7),
             lambda r, out=None: np.divide(r, 3.0, out=out),
@@ -343,7 +343,7 @@ class TestMinres:
             21,
             callback=calls.append,
         )
-        assert info == 0 and not calls
+        assert info == 0 and itn == 0 and not calls
         assert x.tobytes() == np.zeros(7).tobytes()
 
 
