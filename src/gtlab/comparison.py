@@ -61,10 +61,10 @@ class CutoffSchedule:
     """Odd saturating map: identity near 0, constant +-saturation far out.
 
     ``value`` is the map itself, ``slope`` and ``curve`` its first and second
-    derivatives.  The taper is a quintic smoothstep in the slope, so the map
-    is twice continuously differentiable, the slope stays in [0, 1], and the
-    second derivative is one-signed on each half line with magnitude below
-    3 / saturation.
+    derivatives, each evaluated elementwise on an array.  The taper is a
+    quintic smoothstep in the slope, so the map is twice continuously
+    differentiable, the slope stays in [0, 1], and the second derivative is
+    one-signed on each half line with magnitude below 3 / saturation.
     """
 
     eps: float
@@ -99,25 +99,22 @@ class CutoffSchedule:
         # The saturated branch returns the constant itself, so every cell on
         # a plateau carries bitwise the same value.
         out = np.where(a >= self.taper_start + self.taper_span, self.saturation, out)
-        out = np.copysign(out, r)
-        return float(out) if out.ndim == 0 else out
+        return np.copysign(out, r)
 
     def slope(self, r):
         _, a, x = self._pieces(r)
         out = np.where(a <= self.taper_start, 1.0, 1.0 - _smoothstep(x))
-        out = np.where(a >= self.taper_start + self.taper_span, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return np.where(a >= self.taper_start + self.taper_span, 0.0, out)
 
     def curve(self, r):
         r, a, x = self._pieces(r)
         mag = _smoothstep_prime(x) / self.taper_span
         out = -np.copysign(mag, r)
-        out = np.where(
+        return np.where(
             (a <= self.taper_start) | (a >= self.taper_start + self.taper_span),
             0.0,
             out,
         )
-        return float(out) if out.ndim == 0 else out
 
 
 def make_schedule(eps: float) -> CutoffSchedule:
@@ -258,8 +255,9 @@ def solve_cmc_graph(
     )
 
 
-def signed_distance(patch: GraphPatch, points) -> np.ndarray | float:
-    """Exact distance to the graph, positive on or above it.
+def signed_distance(patch: GraphPatch, points) -> np.ndarray:
+    """Exact distance to the graph, positive on or above it, at each row
+    of the (m, 2) array points.
 
     With q = p - start, m the upward unit normal at the start and c the
     curvature, a point's distance to the whole circle (or line) that carries
@@ -276,8 +274,6 @@ def signed_distance(patch: GraphPatch, points) -> np.ndarray | float:
     gives y itself.
     """
     pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
     (x0, y0), (x1, y1) = patch.ends()
@@ -298,7 +294,7 @@ def signed_distance(patch: GraphPatch, points) -> np.ndarray | float:
         np.hypot(qx[beyond], qy[beyond]), np.hypot(x[beyond] - x1, y[beyond] - y1)
     )
     np.negative(dist, out=dist, where=below)
-    return float(dist[0]) if scalar else dist
+    return dist
 
 
 @dataclass(frozen=True, eq=False)

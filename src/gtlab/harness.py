@@ -15,11 +15,12 @@ geometry it accepts.
 
 The solved kinds share one runner, made by `_solved(seed, measure)`: it
 solves from the kind's seed, locates the interface before any write,
-saves the snapshot and reports lambda, h and solver_converged; the seed
-function and the measurement are all a kind adds.  Every function the
-benchmark's tracer (perfbench/tracing.py) rebinds on this module is looked
-up as a global at call time, never captured in a closure or a default,
-or the tracer would stop seeing its calls.
+measures sigma * kappa = lambda - gamma * v there (kappa = 0 in 1D), writes
+every file and reports lambda, h and solver_converged; the seed function
+and the metrics read off that balance are all a kind adds.  Every function
+the benchmark's tracer (perfbench/tracing.py) rebinds on this module is
+looked up as a global at call time, never captured in a closure or a
+default, or the tracer would stop seeing its calls.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ class StudyConfig:
         eps = tuple(float(e) for e in eps)
         if not eps:
             raise ValueError("eps list must not be empty")
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("every eps must be positive")
+        if not all(0.0 < e < np.inf for e in eps):
+            raise ValueError("every eps must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps list must be strictly decreasing")
         object.__setattr__(self, "eps", eps)
@@ -148,8 +149,8 @@ class StudyConfig:
         ks = (ks,) * len(eps) if np.isscalar(ks) else tuple(ks)
         if len(ks) != len(eps):
             raise ValueError("grid_k list length must match the eps list")
-        if any(int(k) != k or k < 4 for k in ks):
-            raise ValueError("grid_k entries must be integers >= 4")
+        if not all(np.isfinite(k) and int(k) == k and k >= 4 for k in ks):
+            raise ValueError("grid_k entries must be finite integers >= 4")
         object.__setattr__(self, "grid_k", tuple(int(k) for k in ks))
         if not (self.well_scale > 0.0 and np.isfinite(self.well_scale)):
             raise ValueError("well_scale must be positive and finite")
@@ -171,6 +172,9 @@ class StudyConfig:
                 f"unknown tolerance key(s) for {self.kind}: {', '.join(extra)}"
             )
         merged = {**defaults, **{k: float(v) for k, v in given.items()}}
+        bad = sorted(k for k, v in merged.items() if not np.isfinite(v))
+        if bad:
+            raise ValueError(f"tolerance(s) {', '.join(bad)} must be finite")
         object.__setattr__(self, "tolerances", merged)
 
     @classmethod
@@ -333,38 +337,47 @@ def _lamellar(config, table, eps, k):
 
 
 def _solved(seed, measure, coupled=False):
-    """The runner of a solved kind: seed, solve, locate, snapshot, measure.
+    """The runner of a solved kind: seed, solve, locate, balance, write, measure.
 
-    seed(config, table, eps, k) returns (grid, values).  The solve couples
-    the long-range term at config.coupling if coupled.  The interface is
-    located before anything is written: the main contour and its curvature
-    in 2D, the crossings in 1D, where a state without any raises.
-    measure(config, well, table, eps, grid, u, rep, lam, found, out, index),
-    found being (contour, kappa) or the crossings, returns the kind's own
+    seed(config, table, eps, k) returns (grid, values); a coupled kind
+    solves with gamma = config.coupling.  Before any write, the interface
+    is located (contour vertices and windowed kappa in 2D, crossings and
+    kappa = 0 in 1D; none raises) and sup is the largest residual there of
+    sigma * kappa = target = lambda - gamma * v.  measure(config, well,
+    table, eps, grid, u, rep, points, target, sup) returns the kind's own
     metrics and checks; lambda, h and solver_converged are added here.
     """
 
     def run(config, well, table, eps, k, out, index):
         grid, values = seed(config, table, eps, k)
         mass = integrate(values, grid) if config.mass is None else config.mass
-        u, rep = solve_conserved(
-            well, grid, eps, mass, values, long_range=config.coupling if coupled else 0.0
-        )
+        gamma = config.coupling if coupled else 0.0
+        u, rep = solve_conserved(well, grid, eps, mass, values, long_range=gamma)
         del values
         if grid.ndim == 2:
             contour = _main_contour(u, grid)
-            found = contour, curvature(
-                contour, grid, gradient(u, grid.spacing), window=8.0 * eps
-            )
+            points = contour.points
+            kappa = curvature(contour, grid, gradient(u, grid.spacing), window=8.0 * eps)
         else:
-            found = zero_crossings_1d(u, grid)
-            if found.size == 0:
+            points = zero_crossings_1d(u, grid)
+            if points.size == 0:
                 raise RuntimeError(f"{config.kind.partition('-')[2]} state lost its interfaces")
+            kappa = np.zeros_like(points)
+        lam = rep.multiplier
+        if coupled:
+            w = long_range_potential(u, grid, gamma)
+            v = sample(w, grid, points) if grid.ndim == 2 else np.interp(points, grid.axis(0), w)
+            target = lam - v
+        else:
+            target = np.full_like(kappa, lam)
+        sup = curvature_balance(kappa, target, table.sigma)
         _save_field(out, f"{config.kind}-field-{index:02d}.npz", grid, u)
         if grid.ndim == 1:
-            _write_crossings(out, f"{config.kind}-crossings-{index:02d}.csv", found)
-        lam = float(rep.multiplier)
-        metrics, checks = measure(config, well, table, eps, grid, u, rep, lam, found, out, index)
+            _write_crossings(out, f"{config.kind}-crossings-{index:02d}.csv", points)
+        elif out is not None:
+            name = f"{config.kind}-interface-{index:02d}.csv"
+            write_contour_csv(out / name, contour, kappa, target, table.sigma)
+        metrics, checks = measure(config, well, table, eps, grid, u, rep, points, target, sup)
         metrics.update({"lambda": lam, "h": grid.spacing})
         checks["solver_converged"] = rep.converged
         return metrics, checks
@@ -372,30 +385,14 @@ def _solved(seed, measure, coupled=False):
     return run
 
 
-def _balance(config, table, contour, kappa, target, out, index):
-    """Sup residual of sigma * kappa = target over the vertices; writes the
-    interface CSV."""
-    if out is not None:
-        write_contour_csv(
-            out / f"{config.kind}-interface-{index:02d}.csv",
-            contour,
-            kappa,
-            target,
-            table.sigma,
-        )
-    return curvature_balance(kappa, target, table.sigma)
-
-
-def _ch_disk(config, well, table, eps, grid, u, rep, lam, found, out, index):
-    contour, kappa = found
-    r_eps = _shoelace_radius(contour.points)
-    ratio = lam * r_eps / table.sigma
-    gt_sup = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
+def _ch_disk(config, well, table, eps, grid, u, rep, points, target, sup):
+    r_eps = _shoelace_radius(points)
+    ratio = rep.multiplier * r_eps / table.sigma
     metrics = {
         "r_eps": r_eps,
         "ratio": ratio,
         "ratio_error": abs(ratio - 1.0),
-        "gt_sup": gt_sup,
+        "gt_sup": sup,
         "energy": rep.energy,
     }
     return metrics, {}
@@ -410,39 +407,33 @@ def _across_ch_disk(config, rows):
     }
 
 
-def _ch_planar(config, well, table, eps, grid, u, rep, lam, found, out, index):
+def _ch_planar(config, well, table, eps, grid, u, rep, points, target, sup):
     energy_error = abs(rep.energy - 2.0 * table.sigma)
     metrics = {"energy": rep.energy, "energy_error": energy_error}
     return metrics, {"energy_within": energy_error <= config.tolerances["energy"]}
 
 
-def _ok_disk(config, well, table, eps, grid, u, rep, lam, found, out, index):
-    contour, kappa = found
-    w = long_range_potential(u, grid, config.coupling)
-    target = lam - sample(w, grid, contour.points)
-    ok_sup = _balance(config, table, contour, kappa, target, out, index)
+def _ok_disk(config, well, table, eps, grid, u, rep, points, target, sup):
     scale = float(np.max(np.abs(target)))
-    metrics = {"ok_sup": ok_sup, "ok_scale": scale}
-    return metrics, {"balance_within": ok_sup <= config.tolerances["balance"] * scale}
+    metrics = {"ok_sup": sup, "ok_scale": scale}
+    return metrics, {"balance_within": sup <= config.tolerances["balance"] * scale}
 
 
-def _ok_lamellar(config, well, table, eps, grid, u, rep, lam, found, out, index):
-    w = long_range_potential(u, grid, config.coupling)
-    flat_sup = float(np.max(np.abs(lam - np.interp(found, grid.axis(0), w))))
-    metrics = {"flat_sup": flat_sup, "n_crossings": float(found.size)}
-    return metrics, {"flat_within": flat_sup <= config.tolerances["flat"]}
+def _ok_lamellar(config, well, table, eps, grid, u, rep, points, target, sup):
+    # a flat layer has kappa = 0, so sup is max |lambda - gamma * v|
+    metrics = {"flat_sup": sup, "n_crossings": float(points.size)}
+    return metrics, {"flat_within": sup <= config.tolerances["flat"]}
 
 
-def _gt_check(config, well, table, eps, grid, u, rep, lam, found, out, index):
-    contour, kappa = found
-    gt_sup = _balance(config, table, contour, kappa, np.full_like(kappa, lam), out, index)
+def _gt_check(config, well, table, eps, grid, u, rep, points, target, sup):
+    lam = rep.multiplier
     # bulk plateaus continue the wells under the constant forcing lam:
     # roots of W'(r) = eps * lam
     lam_minus, lam_plus = bulk_roots(well, eps, lam)
-    dev = bulk_deviation(u, grid, contour.points, 10.0 * eps, lam_plus, lam_minus)
-    metrics = {"gt_sup": gt_sup, "bulk_dev": dev, "bulk_bound": eps * eps}
+    dev = bulk_deviation(u, grid, points, 10.0 * eps, lam_plus, lam_minus)
+    metrics = {"gt_sup": sup, "bulk_dev": dev, "bulk_bound": eps * eps}
     checks = {
-        "balance_within": gt_sup <= config.tolerances["balance"] * lam,
+        "balance_within": sup <= config.tolerances["balance"] * lam,
         "bulk_within": dev <= eps * eps,
     }
     return metrics, checks

@@ -93,8 +93,7 @@ class TestCutoffSchedule:
             assert vals[0] == sign * delta
             assert np.all(s.slope(sign * r) == 0.0)
             assert np.all(s.curve(sign * r) == 0.0)
-        assert s.value(2.0 * delta) == delta
-        assert s.value(-3.0 * delta) == -delta
+        assert np.array_equal(s.value(np.array([2.0, -3.0]) * delta), [delta, -delta])
 
     def test_slope_range_and_smooth_joints(self):
         s = make_schedule(0.02)
@@ -125,13 +124,7 @@ class TestCutoffSchedule:
         assert np.array_equal(s.value(-r), -s.value(r))
         assert np.array_equal(s.slope(-r), s.slope(r))
         assert np.array_equal(s.curve(-r), -s.curve(r))
-        assert s.value(0.0) == 0.0
-
-    def test_scalar_in_float_out(self):
-        s = make_schedule(0.02)
-        assert isinstance(s.value(0.01), float)
-        assert isinstance(s.slope(0.01), float)
-        assert isinstance(s.curve(0.01), float)
+        assert np.array_equal(s.value(np.zeros(1)), [0.0])
 
     def test_saturation_formula(self):
         eps = 0.02
@@ -159,7 +152,7 @@ class TestCutoffSchedule:
         # violation, so a clean return is the property under test
         s = make_schedule(eps)
         assert s.saturation == pytest.approx(2.0 * eps * np.log(1.0 / eps))
-        assert s.slope(0.0) == 1.0
+        assert np.array_equal(s.slope(np.zeros(1)), [1.0])
 
 
 class TestGraphPatch:
@@ -400,7 +393,7 @@ class TestSignedDistance:
         order = rng.permutation(n)
         assert np.array_equal(signed_distance(patch, pts[order]), d[order])
         for i in rng.choice(n, 200, replace=False):
-            assert signed_distance(patch, pts[i]) == d[i]
+            assert signed_distance(patch, pts[i : i + 1])[0] == d[i]
 
     def test_default_study_grid_settles_everywhere(self, profile_table):
         # the grid of the default subsolution-check width (eps 0.02,
@@ -427,9 +420,9 @@ class TestSignedDistance:
 
     def test_sign_rule(self, profile_table):
         patch = bowl_arc(profile_table.sigma)
-        assert signed_distance(patch, np.array([0.0, 0.2])) > 0.0
-        assert signed_distance(patch, np.array([0.0, -0.2])) < 0.0
-        assert abs(signed_distance(patch, np.array([0.0, 0.0]))) <= 1e-16
+        d = signed_distance(patch, np.array([[0.0, 0.2], [0.0, -0.2], [0.0, 0.0]]))
+        assert d[0] > 0.0 and d[1] < 0.0
+        assert abs(d[2]) <= 1e-16
         # past the base the side is read at the nearer end's height
         end = patch.height(0.6)
         beyond = np.array(
@@ -452,14 +445,14 @@ class TestSignedDistance:
             assert np.array_equal(signed_distance(patch, pts) >= 0.0, above)
 
     def test_scalar_and_validation(self, profile_table):
+        # one point is a (1, 2) array; a bare (2,) point is rejected
         patch = bowl_arc(profile_table.sigma)
-        out = signed_distance(patch, np.array([0.1, 0.2]))
-        assert isinstance(out, float)
-        assert out == signed_distance(patch, np.array([[0.1, 0.2]]))[0]
-        with pytest.raises(ValueError, match="shape"):
-            signed_distance(patch, np.zeros((4, 3)))
-        with pytest.raises(ValueError, match="shape"):
-            signed_distance(patch, np.zeros(3))
+        out = signed_distance(patch, np.array([[0.1, 0.2]]))
+        assert out.shape == (1,)
+        assert out[0] == signed_distance(patch, np.array([[0.1, 0.2], [0.3, 0.4]]))[0]
+        for bad in (np.zeros((4, 3)), np.zeros(3), np.array([0.1, 0.2])):
+            with pytest.raises(ValueError, match="shape"):
+                signed_distance(patch, bad)
 
 
 class TestBuildSubsolution:

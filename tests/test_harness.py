@@ -26,6 +26,7 @@ from gtlab.harness import (
     write_contour_csv,
 )
 from gtlab.interface import Contour
+from gtlab.solve import long_range_potential
 
 
 class TestStudyConfig:
@@ -251,18 +252,52 @@ class TestSolvedKindFiles:
 
 
 class TestOkDiskStudy:
-    def test_ok_sup_is_the_interface_csv_max(self, tmp_path):
-        out = tmp_path / "ok"
+    # the runner measures sigma * kappa = lambda - gamma * v once for every
+    # solved kind; each kind's sup metric is that residual's largest value
+    @pytest.mark.parametrize(
+        "kind, metric",
+        [("ch-disk", "gt_sup"), ("gt-check", "gt_sup"), ("ok-disk", "ok_sup")],
+        ids=["ch-disk", "gt-check", "ok-disk"],
+    )
+    def test_ok_sup_is_the_interface_csv_max(self, tmp_path, kind, metric):
+        out = tmp_path / kind
         config = StudyConfig(
-            kind="ok-disk", eps=(0.04, 0.02), grid_k=4, coupling=2.5, out_dir=str(out)
+            kind=kind, eps=(0.04, 0.02), grid_k=4, coupling=2.5, out_dir=str(out)
         )
         run_study(config)
         report = json.loads((out / "report.json").read_text())
         for index, row in enumerate(report["rows"]):
-            with open(out / f"ok-disk-interface-{index:02d}.csv") as handle:
+            with open(out / f"{kind}-interface-{index:02d}.csv") as handle:
                 residual = [float(r["residual"]) for r in csv.DictReader(handle)]
             residual = np.array(residual)
-            assert row["metrics"]["ok_sup"] == np.max(np.abs(residual[~np.isnan(residual)]))
+            assert row["metrics"][metric] == np.max(np.abs(residual[~np.isnan(residual)]))
+
+    def test_flat_sup_is_the_lamellar_balance_at_the_crossings(self, tmp_path):
+        # a flat layer has kappa = 0: flat_sup is max |lambda - gamma * v|
+        # over the crossings, v recomputed from the saved snapshot
+        out = tmp_path / "lamellar"
+        config = StudyConfig(
+            kind="ok-lamellar",
+            eps=(0.02, 0.01),
+            coupling=2.5,
+            radius=0.2,
+            center=(0.45, 0.5),
+            out_dir=str(out),
+        )
+        report = run_study(config)
+        for index, row in enumerate(report.rows):
+            snapshot = np.load(out / f"ok-lamellar-field-{index:02d}.npz")
+            grid = Grid(
+                tuple(float(o) for o in snapshot["origin"]),
+                float(snapshot["spacing"]),
+                snapshot["values"].shape,
+            )
+            w = long_range_potential(snapshot["values"], grid, config.coupling)
+            with open(out / f"ok-lamellar-crossings-{index:02d}.csv") as handle:
+                crossings = np.array([float(r["x"]) for r in csv.DictReader(handle)])
+            target = row.metrics["lambda"] - np.interp(crossings, grid.axis(0), w)
+            assert row.metrics["n_crossings"] == crossings.size == 2
+            assert row.metrics["flat_sup"] == np.max(np.abs(target))
 
 
 class TestFailureRecording:
@@ -397,6 +432,27 @@ class TestCommandLine:
         path.write_text(json.dumps(config))
         assert main(["study", "--config", str(path)]) == 2
         assert f"config key {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("eps", [float("nan")], "eps"),
+            ("eps", [float("inf")], "eps"),
+            ("grid_k", float("nan"), "grid_k"),
+            ("grid_k", float("inf"), "grid_k"),
+            ("tolerances", {"window_low": float("nan")}, "window_low"),
+        ],
+        ids=["eps-nan", "eps-inf", "grid_k-nan", "grid_k-inf", "tolerance-nan"],
+    )
+    def test_non_finite_value_named_on_stderr(self, tmp_path, capsys, key, value, named):
+        # json writes these as NaN and Infinity, which json.loads reads back
+        out = tmp_path / "never"
+        path = tmp_path / "bad.json"
+        config = {"kind": "gap", "eps": [0.01], "out_dir": str(out), key: value}
+        path.write_text(json.dumps(config))
+        assert main(["study", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_json_config(self, tmp_path, capsys):
