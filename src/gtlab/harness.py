@@ -30,11 +30,13 @@ import csv
 import json
 import sys
 import time
+import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.lib.format as npformat
 
 from .comparison import (
     asymptotic_gap,
@@ -238,13 +240,22 @@ def _main_contour(values: np.ndarray, grid: Grid):
 
 
 def _save_field(out: Path | None, name: str, grid: Grid, values: np.ndarray) -> None:
-    if out is not None:
-        np.savez(
-            out / name,
-            origin=np.asarray(grid.origin),
-            spacing=np.asarray(grid.spacing),
-            values=values,
-        )
+    """Write np.savez(out / name, origin=..., spacing=..., values=...) byte
+    for byte (for C-ordered values), but with each array's data written
+    from its own buffer: np.savez copies an array into bytes before it
+    writes it."""
+    if out is None:
+        return
+    arrays = {
+        "origin": np.asarray(grid.origin),
+        "spacing": np.asarray(grid.spacing),
+        "values": np.ascontiguousarray(values),
+    }
+    with zipfile.ZipFile(out / name, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for key, val in arrays.items():
+            with zf.open(key + ".npy", "w", force_zip64=True) as fid:
+                npformat.write_array_header_1_0(fid, npformat.header_data_from_array_1_0(val))
+                fid.write(val)
 
 
 def _write_crossings(out: Path | None, name: str, crossings: np.ndarray) -> None:

@@ -69,22 +69,48 @@ def surface_tension(well: DoubleWell) -> float:
     scale * (1 - r^2) / (2 sqrt 2), so the closed form is scale * sqrt(2)/3;
     the quadrature keeps this routine honest for the whole family and agrees
     with the closed form to ~1e-13.
+
+    The nodes are summed in blocks of at most _EVAL_BLOCK, split where
+    numpy's pairwise summation splits one contiguous array (see
+    _pairwise_sum), so the sum has the bits of np.sum over all nodes while
+    only one block's two arrays exist at a time.
     """
     h = 2.0 / _TENSION_INTERVALS
-    # The nodes and sqrt(W/2), with the arithmetic of DoubleWell.value step
-    # by step but in place: two million-point arrays at a time.
-    vals = np.arange(_TENSION_INTERVALS, dtype=float)
-    vals += 0.5
-    vals *= h
-    vals -= 1.0
-    q = vals * vals
-    np.subtract(1.0, q, out=q)
-    np.multiply(well.scale**2, q, out=vals)
-    vals *= q
-    vals /= 4.0
-    vals /= 2.0
-    np.sqrt(vals, out=vals)
-    return float(np.sum(vals) * h)
+
+    def block(start: int, stop: int) -> float:
+        # The nodes and sqrt(W/2), with the arithmetic of DoubleWell.value
+        # step by step but in place.
+        vals = np.arange(start, stop, dtype=float)
+        vals += 0.5
+        vals *= h
+        vals -= 1.0
+        q = vals * vals
+        np.subtract(1.0, q, out=q)
+        np.multiply(well.scale**2, q, out=vals)
+        vals *= q
+        vals /= 4.0
+        vals /= 2.0
+        np.sqrt(vals, out=vals)
+        return np.sum(vals)
+
+    return float(_pairwise_sum(block, 0, _TENSION_INTERVALS) * h)
+
+
+def _pairwise_sum(block, start: int, stop: int) -> float:
+    """Sum of block(i, j) over a split of [start, stop) into ranges of at
+    most _EVAL_BLOCK, where block(i, j) is np.sum of elements i..j-1.
+
+    numpy sums a contiguous array of n > 128 elements pairwise, as the sum
+    of its first n2 = n // 2 - (n // 2) % 8 elements plus the rest.  Splitting
+    at the same places, and adding the halves in the same order, gives the
+    bits of np.sum over the whole range.
+    """
+    n = stop - start
+    if n <= _EVAL_BLOCK:
+        return block(start, stop)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(block, start, start + n2) + _pairwise_sum(block, start + n2, stop)
 
 
 def _second_difference(values: np.ndarray, spacing: float) -> np.ndarray:
@@ -156,8 +182,18 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ab[-1, -2] = d
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
     s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
+    del ab
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.column_stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    # The Hermite coefficients, in CubicSpline's operations and order, each
+    # written straight into its column.
+    c = np.empty((n - 1, 4))
+    np.divide(t, dx, out=c[:, 0])
+    np.subtract(slope, s[:-1], out=c[:, 1])
+    c[:, 1] /= dx
+    c[:, 1] -= t
+    c[:, 2] = s[:-1]
+    c[:, 3] = y[:-1]
+    return c
 
 
 @dataclass
@@ -284,8 +320,9 @@ def optimal_profile(
     # inside the requested half width.
     half_width = m * spacing
     h = spacing
-    # The quadrature's million-point temporaries come and go before the
-    # Newton arrays exist, so the two peaks do not stack.
+    # The quadrature sums its million nodes in blocks split where np.sum's
+    # pairwise summation splits them, so it keeps np.sum's bits while it
+    # holds two block-sized arrays, not two million-point ones.
     sigma = surface_tension(well)
     u = well.transition(np.arange(m + 1) * h)
     u[0] = 0.0

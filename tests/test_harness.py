@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -692,11 +693,12 @@ class TestBenchmarkTracer:
         assert ok_disk.get("poisson_neumann.n", 0) > 0
         assert ok_disk.get("laplacian.n", 0) > 0
         assert ok_disk.get("newton_converged") == 1
-        # the written files: the report, the snapshot and its np.savez, and
-        # the crossings CSV in 1D or the interface CSV in 2D; the bulk check
-        assert counts["planar_io"] == 4
+        # the written files: the report, the snapshot (written by hand, with
+        # no np.savez inside it), and the crossings CSV in 1D or the
+        # interface CSV in 2D; the bulk check
+        assert counts["planar_io"] == 3
         gt_check = counts["gt_check"]
-        assert gt_check.get("io.n") == 4
+        assert gt_check.get("io.n") == 3
         assert gt_check.get("bulk_deviation.n") == 1
         # the comparison layers of a subsolution study: one graph, one field
         # and one distance call per block of grid rows, over every cell of
@@ -711,6 +713,35 @@ class TestBenchmarkTracer:
 
 
 class TestSaveField:
+    @pytest.mark.parametrize("n_cells", [(12,), (8, 6)])
+    def test_bytes_equal_np_savez(self, tmp_path, n_cells):
+        # entries opened for writing carry the fixed 1980 timestamp, so the
+        # two archives are comparable byte for byte
+        ndim = len(n_cells)
+        grid = Grid.box((-0.5,) * ndim, tuple(-0.5 + 0.25 * n for n in n_cells), n_cells)
+        values = np.random.default_rng(12).standard_normal(grid.shape)
+        _save_field(tmp_path, "snap.npz", grid, values)
+        np.savez(
+            tmp_path / "ref.npz",
+            origin=np.asarray(grid.origin),
+            spacing=np.asarray(grid.spacing),
+            values=values,
+        )
+        assert (tmp_path / "snap.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+    def test_writes_without_a_copy(self, tmp_path):
+        # the values go to the archive from their own buffer (np.savez holds
+        # a second copy of the whole array while it writes)
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (1000, 1000))
+        values = np.random.default_rng(13).standard_normal(grid.shape)
+        tracemalloc.start()
+        try:
+            _save_field(tmp_path, "snap.npz", grid, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * values.nbytes
+
     def test_roundtrip_bitwise(self, tmp_path):
         grid = Grid.box((-1.0, 2.0), (1.0, 4.0), (8, 8))
         values = np.random.default_rng(11).standard_normal(grid.shape)

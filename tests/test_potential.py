@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from gtlab import potential
 from gtlab.potential import (
@@ -89,9 +90,9 @@ class TestSurfaceTension:
         value = surface_tension(DoubleWell(scale=scale))
         assert value == pytest.approx(scale * SIGMA, rel=1e-9)
 
-    def test_frozen_bits_two_node_arrays(self):
-        # the quadrature runs in place, so it holds two node-sized arrays at
-        # a time and keeps the sum's bits
+    def test_frozen_bits_block_arrays(self):
+        # the quadrature sums block by block in place, so it holds two
+        # block-sized arrays at a time and keeps the sum's bits
         tracemalloc.start()
         try:
             sigma = surface_tension(DoubleWell())
@@ -100,7 +101,19 @@ class TestSurfaceTension:
             tracemalloc.stop()
         assert sigma == 0.4714045207912674
         assert surface_tension(DoubleWell(1.7)) == 0.8013876853451545
-        assert peak <= 2.5 * 8 * potential._TENSION_INTERVALS
+        assert peak <= 4 * potential._EVAL_BLOCK * 8
+
+    @pytest.mark.parametrize("block", [128, potential._EVAL_BLOCK])
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 12345, 10**6, 2_000_003])
+    def test_pairwise_sum_is_np_sum(self, monkeypatch, block, n):
+        # the blocked sum splits where numpy's pairwise summation splits, so
+        # it has np.sum's bits; terms spread over 16 decades make any other
+        # order of additions round differently
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        monkeypatch.setattr(potential, "_EVAL_BLOCK", block)
+        total = potential._pairwise_sum(lambda i, j: np.sum(a[i:j]), 0, n)
+        assert _bits(total) == _bits(np.sum(a))
 
 
 class TestOptimalProfile:
@@ -197,6 +210,31 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _column_stack_coefficients(x, y):
+    """The spline build as it was before its columns were written in place:
+    the same slope solve, then np.column_stack of the four columns."""
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    b = np.empty(n)
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.column_stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 class TestProfileTableSpline:
     """The table's in-house spline is scipy's CubicSpline, bit for bit."""
 
@@ -279,6 +317,32 @@ class TestProfileTableSpline:
         )
         reference = first_order_correction(optimal_profile(well, 8.0, 2e-3), well)
         assert np.array_equal(_bits(table.phi1), _bits(reference.phi1))
+
+    def test_coefficients_written_in_place(self, profile_table):
+        # the columns of the old np.column_stack build, bit for bit, on the
+        # table's knots and on non-uniform ones
+        knots = np.sort(np.random.default_rng(5).uniform(-3.0, 4.0, 777))
+        data = [
+            (profile_table.positions, profile_table.phi0),
+            (profile_table.positions, profile_table.phi1),
+            (knots, np.random.default_rng(6).standard_normal(knots.size)),
+        ]
+        for x, y in data:
+            got = potential._spline_coefficients(x, y)
+            assert np.array_equal(_bits(got), _bits(_column_stack_coefficients(x, y)))
+        assert np.array_equal(_bits(got), _bits(CubicSpline(x, y).c.T))
+
+    def test_coefficients_memory(self, profile_table):
+        # one (n - 1, 4) output and no band matrix beside it: at most 9
+        # knot-sized arrays at a time (the column_stack build held 13)
+        x, y = profile_table.positions, profile_table.phi0
+        tracemalloc.start()
+        try:
+            potential._spline_coefficients(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * x.nbytes
 
     def test_blocked_evaluation_memory(self, well):
         # the evaluation works in fixed blocks, so its scratch stays a small
