@@ -300,17 +300,23 @@ def _study_profile(config, well, table, eps, k, out, index):
         optimal_profile(well, spacing=PROFILE_SPACING), well
     )
     scale = well.scale
-    sigma_exact = scale * SQRT2 / 3.0
     r = np.linspace(-10.0, 10.0, 20001)
     tanh_gap = float(np.max(np.abs(table.phi0_at(r) - well.transition(r))))
     tail = SQRT2 / (6.0 * scale)
     tail_error = max(
         abs(float(table.phi1[0]) - tail), abs(float(table.phi1[-1]) - tail)
     )
-    equi = float(np.max(np.abs(0.5 * table.phi0_prime**2 - well.value(table.phi0))))
+    kinetic = 0.5 * table.phi0_prime**2
+    bulk = well.value(table.phi0)
+    equi = float(np.max(np.abs(kinetic - bulk)))
+    # one layer carries energy 2 * sigma: the trapezoid integral of
+    # phi0'^2 / 2 + W(phi0) over the table, halved, is sigma
+    weights = np.full(table.phi0.size, table.spacing)
+    weights[0] = weights[-1] = table.spacing / 2.0
+    layer = float(np.sum(weights * (kinetic + bulk)))
     metrics = {
         "sigma": table.sigma,
-        "sigma_error": abs(table.sigma - sigma_exact),
+        "sigma_error": abs(0.5 * layer - table.sigma),
         "profile_residual": table.interior_residual(well),
         "tanh_gap": tanh_gap,
         "tail_error": tail_error,
@@ -580,7 +586,7 @@ STUDIES = {
         },
         anchors={
             "sigma": _SIGMA,
-            "sigma_error": _SIGMA,
+            "sigma_error": _LAYER,
             "profile_residual": "phi0'' = W'(phi0)",
             "tanh_gap": "phi0(r) = tanh(scale * r / sqrt(2))",
             "tail_error": "phi1(+-inf) = sqrt(2) / (6 * scale)",
@@ -684,13 +690,18 @@ def _orders(names: tuple[str, ...], rows: list[EpsRow]) -> dict:
 def run_study(config: StudyConfig) -> StudyReport:
     """Execute every eps entry, collect rows, and write the report files.
 
-    A failure at one eps is recorded in that row and the sweep continues;
-    the study passes only if every row completed and every row-level and
-    cross-eps check holds.
+    A failure at one eps is recorded in that row and the sweep continues; a
+    profile table that cannot be built is recorded in every row.  The study
+    passes only if every row completed and every row-level and cross-eps
+    check holds.
     """
     study = STUDIES[config.kind]
     well = DoubleWell(scale=config.well_scale)
-    table = first_order_correction(optimal_profile(well), well)
+    failure = None
+    try:
+        table = first_order_correction(optimal_profile(well), well)
+    except Exception as exc:
+        table, failure = None, exc
     out = None
     if config.out_dir is not None:
         out = Path(config.out_dir)
@@ -700,6 +711,8 @@ def run_study(config: StudyConfig) -> StudyReport:
     for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
         start = time.perf_counter()
         try:
+            if failure is not None:
+                raise failure
             metrics, checks = study.run(config, well, table, eps, k, out, index)
             rows.append(EpsRow(eps=eps, metrics=_plain(metrics), checks=checks))
         except Exception as exc:

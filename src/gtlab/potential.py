@@ -3,7 +3,8 @@
 The scaled quartic well W(r) = scale^2 (1 - r^2)^2 / 4 has wells at r = -1, +1.
 Associated objects built here:
 
-* the surface tension (integral of sqrt(W/2) between the wells),
+* the surface tension (integral of sqrt(W/2) between the wells, in closed
+  form: sqrt(W/2) is a polynomial on [-1, 1]),
 * the optimal transition profile phi0 solving -phi0'' + W'(phi0) = 0 on a
   truncated line, tabulated on a uniform grid,
 * the first-order profile correction phi1 solving the linearized equation with
@@ -24,9 +25,6 @@ SQRT2 = float(np.sqrt(2.0))
 # Roots of W' on the outer branches exist only while the forcing stays below
 # the local extremum of W' at r = +-1/sqrt(3); see bulk_roots.
 _BRANCH_LIMIT = 2.0 / (3.0 * np.sqrt(3.0))
-
-# Midpoint intervals of the surface-tension quadrature.
-_TENSION_INTERVALS = 1_000_000
 
 # Points per block of a profile-table evaluation: the block's scratch arrays
 # stay small next to the output however many points are asked for.
@@ -63,54 +61,13 @@ class DoubleWell:
 
 
 def surface_tension(well: DoubleWell) -> float:
-    """Integral of sqrt(W/2) over [-1, 1] by composite midpoint quadrature.
+    """Integral of sqrt(W/2) over [-1, 1], in closed form: scale * sqrt(2) / 3.
 
-    For the quartic family the integrand is the polynomial
-    scale * (1 - r^2) / (2 sqrt 2), so the closed form is scale * sqrt(2)/3;
-    the quadrature keeps this routine honest for the whole family and agrees
-    with the closed form to ~1e-13.
-
-    The nodes are summed in blocks of at most _EVAL_BLOCK, split where
-    numpy's pairwise summation splits one contiguous array (see
-    _pairwise_sum), so the sum has the bits of np.sum over all nodes while
-    only one block's two arrays exist at a time.
+    On [-1, 1] sqrt(W/2) is the polynomial scale * (1 - r^2) / (2 sqrt 2),
+    so its integral is exact.  The profile study checks sigma against the
+    energy per layer, 2 * sigma, of the tabulated profile.
     """
-    h = 2.0 / _TENSION_INTERVALS
-
-    def block(start: int, stop: int) -> float:
-        # The nodes and sqrt(W/2), with the arithmetic of DoubleWell.value
-        # step by step but in place.
-        vals = np.arange(start, stop, dtype=float)
-        vals += 0.5
-        vals *= h
-        vals -= 1.0
-        q = vals * vals
-        np.subtract(1.0, q, out=q)
-        np.multiply(well.scale**2, q, out=vals)
-        vals *= q
-        vals /= 4.0
-        vals /= 2.0
-        np.sqrt(vals, out=vals)
-        return np.sum(vals)
-
-    return float(_pairwise_sum(block, 0, _TENSION_INTERVALS) * h)
-
-
-def _pairwise_sum(block, start: int, stop: int) -> float:
-    """Sum of block(i, j) over a split of [start, stop) into ranges of at
-    most _EVAL_BLOCK, where block(i, j) is np.sum of elements i..j-1.
-
-    numpy sums a contiguous array of n > 128 elements pairwise, as the sum
-    of its first n2 = n // 2 - (n // 2) % 8 elements plus the rest.  Splitting
-    at the same places, and adding the halves in the same order, gives the
-    bits of np.sum over the whole range.
-    """
-    n = stop - start
-    if n <= _EVAL_BLOCK:
-        return block(start, stop)
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(block, start, start + n2) + _pairwise_sum(block, start + n2, stop)
+    return well.scale * SQRT2 / 3.0
 
 
 def _second_difference(values: np.ndarray, spacing: float) -> np.ndarray:
@@ -320,9 +277,6 @@ def optimal_profile(
     # inside the requested half width.
     half_width = m * spacing
     h = spacing
-    # The quadrature sums its million nodes in blocks split where np.sum's
-    # pairwise summation splits them, so it keeps np.sum's bits while it
-    # holds two block-sized arrays, not two million-point ones.
     sigma = surface_tension(well)
     u = well.transition(np.arange(m + 1) * h)
     u[0] = 0.0

@@ -150,7 +150,7 @@ class TestProfileStudy:
         report = run_study(StudyConfig(kind="profile", eps=(0.02,)))
         row = report.rows[0]
         assert report.passed
-        assert row.metrics["sigma_error"] <= 1e-10
+        assert row.metrics["sigma_error"] <= 1e-12
         assert row.metrics["profile_residual"] <= 1e-8
         assert row.metrics["tanh_gap"] <= 1e-7
         assert row.metrics["tail_error"] <= 1e-6
@@ -319,6 +319,23 @@ class TestFailureRecording:
         assert report.rows[0].error is not None
         assert report.rows[1].error is None
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "scale, error",
+        [(1e100, "RuntimeError: profile Newton stalled"), (1e160, "OverflowError")],
+        ids=["1e100", "1e160"],
+    )
+    def test_table_failure_fails_every_row(self, tmp_path, capsys, scale, error):
+        # a well whose profile table cannot be built still gets a report:
+        # every row carries the failure and the CLI exits 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kind": "gap", "eps": [0.01, 0.005], "well_scale": scale}))
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(path), "--out", str(out)]) == 1
+        assert "result: FAIL" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert not report["passed"]
+        assert [row["error"].startswith(error) for row in report["rows"]] == [True, True]
 
 
 class TestReportPayload:

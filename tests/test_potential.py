@@ -90,30 +90,13 @@ class TestSurfaceTension:
         value = surface_tension(DoubleWell(scale=scale))
         assert value == pytest.approx(scale * SIGMA, rel=1e-9)
 
-    def test_frozen_bits_block_arrays(self):
-        # the quadrature sums block by block in place, so it holds two
-        # block-sized arrays at a time and keeps the sum's bits
-        tracemalloc.start()
-        try:
-            sigma = surface_tension(DoubleWell())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sigma == 0.4714045207912674
-        assert surface_tension(DoubleWell(1.7)) == 0.8013876853451545
-        assert peak <= 4 * potential._EVAL_BLOCK * 8
-
-    @pytest.mark.parametrize("block", [128, potential._EVAL_BLOCK])
-    @pytest.mark.parametrize("n", [1, 7, 128, 129, 12345, 10**6, 2_000_003])
-    def test_pairwise_sum_is_np_sum(self, monkeypatch, block, n):
-        # the blocked sum splits where numpy's pairwise summation splits, so
-        # it has np.sum's bits; terms spread over 16 decades make any other
-        # order of additions round differently
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
-        monkeypatch.setattr(potential, "_EVAL_BLOCK", block)
-        total = potential._pairwise_sum(lambda i, j: np.sum(a[i:j]), 0, n)
-        assert _bits(total) == _bits(np.sum(a))
+    def test_closed_form_bits(self):
+        # sqrt(W/2) is a polynomial on [-1, 1], so sigma is its exact
+        # integral and every profile table carries those bits
+        for s in (0.5, 1.0, 1.7):
+            sigma = s * SQRT2 / 3.0
+            assert surface_tension(DoubleWell(s)) == sigma
+            assert optimal_profile(DoubleWell(s), half_width=8.0, spacing=2e-3).sigma == sigma
 
 
 class TestOptimalProfile:
