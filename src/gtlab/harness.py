@@ -496,7 +496,17 @@ def _study_subsolution(config, well, table, eps, k, out, index):
 
 def _across_subsolution(config, rows):
     defects = [r.metrics["max_defect"] for r in rows]
-    return {"defect_non_increasing": all(b <= a for a, b in zip(defects, defects[1:]))}
+    # the law's two-sided half: the excess over (2/3) force stays positive
+    # and falls at least like eps^0.8 down the (decreasing) eps list
+    excess = [(r.eps, r.metrics["defect_excess"]) for r in rows]
+    return {
+        "defect_non_increasing": all(b <= a for a, b in zip(defects, defects[1:])),
+        "defect_excess_positive": all(e > 0.0 for _, e in excess),
+        "defect_excess_order": all(
+            ea > 0.0 and eb > 0.0 and np.log(ea / eb) >= 0.8 * np.log(pa / pb)
+            for (pa, ea), (pb, eb) in zip(excess, excess[1:])
+        ),
+    }
 
 
 def _study_multiplicity(config, well, table, eps, k, out, index):

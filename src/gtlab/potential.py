@@ -8,7 +8,8 @@ Associated objects built here:
 * the optimal transition profile phi0 solving -phi0'' + W'(phi0) = 0 on a
   truncated line, tabulated on a uniform grid,
 * the first-order profile correction phi1 solving the linearized equation with
-  a solvability-projected right-hand side,
+  a solvability-projected right-hand side, in closed form: the constant
+  sigma / W''(1) less its component along the kernel phi0',
 * the near-well roots of W'(lam) = eps * forcing, used by the bulk
   far-field comparisons.
 """
@@ -103,13 +104,6 @@ def _derivative_table(values: np.ndarray, spacing: float) -> np.ndarray:
         25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]
     ) / (12.0 * spacing)
     return out
-
-
-def _cumulative_trapezoid(y: np.ndarray, spacing: float) -> np.ndarray:
-    """Running trapezoid integral of a uniform table from its first node,
-    with the arithmetic of scipy's cumulative_trapezoid(y, dx=spacing,
-    initial=0), so the two agree bit for bit."""
-    return np.concatenate(([0.0], np.cumsum(spacing * (y[1:] + y[:-1]) / 2.0)))
 
 
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -351,88 +345,30 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     kernel component is projected out first, which turns the raw right-hand
     side into the even function sigma - phi0'.
 
-    The equation is integrated by variation of parameters built on the kernel
-    w = phi0' and its reduction-of-order partner w2 = w * int dr/w^2, whose
-    Wronskian is exactly one:
-
-        phi1_p(r) = w(r) int_0^r g w2 ds - w2(r) int_0^r g w ds ,
-
-    with g the (projected) right-hand side.  Because the projection kills
-    int_0^inf g w, the growing branch w2 enters with a coefficient that
-    decays, and phi1_p stays bounded; the first integral is re-anchored at
-    infinity so this cancellation is structural rather than numerical.
-    Beyond the radius where w falls into finite-difference noise the
-    correction is continued by its exponential tail approach.  A direct
-    banded solve is useless here: the full-window operator has a kernel
-    eigenvalue ~ exp(-2 sqrt2 scale half_width), far below machine precision.
+    For the quartic well the solution is closed form.  On the profile
+    phi0' = scale (1 - phi0^2) / sqrt 2, so W''(phi0) = W''(1) -
+    3 sqrt2 scale phi0', and L maps the constant sigma / W''(1) to
+    sigma - (3 sqrt2 scale sigma / W''(1)) phi0' = sigma - phi0', because
+    sigma = scale sqrt2 / 3 and W''(1) = 2 scale^2.  Any other solution
+    differs from it by a multiple of the kernel phi0', which the
+    normalization fixes.
     """
-    h = table.spacing
-    n = table.positions.size
-    m = (n - 1) // 2
-    sigma = table.sigma
-    scale = well.scale
-
     kern = table.phi0_prime
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
+    sigma = table.sigma
+    weights = np.full(kern.size, table.spacing)
+    weights[0] = weights[-1] = table.spacing / 2.0
     pairing = float(np.sum(weights * (kern + sigma) * kern))
-    ratio = pairing / (2.0 * sigma)
 
-    tail_plus = sigma / float(well.second_derivative(1.0))
-    tail_minus = sigma / float(well.second_derivative(-1.0))
+    tail = sigma / float(well.second_derivative(1.0))
+    # Kernel normalization: <phi1, phi0'> = 0 in the trapezoid pairing
+    # against the stored derivative table.  phi0_prime is exactly even (odd
+    # data through symmetric stencils), so phi1 is exactly even.
+    coeff = -tail * float(np.sum(weights * kern)) / float(np.sum(weights * kern * kern))
 
-    # Half-line data (phi1 is even; the mirror at the end is exact).
-    r = table.positions[m:]
-    phi0 = table.phi0[m:]
-    # Equipartition form of the kernel: for the monotone profile
-    # phi0' = sqrt(2 W(phi0)) exactly, and (1 - phi0) is an exact float
-    # subtraction, so this carries far less relative noise in the tail than
-    # the finite-difference derivative table does.
-    w = np.sqrt(np.maximum(2.0 * np.asarray(well.value(phi0), dtype=float), 0.0))
-    g = sigma - w
-
-    # Keep the variation-of-parameters region where the relative rounding
-    # noise of w (~eps_mach * w(0)/w) stays below 1e-8.
-    w_floor = 3e-8 * float(w[0])
-    below = np.nonzero(w <= w_floor)[0]
-    i_cut = int(below[0]) - 1 if below.size else w.size - 1
-    if i_cut < 16:
-        raise ValueError(
-            "profile window too small: phi0' is at the noise floor "
-            "before any usable correction region"
-        )
-
-    gw_int = _cumulative_trapezoid(g * w, h)
-    # Re-anchor: P(r) = -int_r^inf g w, using the analytic tail of the
-    # remainder (g -> sigma, int w = 1 - phi0).  The projection makes the
-    # full-line value zero, so this is a cancellation made structural.
-    gw_int = gw_int - (gw_int[i_cut] + sigma * (1.0 - phi0[i_cut]))
-
-    sl = slice(0, i_cut + 1)
-    growth = _cumulative_trapezoid(1.0 / w[sl] ** 2, h)
-    w2 = w[sl] * growth
-    q_int = _cumulative_trapezoid(g[sl] * w2, h)
-    particular = w[sl] * q_int - w2 * gw_int[sl]
-
-    half = np.empty_like(w)
-    half[sl] = particular
-    if i_cut + 1 < w.size:
-        decay = np.exp(-SQRT2 * scale * (r[i_cut + 1 :] - r[i_cut]))
-        half[i_cut + 1 :] = tail_plus + (particular[i_cut] - tail_plus) * decay
-
-    phi1 = np.concatenate([half[:0:-1], half])
-
-    # Kernel normalization: make <phi1, phi0'> = 0 exactly in the trapezoid
-    # pairing against the stored derivative table, so downstream projections
-    # see a correction with no kernel component.  phi0_prime is exactly even
-    # (odd data through symmetric stencils), so this keeps phi1 exactly even.
-    coeff = -float(np.sum(weights * phi1 * kern) / np.sum(weights * kern * kern))
-    phi1 = phi1 + coeff * kern
-
-    table.phi1 = phi1
-    table.phi1_tail_minus = tail_minus
-    table.phi1_tail_plus = tail_plus
-    table.fredholm_ratio = ratio
+    table.phi1 = tail + coeff * kern
+    table.phi1_tail_minus = sigma / float(well.second_derivative(-1.0))
+    table.phi1_tail_plus = tail
+    table.fredholm_ratio = pairing / (2.0 * sigma)
     table._splines.pop("phi1", None)
     return table
 

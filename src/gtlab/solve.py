@@ -41,10 +41,11 @@ its stationary positions (gamma 1, eps 0.02) the floored solve runs all 60
 steps and ends in ``max_iterations``, where the unfloored one converges
 in 10 (ROADMAP item 1).
 
-A solve stops for one of three reasons, kept in ``SolveReport.stop_reason``:
+A solve stops for one of four reasons, kept in ``SolveReport.stop_reason``:
 ``converged`` (sup residual at most 1e-9), ``line_search_failed`` (no step
-down to 2**-20 decreases the residual; the step is not applied) or
-``max_iterations``.
+down to 2**-20 decreases the residual; the step is not applied),
+``non_finite`` (the residual holds a NaN or an infinity, which no Krylov
+solve can reduce) or ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -341,6 +342,8 @@ def _newton(residual_fn, symbol, u, grid, well, eps):
         sup = float(np.max(np.abs(r)))
         if sup <= _TOLERANCE:
             return stop(iteration, sup, lam, "converged")
+        if not np.isfinite(sup):
+            return stop(iteration, sup, lam, "non_finite")
         norm0 = float(np.linalg.norm(r))
         rhs = dctn(r, type=2, norm="ortho").ravel()
         del r
@@ -361,7 +364,8 @@ def _newton(residual_fn, symbol, u, grid, well, eps):
         while True:
             trial = u + step * du
             r_trial, lam_trial = split(trial)
-            # a NaN norm fails this comparison, so the step is taken
+            # a NaN norm fails this comparison, so the step is taken and the
+            # next iteration stops on it as non_finite
             if not float(np.linalg.norm(r_trial)) > (1.0 - 1e-4 * step) * norm0:
                 break
             step *= _BACKTRACK

@@ -50,14 +50,14 @@ FLAT_GRID_DEFECT_SUP = 0.0009110229277375526
 
 # Constant-curvature bowl (force 1, curvature sqrt(2), base radius 0.6,
 # box [-0.36, 0.36] x [-0.54, 0.72]) at eps = 0.04, h = eps/16.
-BOWL_MAX_DEFECT = 0.718720807750115
+BOWL_MAX_DEFECT = 0.7187208210964702
 
 # Normalized gaps between bulk roots and plateau values at force 1,
 # rows keyed by eps as (upper gap, lower gap).
 GAP_ROWS = {
-    0.01: (0.10862781711231673, 0.11367330298019951),
-    0.005: (0.10976298043017252, 0.11247787570627388),
-    0.0025: (0.11040750491551066, 0.11181911755357987),
+    0.01: (0.10862790041494819, 0.11367338628284207),
+    0.005: (0.10976306363192911, 0.11247795890805268),
+    0.0025: (0.11040758696800879, 0.111819199606078),
 }
 # The same two gaps at eps = 0.01 from 50-digit root finding.
 GAP_UPPER_EXACT = 0.108627900331319
@@ -679,8 +679,8 @@ class TestAsymptoticGap:
 
     def test_matches_high_precision_roots(self, profile_table, well):
         upper, lower = asymptotic_gap(well, profile_table, 1.0, 0.01)
-        assert abs(upper - GAP_UPPER_EXACT) <= 1e-5
-        assert abs(lower - GAP_LOWER_EXACT) <= 1e-5
+        assert abs(upper - GAP_UPPER_EXACT) <= 1e-9
+        assert abs(lower - GAP_LOWER_EXACT) <= 1e-9
 
     def test_force_validation(self, profile_table, well):
         with pytest.raises(ValueError, match="positive"):

@@ -18,8 +18,7 @@ wider than the mutation moves it:
 * ok-disk and gt-check under sigma / 1.1 and sigma * 1.02 (the balance
   tolerance is 10 % of the scale);
 * ok-lamellar under all four (a flat layer has kappa = 0 and no sigma term);
-* subsolution under all four (the construction and its certificate use the
-  same sigma, and it measures no curvature);
+* subsolution under -kappa (it measures no curvature);
 * gap under sigma * 1.02 and -kappa.
 """
 
@@ -52,6 +51,9 @@ CELLS = [
     ("gt-check", "-kappa", {"balance_within"}),
     ("gap", "sigma*1.1", {"window_within"}),
     ("gap", "sigma/1.1", {"window_within"}),
+    ("subsolution", "sigma*1.1", {"defect_excess_positive", "defect_excess_order"}),
+    ("subsolution", "sigma/1.1", {"defect_excess_order"}),
+    ("subsolution", "sigma*1.02", {"defect_excess_positive", "defect_excess_order"}),
 ]
 
 

@@ -251,6 +251,21 @@ class TestStopReason:
         assert sup > 1e-9
         assert inner > 0
 
+    @pytest.mark.parametrize("mass", [1e120, 1e200])
+    def test_non_finite_residual_stops_at_once(self, well, profile_table, mass):
+        # a mass this large overflows W'(u) to infinity, so the residual is
+        # not finite: no Krylov solve can reduce it, and the solve must stop
+        # before running one
+        eps = 0.08
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (50, 50))
+        seed = profile_table.phi0_at(disk_signed_distance(grid, (0.5, 0.5), 0.25) / eps)
+        with np.errstate(all="ignore"):
+            _, report = solve_conserved(well, grid, eps, mass, seed)
+        assert report.stop_reason == "non_finite" and not report.converged
+        assert report.iterations == 0
+        assert report.krylov_iterations == 0 and report.krylov_failures == 0
+        assert not np.isfinite(report.residual)
+
 
 class TestCosineJacobian:
     # the Newton systems are solved on cosine coefficients; the operator
