@@ -14,13 +14,16 @@ is measurable on a grid and stays below a fixed multiple of the forcing.
 A front of constant curvature in the plane is a circular arc (a segment at
 curvature 0), so the graph, its heights and its signed distance are closed
 forms.  The pieces here build those graphs, the cutoff schedule, the
-comparison field, and the verdicts derived from its defect.
+comparison field, and the verdicts derived from its defect.  The field and
+its defect are built in one pass over blocks of grid rows and handed to a
+sink block by block; only the defect's interior maximum is kept, so the
+memory a certificate needs does not grow with the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -299,16 +302,16 @@ def signed_distance(patch: GraphPatch, points) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SubsolutionField:
-    """A comparison field on a grid together with its elliptic defect.
+    """What a comparison field leaves behind once its blocks are written.
 
-    ``values`` holds the field on the grid's cells and ``defect`` holds
-    -eps * lap(values) + W'(values) / eps cell by cell;
-    ``plateau_minus`` and ``plateau_plus`` are the exact constants the field
-    takes below and above the saturation tube.
+    ``max_defect`` is the largest defect -eps * lap(v) + W'(v) / eps over
+    the interior cells (``interior_max``); ``plateau_minus`` and
+    ``plateau_plus`` are the exact constants the field takes below and
+    above the saturation tube.  The field and its defect themselves go to
+    the sink of ``build_subsolution`` block by block and are not kept.
     """
 
-    values: np.ndarray
-    defect: np.ndarray
+    max_defect: float
     force: float
     plateau_minus: float
     plateau_plus: float
@@ -320,6 +323,28 @@ class DefectCertificate(NamedTuple):
     passed: bool
 
 
+# Cell layers next to each wall left out of the defect verdict.
+_WALL_LAYERS = 2
+
+
+def interior_max(defect: np.ndarray, start: int, shape: tuple[int, int]) -> float:
+    """Largest defect over the interior cells of a block of grid rows.
+
+    ``defect`` holds rows start, start + 1, ... of a grid of ``shape``;
+    the two cell layers at each wall are left out, since the zero-flux
+    stencil is wrong where the field still varies.  A block of wall rows
+    only gives -inf, so a running maximum over the blocks is the maximum
+    over the whole interior.
+    """
+    k = _WALL_LAYERS
+    if any(n <= 2 * k for n in shape):
+        raise ValueError("grid too small for the wall exclusion")
+    lo = max(k - start, 0)
+    hi = min(shape[0] - k - start, len(defect))
+    inner = defect[lo:hi, k:-k]
+    return float(np.max(inner)) if inner.size else -np.inf
+
+
 def build_subsolution(
     patch: GraphPatch,
     schedule: CutoffSchedule,
@@ -327,15 +352,20 @@ def build_subsolution(
     force: float,
     grid: Grid,
     well: DoubleWell,
+    write: Callable[[slice, np.ndarray, np.ndarray], None],
 ) -> SubsolutionField:
     """Profile riding on the saturated signed distance to the graph.
 
     The field is phi0(b(d)/eps) + eps * (2/(3 sigma)) * force * phi1(b(d)/eps)
     with d the signed distance to the patch and b the cutoff schedule; its
-    defect -eps * lap + W'/eps is evaluated with the grid Laplacian.  The
-    grid box must contain the saturation tube of the front: the graph must
-    span the box horizontally and clear the top and bottom walls by twice
-    the saturation length.
+    defect -eps * lap + W'/eps is evaluated with the grid Laplacian.  Both
+    are built one block of grid rows at a time, in row order, and each
+    finished block goes to ``write(rows, values, defect)`` with rows the
+    block's slice of the grid's first axis; only the interior maximum of
+    the defect is kept.  The grid box must contain
+    the saturation tube of the front: the graph must span the box
+    horizontally and clear the top and bottom walls by twice the saturation
+    length.
     """
     if grid.ndim != 2:
         raise ValueError("comparison fields are built on 2D grids")
@@ -355,63 +385,66 @@ def build_subsolution(
             f"{min(top_gap, bottom_gap):.4g} < {2.0 * delta:.4g}"
         )
 
-    # Field and defect are built one block of grid rows at a time, so the
-    # two output arrays set the peak memory.  Every step is cell by cell
-    # except the Laplacian, which sees its block plus one halo row on each
-    # interior side and keeps only the block's own rows: the flux-form
-    # stencil then gives each cell the bits of the whole-grid call, and
-    # only the true walls get the wall formula.
+    # One pass over blocks of grid rows.  Each step's temporaries die with
+    # the helper that made them, so the fields of two blocks and one halo
+    # row are all that outlive a step and a few blocks set the peak
+    # memory.  Every step is cell by cell except the Laplacian, which sees
+    # its block plus one halo row on each interior side and keeps only the
+    # block's own rows: the flux-form stencil then gives each cell the bits
+    # of the whole-grid call, and only the true walls get the wall formula.
+    # The field of the next block is therefore built before the defect of
+    # the current one.
     xs, ys = grid.axes()
     rows = max(1, _EVAL_BLOCK // ys.size)
     coeff = eps * (2.0 / (3.0 * table.sigma)) * force
-    values = np.empty(grid.shape)
-    for start in range(0, xs.size, rows):
-        block = slice(start, start + rows)
-        bx = xs[block]
+
+    def field(start):
+        bx = xs[start : start + rows]
         points = np.column_stack([np.repeat(bx, ys.size), np.tile(ys, bx.size)])
-        dist = signed_distance(patch, points).reshape(bx.size, ys.size)
-        z = schedule.value(dist) / eps
-        values[block] = table.phi0_at(z) + coeff * table.phi1_at(z)
-    defect = np.empty(grid.shape)
+        z = schedule.value(signed_distance(patch, points)) / eps
+        del points
+        z = z.reshape(bx.size, ys.size)
+        return table.phi0_at(z) + coeff * table.phi1_at(z)
+
+    def finish(start, behind, values, ahead):
+        lap = laplacian(np.concatenate([behind, values, ahead[:1]]), grid.spacing)
+        lap = lap[len(behind) : len(behind) + len(values)]
+        defect = -eps * lap + well.derivative(values) / eps
+        block_max = interior_max(defect, start, grid.shape)
+        write(slice(start, start + len(values)), values, defect)
+        return block_max
+
+    max_defect = -np.inf
+    behind = empty = np.empty((0, ys.size))
+    values = field(0)
     for start in range(0, xs.size, rows):
-        block = slice(start, start + rows)
-        lo = max(start - 1, 0)
-        lap = laplacian(values[lo : start + rows + 1], grid.spacing)
-        lap = lap[start - lo : start - lo + rows]
-        defect[block] = -eps * lap + well.derivative(values[block]) / eps
+        ahead = field(start + rows) if start + rows < xs.size else empty
+        # np.maximum, not max: a NaN anywhere in the defect is kept
+        max_defect = np.maximum(max_defect, finish(start, behind, values, ahead))
+        behind, values = values[-1:].copy(), ahead
     plateau_minus, plateau_plus = far_field_values(table, eps, delta, force)
     return SubsolutionField(
-        values=values,
-        defect=defect,
+        max_defect=float(max_defect),
         force=float(force),
         plateau_minus=plateau_minus,
         plateau_plus=plateau_plus,
     )
 
 
-# Cell layers next to each wall left out of the defect verdict.
-_WALL_LAYERS = 2
-
-
 def verify_subsolution(sub: SubsolutionField, slack: float) -> DefectCertificate:
     """Check the defect of a comparison field against its forcing scale.
 
-    The verdict compares the largest defect over interior cells (two layers
-    at each wall excluded: the zero-flux stencil is wrong where the field
-    still varies) with (7/9) * sub.force plus a slack that absorbs the grid
-    Laplacian truncation error.
+    The verdict compares the largest defect over interior cells
+    (``sub.max_defect``, two layers at each wall excluded) with
+    (7/9) * sub.force plus a slack that absorbs the grid Laplacian
+    truncation error.
     Positive forcing is required; the one-sided construction has no
     content otherwise.
     """
     force = sub.force
     if not (force > 0.0):
         raise ValueError("the defect bound applies to positive forcing only")
-    vals = sub.defect
-    k = _WALL_LAYERS
-    if any(n <= 2 * k for n in vals.shape):
-        raise ValueError("grid too small for the wall exclusion")
-    vals = vals[tuple(slice(k, -k) for _ in range(vals.ndim))]
-    max_defect = float(np.max(vals))
+    max_defect = sub.max_defect
     bound = (7.0 / 9.0) * force
     return DefectCertificate(max_defect, bound, max_defect <= bound + slack)
 

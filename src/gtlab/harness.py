@@ -17,10 +17,13 @@ The solved kinds share one runner, made by `_solved(seed, measure)`: it
 solves from the kind's seed, locates the interface before any write,
 measures sigma * kappa = lambda - gamma * v there (kappa = 0 in 1D), writes
 every file and reports lambda, h and solver_converged; the seed function
-and the metrics read off that balance are all a kind adds.  Every function
-the benchmark's tracer (perfbench/tracing.py) rebinds on this module is
-looked up as a global at call time, never captured in a closure or a
-default, or the tracer would stop seeing its calls.
+and the metrics read off that balance are all a kind adds.  Snapshots are
+np.savez archives written by hand: a solved kind writes its state in one
+block, and the subsolution study streams its field and defect into theirs
+block by block as they are built, so neither is ever held whole.  Every
+function the benchmark's tracer (perfbench/tracing.py) rebinds on this
+module is looked up as a global at call time, never captured in a closure
+or a default, or the tracer would stop seeing its calls.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -219,6 +224,7 @@ class StudyReport:
     orders: dict
     passed: bool
     seconds: tuple[float, ...]
+    peak_rss_mb: tuple[float, ...]
 
 
 def _unit_box(eps: float, k: int, ndim: int) -> Grid:
@@ -239,23 +245,44 @@ def _main_contour(values: np.ndarray, grid: Grid):
     return max(loops, key=lambda c: len(c.points))
 
 
+@contextmanager
+def _snapshot(out: Path | None, name: str, grid: Grid):
+    """Open np.savez(out / name, origin=..., spacing=..., values=...) for
+    float values of the grid's shape and yield write(block), which appends
+    C-ordered blocks of leading-axis rows, in order, to the values.
+
+    The values entry's .npy header is written from the grid's shape before
+    any data, and zipfile's streamed entry computes the CRC and patches the
+    sizes in on close, so the archive equals np.savez's byte for byte
+    without the whole array in memory at once.  A snapshot left unfinished
+    by an error is removed; with out None every block is dropped.
+    """
+    if out is None:
+        yield lambda block: None
+        return
+    arrays = {"origin": np.asarray(grid.origin), "spacing": np.asarray(grid.spacing)}
+    dtype = np.dtype(float)
+    header = {"descr": npformat.dtype_to_descr(dtype), "fortran_order": False, "shape": grid.shape}
+    try:
+        with zipfile.ZipFile(out / name, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for key, val in arrays.items():
+                with zf.open(key + ".npy", "w", force_zip64=True) as fid:
+                    npformat.write_array_header_1_0(fid, npformat.header_data_from_array_1_0(val))
+                    fid.write(val)
+            with zf.open("values.npy", "w", force_zip64=True) as fid:
+                npformat.write_array_header_1_0(fid, header)
+                yield lambda block: fid.write(np.ascontiguousarray(block, dtype=dtype))
+    except BaseException:
+        (out / name).unlink(missing_ok=True)
+        raise
+
+
 def _save_field(out: Path | None, name: str, grid: Grid, values: np.ndarray) -> None:
     """Write np.savez(out / name, origin=..., spacing=..., values=...) byte
-    for byte (for C-ordered values), but with each array's data written
-    from its own buffer: np.savez copies an array into bytes before it
-    writes it."""
-    if out is None:
-        return
-    arrays = {
-        "origin": np.asarray(grid.origin),
-        "spacing": np.asarray(grid.spacing),
-        "values": np.ascontiguousarray(values),
-    }
-    with zipfile.ZipFile(out / name, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for key, val in arrays.items():
-            with zf.open(key + ".npy", "w", force_zip64=True) as fid:
-                npformat.write_array_header_1_0(fid, npformat.header_data_from_array_1_0(val))
-                fid.write(val)
+    for byte (for float values of the grid's shape), but from the values'
+    own buffer: np.savez copies an array into bytes before it writes it."""
+    with _snapshot(out, name, grid) as write:
+        write(values)
 
 
 def _write_crossings(out: Path | None, name: str, crossings: np.ndarray) -> None:
@@ -296,10 +323,16 @@ PROFILE_SPACING = 4e-4
 
 
 def _study_profile(config, well, table, eps, k, out, index):
-    table = first_order_correction(
-        optimal_profile(well, spacing=PROFILE_SPACING), well
-    )
     scale = well.scale
+    # the profile's tails decay like exp(-sqrt(2) * scale * r), so a well
+    # wider than scale 1 gets the window 20 / scale, on whole knots, for its
+    # tails to settle as far as they do at scale 1
+    half_width = 20.0
+    if scale < 1.0:
+        half_width = round(20.0 / scale / PROFILE_SPACING) * PROFILE_SPACING
+    table = first_order_correction(
+        optimal_profile(well, half_width=half_width, spacing=PROFILE_SPACING), well
+    )
     r = np.linspace(-10.0, 10.0, 20001)
     tanh_gap = float(np.max(np.abs(table.phi0_at(r) - well.transition(r))))
     tail = SQRT2 / (6.0 * scale)
@@ -478,7 +511,16 @@ def _study_subsolution(config, well, table, eps, k, out, index):
     grid = Grid.box(
         (-x_half, -m_lo * h), (x_half, m_hi * h), (2 * half_cells, m_lo + m_hi)
     )
-    sub = build_subsolution(patch, schedule, table, force, grid, well)
+    # the field and its defect stream into their snapshots block by block
+    with (
+        _snapshot(out, f"subsolution-field-{index:02d}.npz", grid) as write_field,
+        _snapshot(out, f"subsolution-defect-{index:02d}.npz", grid) as write_defect,
+    ):
+        def write(rows, values, defect):
+            write_field(values)
+            write_defect(defect)
+
+        sub = build_subsolution(patch, schedule, table, force, grid, well, write)
     cert = verify_subsolution(sub, slack=config.tolerances["slack"] * force)
     metrics = {
         "max_defect": cert.max_defect,
@@ -489,8 +531,6 @@ def _study_subsolution(config, well, table, eps, k, out, index):
         "h": grid.spacing,
     }
     checks = {"defect_within": cert.passed}
-    _save_field(out, f"subsolution-field-{index:02d}.npz", grid, sub.values)
-    _save_field(out, f"subsolution-defect-{index:02d}.npz", grid, sub.defect)
     return metrics, checks
 
 
@@ -718,6 +758,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         out.mkdir(parents=True, exist_ok=True)
     rows: list[EpsRow] = []
     seconds: list[float] = []
+    peak_rss_mb: list[float] = []
     for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
         start = time.perf_counter()
         try:
@@ -735,6 +776,7 @@ def run_study(config: StudyConfig) -> StudyReport:
                 )
             )
         seconds.append(time.perf_counter() - start)
+        peak_rss_mb.append(_peak_rss_mb())
     clean = [r for r in rows if r.error is None]
     cross = study.across(config, clean) if study.across and clean else {}
     passed = (
@@ -749,10 +791,18 @@ def run_study(config: StudyConfig) -> StudyReport:
         orders=_orders(study.orders, rows),
         passed=passed,
         seconds=tuple(seconds),
+        peak_rss_mb=tuple(peak_rss_mb),
     )
     if out is not None:
         write_report(report, out)
     return report
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (ru_maxrss counts KB
+    on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _plain(metrics: dict) -> dict:
@@ -773,12 +823,15 @@ def report_payload(report: StudyReport) -> dict:
 
 def write_report(report: StudyReport, out: Path) -> None:
     """report.json is canonical (sorted keys, no timings); timings.json is
-    the wall-clock sidecar and is allowed to differ between reruns."""
+    the wall-clock and memory sidecar and is allowed to differ between
+    reruns: seconds per width and the process's peak resident set in MB
+    after each width."""
     payload = report_payload(report)
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     (out / "report.json").write_text(text + "\n")
     timing = {
         "seconds_per_eps": list(report.seconds),
+        "peak_rss_mb_per_eps": list(report.peak_rss_mb),
         "total_seconds": float(sum(report.seconds)),
     }
     (out / "timings.json").write_text(json.dumps(timing, indent=2) + "\n")

@@ -20,6 +20,7 @@ from gtlab.comparison import (
     SubsolutionField,
     asymptotic_gap,
     build_subsolution,
+    interior_max,
     make_schedule,
     signed_distance,
     solve_cmc_graph,
@@ -73,6 +74,36 @@ def bowl_arc(sigma, force=1.0):
     rho = 0.6
     cap = circle_height(1.0 / curvature, rho)
     return solve_cmc_graph(0.0, rho, (cap, cap), curvature)
+
+
+def build_gathered(patch, schedule, table, force, grid, well):
+    """build_subsolution with a list sink: the record and the field and
+    defect stacked from their blocks, which must tile the grid's rows in
+    order."""
+    blocks = []
+    sub = build_subsolution(
+        patch, schedule, table, force, grid, well, lambda *block: blocks.append(block)
+    )
+    stops = [0] + [rows.stop for rows, _, _ in blocks]
+    assert [rows.start for rows, _, _ in blocks] == stops[:-1]
+    assert stops[-1] == grid.shape[0]
+    for rows, values, defect in blocks:
+        assert values.shape == defect.shape == (rows.stop - rows.start, grid.shape[1])
+    values = np.concatenate([values for _, values, _ in blocks])
+    defect = np.concatenate([defect for _, _, defect in blocks])
+    return sub, values, defect
+
+
+def whole_grid(patch, schedule, table, force, grid, well):
+    """Field and defect of the comparison field in one whole-grid pass, the
+    assembly the row blocks replace."""
+    eps = schedule.eps
+    dist = signed_distance(patch, np.column_stack([m.ravel() for m in grid.mesh()]))
+    z = schedule.value(dist.reshape(grid.shape)) / eps
+    coeff = eps * (2.0 / (3.0 * table.sigma)) * force
+    values = table.phi0_at(z) + coeff * table.phi1_at(z)
+    defect = -eps * laplacian(values, grid.spacing) + well.derivative(values) / eps
+    return values, defect
 
 
 class TestCutoffSchedule:
@@ -462,9 +493,9 @@ class TestBuildSubsolution:
         h = eps / 16.0
         grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
+        sub, values, _ = build_gathered(patch, s, profile_table, 0.0, grid, well)
         expected = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
-        for col in sub.values:
+        for col in values:
             assert np.array_equal(col, expected)
         assert sub.plateau_plus == profile_table.phi0_at(s.saturation / eps)
         assert sub.plateau_minus == profile_table.phi0_at(-s.saturation / eps)
@@ -478,10 +509,10 @@ class TestBuildSubsolution:
         h = eps / 32.0
         grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 1280))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
+        _, _, defect = build_gathered(patch, s, profile_table, 0.0, grid, well)
         v1 = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
         d1 = -eps * laplacian(v1, h) + well.derivative(v1) / eps
-        assert np.max(np.abs(sub.defect - d1[None, :])) <= 1e-12
+        assert np.max(np.abs(defect - d1[None, :])) <= 1e-12
 
     def test_plateau_cells_bitwise_constant(self, profile_table, well):
         eps = 0.02
@@ -489,10 +520,10 @@ class TestBuildSubsolution:
         h = eps / 16.0
         grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        sub = build_subsolution(patch, s, profile_table, 1.0, grid, well)
+        sub, values, _ = build_gathered(patch, s, profile_table, 1.0, grid, well)
         y = grid.axis(1)
-        above = sub.values[:, y >= 2.0 * s.saturation]
-        below = sub.values[:, y <= -2.0 * s.saturation]
+        above = values[:, y >= 2.0 * s.saturation]
+        below = values[:, y <= -2.0 * s.saturation]
         assert above.size > 0 and below.size > 0
         assert np.all(above == sub.plateau_plus)
         assert np.all(below == sub.plateau_minus)
@@ -506,13 +537,13 @@ class TestBuildSubsolution:
         h = eps / 128.0
         grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 5120))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        sub = build_subsolution(patch, s, profile_table, 0.0, grid, well)
-        sup = float(np.max(np.abs(sub.defect[:, 2:-2])))
+        _, _, defect = build_gathered(patch, s, profile_table, 0.0, grid, well)
+        sup = float(np.max(np.abs(defect[:, 2:-2])))
         assert sup == pytest.approx(FLAT_GRID_DEFECT_SUP, rel=1e-9)
 
     def test_row_blocks_bitwise_whole_grid(self, profile_table, well):
         # the bowl grid spans five row blocks, the last one ragged; the
-        # whole-grid assembly below is the one the blocks replace, and the
+        # whole-grid assembly is the one the blocks replace, and the
         # clipped halos at the first and last rows keep the wall formula
         eps, force = 0.04, 1.0
         s = make_schedule(eps)
@@ -520,18 +551,32 @@ class TestBuildSubsolution:
         rows = _EVAL_BLOCK // grid.shape[1]
         assert grid.shape[0] > 2 * rows and grid.shape[0] % rows
         arc = bowl_arc(profile_table.sigma)
-        sub = build_subsolution(arc, s, profile_table, force, grid, well)
-        dist = signed_distance(arc, np.column_stack([m.ravel() for m in grid.mesh()]))
-        z = s.value(dist.reshape(grid.shape)) / eps
-        coeff = eps * (2.0 / (3.0 * profile_table.sigma)) * force
-        values = profile_table.phi0_at(z) + coeff * profile_table.phi1_at(z)
-        defect = -eps * laplacian(values, grid.spacing) + well.derivative(values) / eps
-        assert sub.values.tobytes() == values.tobytes()
-        assert sub.defect.tobytes() == defect.tobytes()
+        sub, values, defect = build_gathered(arc, s, profile_table, force, grid, well)
+        whole_values, whole_defect = whole_grid(arc, s, profile_table, force, grid, well)
+        assert values.tobytes() == whole_values.tobytes()
+        assert defect.tobytes() == whole_defect.tobytes()
+        assert sub.max_defect == interior_max(whole_defect, 0, grid.shape)
 
-    def test_peak_memory_two_outputs(self, profile_table, well):
-        # about 1M cells: the field and its defect are the only full-grid
-        # arrays, so the peak stays below three of them
+    def test_single_row_blocks(self, profile_table, well):
+        # more than _EVAL_BLOCK / 2 cells per row: every block is one row,
+        # so the two wall layers at each end fall in different blocks and
+        # every interior row sees halos from two other blocks
+        eps, force = 0.01, 1.0
+        s = make_schedule(eps)
+        h = eps / 32.0
+        n = _EVAL_BLOCK // 2 + 16
+        grid = Grid.box((-4 * h, -n * h / 2), (4 * h, n * h / 2), (8, n))
+        assert _EVAL_BLOCK // n == 1
+        arc = solve_cmc_graph(0.0, 0.5, (0.1, 0.1), 1.0)
+        sub, values, defect = build_gathered(arc, s, profile_table, force, grid, well)
+        whole_values, whole_defect = whole_grid(arc, s, profile_table, force, grid, well)
+        assert values.tobytes() == whole_values.tobytes()
+        assert defect.tobytes() == whole_defect.tobytes()
+        assert sub.max_defect == float(np.max(whole_defect[2:-2, 2:-2]))
+
+    def test_peak_memory_no_full_grid_array(self, profile_table, well):
+        # about 1M cells, with a sink that drops each block: the pass holds
+        # a few row blocks at a time and no array the size of the grid
         eps = 0.04
         s = make_schedule(eps)
         grid = Grid.box((-0.36, -0.54), (0.36, 0.72), (768, 1344))
@@ -541,25 +586,33 @@ class TestBuildSubsolution:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            sub = build_subsolution(arc, s, profile_table, 1.0, grid, well)
+            build_subsolution(arc, s, profile_table, 1.0, grid, well, lambda *block: None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 3 * sub.values.nbytes
+        assert peak - start < 0.5 * np.zeros(grid.shape).nbytes
 
     def test_validation_errors(self, profile_table, well):
         s = make_schedule(0.02)
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
+        blocks = []
+
+        def build(grid):
+            def sink(*block):
+                blocks.append(block)
+
+            return build_subsolution(patch, s, profile_table, 0.0, grid, well, sink)
+
         with pytest.raises(ValueError, match="2D"):
-            build_subsolution(
-                patch, s, profile_table, 0.0, Grid.box((0.0,), (1.0,), (64,)), well
-            )
-        wide = Grid.box((-0.8, -0.4), (0.8, 0.4), (64, 32))
+            build(Grid.box((0.0,), (1.0,), (64,)))
         with pytest.raises(ValueError, match="span the grid"):
-            build_subsolution(patch, s, profile_table, 0.0, wide, well)
-        tight = Grid.box((-0.1, -0.1), (0.1, 0.1), (16, 16))
+            build(Grid.box((-0.8, -0.4), (0.8, 0.4), (64, 32)))
         with pytest.raises(ValueError, match="saturation tube"):
-            build_subsolution(patch, s, profile_table, 0.0, tight, well)
+            build(Grid.box((-0.1, -0.1), (0.1, 0.1), (16, 16)))
+        h = 0.02 / 16.0
+        with pytest.raises(ValueError, match="too small"):
+            build(Grid.box((-2 * h, -0.36), (2 * h, 0.36), (4, 576)))
+        assert blocks == []
 
 
 def phi0_prime_at(table, z):
@@ -607,17 +660,17 @@ class TestVerifySubsolution:
         grid = Grid.box((-0.36, -0.54), (0.36, 0.72), (288, 504))
         assert grid.spacing == pytest.approx(h, rel=1e-12)
         arc = bowl_arc(profile_table.sigma)
-        sub = build_subsolution(arc, s, profile_table, 1.0, grid, well)
+        sub, _, defect = build_gathered(arc, s, profile_table, 1.0, grid, well)
         cert = verify_subsolution(sub, slack=0.05)
         assert isinstance(cert, DefectCertificate)
+        assert cert.max_defect == interior_max(defect, 0, grid.shape)
         assert cert.max_defect == pytest.approx(BOWL_MAX_DEFECT, rel=1e-9)
         assert cert.bound == pytest.approx(7.0 / 9.0, rel=1e-15)
         assert cert.passed
 
     def _fake(self, defect, force=1.0):
         return SubsolutionField(
-            values=np.zeros(defect.shape),
-            defect=defect,
+            max_defect=interior_max(defect, 0, defect.shape),
             force=force,
             plateau_minus=-1.0,
             plateau_plus=1.0,
@@ -639,9 +692,34 @@ class TestVerifySubsolution:
         defect = np.zeros((12, 12))
         defect[0, 0] = 5.0
         defect[-1, 3] = 5.0
+        defect[5, 1] = 5.0
+        defect[-2, 6] = 5.0
         cert = verify_subsolution(self._fake(defect), slack=0.05)
         assert cert.max_defect == 0.0
         assert cert.passed
+
+    def test_blocks_see_the_walls_of_the_grid(self):
+        # a block knows its place in the grid: wall rows are left out only
+        # where the grid's walls are, and a block of wall rows alone has no
+        # interior cell
+        defect = np.zeros((12, 12))
+        defect[1, 6] = 5.0
+        defect[2, 6] = 3.0
+        defect[9, 6] = 4.0
+        defect[10, 6] = 6.0
+        assert interior_max(defect[1:3], 1, (12, 12)) == 3.0
+        assert interior_max(defect[0:2], 0, (12, 12)) == -np.inf
+        assert interior_max(defect[9:12], 9, (12, 12)) == 4.0
+        assert interior_max(defect[1:3], 1, (14, 12)) == 3.0
+        blocks = [interior_max(defect[i : i + 1], i, (12, 12)) for i in range(12)]
+        assert max(blocks) == interior_max(defect, 0, (12, 12)) == 4.0
+
+    def test_nan_defect_fails(self):
+        defect = np.zeros((12, 12))
+        defect[6, 6] = np.nan
+        cert = verify_subsolution(self._fake(defect), slack=0.05)
+        assert np.isnan(cert.max_defect)
+        assert not cert.passed
 
     def test_custom_slack(self):
         sub = self._fake(np.full((12, 12), 0.8))
@@ -654,7 +732,9 @@ class TestVerifySubsolution:
         with pytest.raises(ValueError, match="positive forcing"):
             verify_subsolution(self._fake(np.zeros((12, 12)), force=-1.0), slack=-0.05)
         with pytest.raises(ValueError, match="too small"):
-            verify_subsolution(self._fake(np.zeros((4, 4))), slack=0.05)
+            interior_max(np.zeros((4, 4)), 0, (4, 4))
+        with pytest.raises(ValueError, match="too small"):
+            interior_max(np.zeros((2, 12)), 0, (12, 4))
 
 
 class TestAsymptoticGap:

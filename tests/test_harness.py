@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import gtlab
+from gtlab import harness
 from gtlab.comparison import asymptotic_gap
 from gtlab.field import Grid
 from gtlab.harness import (
@@ -27,6 +28,7 @@ from gtlab.harness import (
     write_contour_csv,
 )
 from gtlab.interface import Contour
+from gtlab.potential import _EVAL_BLOCK
 from gtlab.solve import long_range_potential
 
 
@@ -165,6 +167,18 @@ class TestProfileStudy:
         with np.load(out / "profile-table.npz") as blob:
             assert blob["phi0"].size == blob["phi1"].size > 0
         assert (out / "report.json").is_file()
+
+    def test_wide_well_tails_settle(self):
+        # the tails of a scale-0.5 profile decay half as fast, so its table
+        # spans the window 20 / scale; on the scale-1 window phi1's end
+        # values missed the closed form by 2.0e-6, against the gate 1e-6
+        config = StudyConfig.from_mapping(
+            {"kind": "profile", "eps": [0.02], "well_scale": 0.5}
+        )
+        report = run_study(config)
+        assert report.rows[0].checks["tail_within"]
+        assert report.rows[0].metrics["tail_error"] <= 1e-10
+        assert report.passed
 
 
 class TestMultiplicityStudy:
@@ -373,6 +387,18 @@ class TestReportPayload:
         assert len(timing["seconds_per_eps"]) == 2
         assert timing["total_seconds"] >= 0.0
         assert len(report.seconds) == 2
+
+    def test_peak_memory_sidecar(self, tmp_path):
+        # the process's peak resident set after each row: it can only grow
+        out = tmp_path / "m"
+        report = run_study(
+            StudyConfig(kind="gap", eps=(0.01, 0.005, 0.0025), out_dir=str(out))
+        )
+        peaks = json.loads((out / "timings.json").read_text())["peak_rss_mb_per_eps"]
+        assert peaks == list(report.peak_rss_mb)
+        assert len(peaks) == len(report.rows) == 3
+        assert all(b >= a > 0.0 for a, b in zip(peaks, peaks[1:]))
+        assert "peak_rss" not in (out / "report.json").read_text()
 
 
 class TestCommandLine:
@@ -767,6 +793,65 @@ class TestSaveField:
             assert blob["origin"].tobytes() == np.asarray(grid.origin).tobytes()
             assert float(blob["spacing"]) == grid.spacing
             assert blob["values"].tobytes() == values.tobytes()
+
+
+class TestSubsolutionSnapshots:
+    @staticmethod
+    def _gather(monkeypatch, built, fail=False):
+        # wrap the study's build call so that its sink also keeps each block
+        original = harness.build_subsolution
+
+        def gathering(patch, schedule, table, force, grid, well, write):
+            blocks = []
+
+            def keep(rows, values, defect):
+                blocks.append((rows, values.copy(), defect.copy()))
+                write(rows, values, defect)
+                if fail:
+                    raise RuntimeError("stopped after one block")
+
+            built.append((grid, blocks))
+            return original(patch, schedule, table, force, grid, well, keep)
+
+        monkeypatch.setattr(harness, "build_subsolution", gathering)
+
+    def test_streamed_snapshots_equal_np_savez(self, tmp_path, monkeypatch):
+        # the bowl grid at eps 0.04, k 16 spans five row blocks, the last
+        # one ragged; field and defect stream into their archives block by
+        # block, and each archive equals np.savez of the gathered array
+        built = []
+        self._gather(monkeypatch, built)
+        out = tmp_path / "s"
+        config = StudyConfig(
+            kind="subsolution", eps=(0.04,), grid_k=16, radius=0.6, out_dir=str(out)
+        )
+        assert run_study(config).rows[0].error is None
+        ((grid, blocks),) = built
+        rows = _EVAL_BLOCK // grid.shape[1]
+        assert len(blocks) >= 3 and grid.shape[0] % rows
+        assert [b[0] for b in blocks] == [
+            slice(start, min(start + rows, grid.shape[0]))
+            for start in range(0, grid.shape[0], rows)
+        ]
+        for item, name in ((1, "field"), (2, "defect")):
+            np.savez(
+                tmp_path / "ref.npz",
+                origin=np.asarray(grid.origin),
+                spacing=np.asarray(grid.spacing),
+                values=np.concatenate([block[item] for block in blocks]),
+            )
+            snapshot = out / f"subsolution-{name}-00.npz"
+            assert snapshot.read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+    def test_failed_build_leaves_no_snapshot(self, tmp_path, monkeypatch):
+        built = []
+        self._gather(monkeypatch, built, fail=True)
+        out = tmp_path / "f"
+        config = StudyConfig(kind="subsolution", eps=(0.04,), grid_k=16, out_dir=str(out))
+        report = run_study(config)
+        assert report.rows[0].error == "RuntimeError: stopped after one block"
+        assert len(built[0][1]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
 
 
 class TestCsv:
