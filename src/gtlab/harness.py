@@ -369,7 +369,17 @@ def _study_profile(config, well, table, eps, k, out, index):
 
 def _disk(config, table, eps, k):
     grid = _unit_box(eps, k, 2)
-    dist = disk_signed_distance(grid, config.center, config.radius)
+    # the unit box mirrors at 0.5: on an axis with an even cell count whose
+    # mirror runs through the disk's centre, the distance is taken on the
+    # leading half and reflected, so the seed is bitwise mirror-symmetric
+    # there and solve_conserved solves it on the half
+    mirrors = [
+        j for j, n in enumerate(grid.shape) if config.center[j] == 0.5 and n % 2 == 0 and n >= 4
+    ]
+    half = tuple(n // 2 if j in mirrors else n for j, n in enumerate(grid.shape))
+    dist = disk_signed_distance(Grid(grid.origin, grid.spacing, half), config.center, config.radius)
+    for j in mirrors:
+        dist = np.concatenate((dist, np.flip(dist, j)), axis=j)
     return grid, table.phi0_at(dist / eps)
 
 

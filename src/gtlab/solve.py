@@ -41,6 +41,23 @@ its stationary positions (gamma 1, eps 0.02) the floored solve runs all 60
 steps and ends in ``max_iterations``, where the unfloored one converges
 in 10 (ROADMAP item 1).
 
+A seed that equals its own mirror image bit for bit on an axis with an
+even cell count is solved on the leading half of every such axis, and the
+state is reflected back.  The half has the box's spacing, and on it the
+reflecting stencil, `neumann_symbol`, `poisson_neumann` and the DCT-II
+basis are exactly the box's even modes: a mirror-symmetric field has no
+flux through the mirror face, and the box's mode 2k restricted to the half
+is the half's mode k, with the same eigenvalue and sqrt(2) times the
+orthonormal coefficient.  The box's Newton iterates keep the symmetry in
+exact arithmetic, so the fold returns that symmetric branch on half the
+cells per folded axis, and agrees with the box's solve to rounding, not
+bit for bit.  Folded into c copies, the residual has 1/sqrt(c) of the
+box's 2-norm, so the floor, an absolute target, divides by sqrt(c)*||r||_2
+to ask each inner solve for the box's target (and the iteration cap counts
+the box's cells); the relative tolerance and the line search compare norms
+of one grid and need nothing.  Energy and mass are those of the unfolded
+state.
+
 A solve stops for one of four reasons, kept in ``SolveReport.stop_reason``:
 ``converged`` (sup residual at most 1e-9), ``line_search_failed`` (no step
 down to 2**-20 decreases the residual; the step is not applied),
@@ -298,7 +315,7 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
     return x, maxiter if istop == 6 else 0, itn
 
 
-def _newton(residual_fn, symbol, u, grid, well, eps):
+def _newton(residual_fn, symbol, u, grid, well, eps, copies=1):
     """Damped-Newton loop.
 
     Returns (u, lam, iterations, sup, converged, stop_reason,
@@ -321,6 +338,10 @@ def _newton(residual_fn, symbol, u, grid, well, eps):
     The starting state u is neither copied nor written to.  Every grid array
     a step has finished with is dropped before the next inner solve, so that
     solve's vectors are the loop's peak.
+
+    A grid that is one of `copies` mirror images of the box asks each inner
+    solve for the box's floor and iteration cap: the box's residual has
+    sqrt(copies) times this grid's 2-norm and copies times its cells.
     """
     shift = well.second_derivative(1.0) / eps
     precond = _SpectralInverse(grid, eps, shift)
@@ -352,8 +373,8 @@ def _newton(residual_fn, symbol, u, grid, well, eps):
             _cosine_jacobian(symbol, well.second_derivative(u) / eps),
             rhs,
             precond,
-            max(0.01 * min(sup, 1.0), 0.5 * _TOLERANCE / norm0),
-            20 * int(sqrt(rhs.size)) + 200,
+            max(0.01 * min(sup, 1.0), 0.5 * _TOLERANCE / (norm0 * sqrt(copies))),
+            20 * int(sqrt(rhs.size * copies)) + 200,
         )
         krylov_iterations += inner
         krylov_failures += int(info != 0)
@@ -390,22 +411,37 @@ def solve_conserved(
 
     With long_range > 0 the screened interaction gamma*v couples in, where
     -lap(v) = u - mean(u) on the same grid (the lamellar-forming case).
+
+    A seed equal to its mirror image on an axis of even cell count (the
+    centred disk's, on both axes) is solved on the leading half of each
+    such axis, which is the box's even-mode subspace, with each inner solve
+    asked for the box's floor and cap; the state returned is reflected back
+    to the full grid, so a caller sees the box's shape and symmetric branch.
     """
     volume = grid.cell_volume * float(np.prod(grid.shape))
     seed = np.asarray(seed, dtype=float)
     shift = (mass - integrate(seed, grid)) / volume
+    mirrors = [
+        j
+        for j, n in enumerate(grid.shape)
+        if n % 2 == 0 and n >= 4 and np.array_equal(seed, np.flip(seed, j))
+    ]
+    half = tuple(slice(n // 2 if j in mirrors else n) for j, n in enumerate(grid.shape))
+    cell = Grid(grid.origin, grid.spacing, seed[half].shape)
 
     def residual(u):
         r = -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
         if long_range != 0.0:
-            r = r + long_range_potential(u, grid, long_range)
+            r = r + long_range_potential(u, cell, long_range)
         return r
 
-    symbol = _jacobian_symbol(grid, eps, long_range)
+    symbol = _jacobian_symbol(cell, eps, long_range)
     # the shifted seed is a fresh array that only _newton holds
     u, lam, iters, sup, ok, reason, inner, failures = _newton(
-        residual, symbol, seed + shift, grid, well, eps
+        residual, symbol, seed[half] + shift, cell, well, eps, copies=2 ** len(mirrors)
     )
+    for j in mirrors:
+        u = np.concatenate((u, np.flip(u, j)), axis=j)
     report = SolveReport(
         converged=ok,
         iterations=iters,

@@ -9,6 +9,7 @@ their own small one.
 import numpy as np
 import pytest
 
+from gtlab import solve
 from gtlab.potential import DoubleWell, first_order_correction, optimal_profile
 
 
@@ -33,3 +34,17 @@ def small_table(well, half_width=8.0, spacing=2e-3, with_phi1=True):
 @pytest.fixture(scope="session")
 def coarse_table(well):
     return small_table(well)
+
+
+@pytest.fixture
+def laplacian_shapes(monkeypatch):
+    """The grid shapes the solver's residual sees, one per Laplacian call."""
+    seen = []
+    original = solve.laplacian
+
+    def recorded(values, spacing):
+        seen.append(values.shape)
+        return original(values, spacing)
+
+    monkeypatch.setattr(solve, "laplacian", recorded)
+    return seen

@@ -29,7 +29,7 @@ from gtlab.harness import (
 )
 from gtlab.interface import Contour
 from gtlab.potential import _EVAL_BLOCK
-from gtlab.solve import long_range_potential
+from gtlab.solve import disk_signed_distance, long_range_potential
 
 
 class TestStudyConfig:
@@ -237,6 +237,45 @@ class TestOneDimensionalSolves:
         row = run_study(StudyConfig(kind=kind, out_dir=str(out), **settings)).rows[0]
         assert row.error == f"RuntimeError: {error}"
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize(
+        "kind, settings, seen",
+        [
+            # centred, 100 cells a side: a quarter of the box
+            ("ch-disk", {"eps": (0.04,), "grid_k": 4}, {(50, 50)}),
+            # centred, 125 cells a side: no cell boundary on either mirror
+            ("ch-disk", {"eps": (0.04,), "grid_k": 5}, {(125, 125)}),
+            # the antisymmetric layer at the solve-ch planar defaults
+            ("ch-planar", {"eps": (0.02,), "grid_k": 8}, {(400,)}),
+        ],
+    )
+    def test_fold_engages_only_on_a_mirror(self, laplacian_shapes, kind, settings, seen):
+        row = run_study(StudyConfig(kind=kind, **settings)).rows[0]
+        assert row.error is None and row.checks["solver_converged"]
+        assert set(laplacian_shapes) == seen
+
+    def test_off_centre_disk_keeps_its_axis(self, laplacian_shapes):
+        # off centre on axis 0 only: axis 1 is still a mirror
+        run_study(StudyConfig(kind="ch-disk", eps=(0.04,), grid_k=4, center=(0.45, 0.5)))
+        assert {shape[0] for shape in laplacian_shapes} == {100}
+
+
+class TestDiskSeed:
+    @pytest.mark.parametrize("n", [50, 100, 200, 250, 400, 800])
+    def test_centred_seed_is_mirror_symmetric(self, profile_table, n):
+        grid, seed = harness._disk(StudyConfig(kind="ch-disk", eps=(0.02,)), profile_table, 4.0 / n, 4)
+        assert grid.shape == seed.shape == (n, n)
+        assert np.array_equal(seed, seed[::-1])
+        assert np.array_equal(seed, seed[:, ::-1])
+
+    def test_off_centre_seed_keeps_its_bits(self, profile_table):
+        eps = 0.02
+        config = StudyConfig(kind="ch-disk", eps=(eps,), center=(0.45, 0.52), radius=0.2)
+        grid, seed = harness._disk(config, profile_table, eps, 4)
+        dist = disk_signed_distance(grid, config.center, config.radius)
+        assert seed.tobytes() == profile_table.phi0_at(dist / eps).tobytes()
 
 
 class TestSolvedKindFiles:

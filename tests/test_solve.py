@@ -362,6 +362,57 @@ class TestMinres:
         assert x.tobytes() == np.zeros(7).tobytes()
 
 
+def _mirrored_disk_seed(table, eps, n, radius=0.25):
+    # the distance on the leading quarter, reflected onto both halves of
+    # each axis, so the seed equals its mirror images bit for bit
+    grid = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
+    quarter = Grid(grid.origin, grid.spacing, (n // 2, n // 2))
+    dist = disk_signed_distance(quarter, (0.5, 0.5), radius)
+    dist = np.concatenate((dist, dist[::-1]), axis=0)
+    dist = np.concatenate((dist, dist[:, ::-1]), axis=1)
+    return grid, table.phi0_at(dist / eps)
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("eps", [0.04, 0.02])
+    def test_folded_solve_is_the_full_box_solve(
+        self, laplacian_shapes, well, profile_table, eps, gamma
+    ):
+        n = int(round(4 / eps))
+        grid, seed = _mirrored_disk_seed(profile_table, eps, n)
+        mass = integrate(seed, grid)
+        u, folded = solve_conserved(well, grid, eps, mass, seed, long_range=gamma)
+        assert set(laplacian_shapes) == {(n // 2, n // 2)}
+        # one cell moved by one ulp breaks both mirrors: the full box is solved
+        broken = seed.copy()
+        broken[3, 5] = np.nextafter(broken[3, 5], 2.0)
+        laplacian_shapes.clear()
+        _, full = solve_conserved(well, grid, eps, mass, broken, long_range=gamma)
+        assert set(laplacian_shapes) == {(n, n)}
+
+        assert folded.converged and full.converged
+        assert folded.iterations == full.iterations
+        assert folded.krylov_iterations == full.krylov_iterations
+        assert folded.multiplier == pytest.approx(full.multiplier, rel=1e-12, abs=0.0)
+        # the unfolded state has the full grid's shape and both mirrors
+        assert u.shape == grid.shape
+        assert np.array_equal(u, u[::-1]) and np.array_equal(u, u[:, ::-1])
+        assert abs(folded.mass - mass) <= 1e-14
+
+    @pytest.mark.parametrize("n, seen", [(80, (40,)), (81, (81,))])
+    def test_only_an_even_cell_count_folds(self, laplacian_shapes, well, n, seen):
+        # a symmetric pair of layers; 81 cells put a cell, not a face, on
+        # the mirror, so the state cannot be split there
+        eps = 0.05
+        grid = Grid.box((0.0,), (1.0,), (n,))
+        seed = np.tanh((0.25 - np.abs(grid.axis(0) - 0.5)) / eps)
+        seed = np.maximum(seed, seed[::-1])
+        u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+        assert report.converged and set(laplacian_shapes) == {seen}
+        assert u.shape == grid.shape
+
+
 class TestWorkingSet:
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_solve_peaks_below_fifteen_grid_arrays(self, well, profile_table, gamma):
