@@ -28,13 +28,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .field import Grid, laplacian
-from .potential import (
-    _EVAL_BLOCK,
-    DoubleWell,
-    ProfileTable,
-    bulk_roots,
-    far_field_values,
-)
+from .potential import DoubleWell, ProfileTable, bulk_roots, far_field_values
+
+# Cells per row block of the comparison field: the block's temporaries stay
+# small next to the field however large the grid.
+_EVAL_BLOCK = 32768
 
 # The taper of the cutoff starts at this fraction of the saturation length
 # and spans the next fraction.  The identity core then covers a third of the
@@ -404,7 +402,8 @@ def build_subsolution(
         z = schedule.value(signed_distance(patch, points)) / eps
         del points
         z = z.reshape(bx.size, ys.size)
-        return table.phi0_at(z) + coeff * table.phi1_at(z)
+        # phi0 + coeff * phi1 in one closed-form evaluation
+        return table._eval(1.0, coeff, z)
 
     def finish(start, behind, values, ahead):
         lap = laplacian(np.concatenate([behind, values, ahead[:1]]), grid.spacing)

@@ -333,8 +333,8 @@ def _study_profile(config, well, table, eps, k, out, index):
     table = first_order_correction(
         optimal_profile(well, half_width=half_width, spacing=PROFILE_SPACING), well
     )
-    r = np.linspace(-10.0, 10.0, 20001)
-    tanh_gap = float(np.max(np.abs(table.phi0_at(r) - well.transition(r))))
+    # the Newton nodes against the closed form, which phi0_at evaluates
+    tanh_gap = float(np.max(np.abs(table.phi0 - well.transition(table.positions))))
     tail = SQRT2 / (6.0 * scale)
     tail_error = max(
         abs(float(table.phi1[0]) - tail), abs(float(table.phi1[-1]) - tail)

@@ -6,17 +6,23 @@ Associated objects built here:
 * the surface tension (integral of sqrt(W/2) between the wells, in closed
   form: sqrt(W/2) is a polynomial on [-1, 1]),
 * the optimal transition profile phi0 solving -phi0'' + W'(phi0) = 0 on a
-  truncated line, tabulated on a uniform grid,
+  truncated line, solved by Newton on a uniform grid of nodes,
 * the first-order profile correction phi1 solving the linearized equation with
   a solvability-projected right-hand side, in closed form: the constant
   sigma / W''(1) less its component along the kernel phi0',
 * the near-well roots of W'(lam) = eps * forcing, used by the bulk
   far-field comparisons.
+
+The Newton-solved nodes are what the profile study checks against the
+closed forms.  Every other use evaluates the profile at arbitrary points
+(``ProfileTable.phi0_at`` and ``phi1_at``), and that evaluation is the
+closed form itself, one tanh per point: phi0 = tanh(scale r / sqrt 2),
+phi0' = scale (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -26,10 +32,6 @@ SQRT2 = float(np.sqrt(2.0))
 # Roots of W' on the outer branches exist only while the forcing stays below
 # the local extremum of W' at r = +-1/sqrt(3); see bulk_roots.
 _BRANCH_LIMIT = 2.0 / (3.0 * np.sqrt(3.0))
-
-# Points per block of a profile-table evaluation: the block's scratch arrays
-# stay small next to the output however many points are asked for.
-_EVAL_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -106,60 +108,22 @@ def _derivative_table(values: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
-def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n - 1, 4) power coefficients, cubic first, of the not-a-knot cubic
-    spline through (x, y), one row per knot interval.
-
-    The arithmetic is scipy's CubicSpline construction step for step (the
-    tridiagonal system for the knot slopes s, its two not-a-knot end rows
-    and the Hermite coefficients), so the rows are its PPoly coefficients
-    bit for bit.
-    """
-    n = x.size
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    ab = np.zeros((3, n))
-    b = np.empty(n)
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    ab[1, 0] = dx[1]
-    ab[0, 1] = d
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    ab[1, -1] = dx[-2]
-    ab[-1, -2] = d
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
-    del ab
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    # The Hermite coefficients, in CubicSpline's operations and order, each
-    # written straight into its column.
-    c = np.empty((n - 1, 4))
-    np.divide(t, dx, out=c[:, 0])
-    np.subtract(slope, s[:-1], out=c[:, 1])
-    c[:, 1] /= dx
-    c[:, 1] -= t
-    c[:, 2] = s[:-1]
-    c[:, 3] = y[:-1]
-    return c
-
-
 @dataclass
 class ProfileTable:
-    """Uniform tabulation of the transition profile on [-half_width, half_width].
+    """The transition profile of a well on [-half_width, half_width].
 
-    Outside the tabulated window the profile is extended by its limits
-    (+-1 for phi0, the stored tail constants for phi1); inside, evaluation
-    uses the not-a-knot cubic spline through the knots, built once per
-    table and evaluated in blocks of points.  Each interval is found by one
-    division on the uniform knots, and the values are bitwise those of
-    scipy's CubicSpline(positions, values, extrapolate=False).  NaN gives
-    NaN.
+    The nodes (``positions``, ``phi0``, ``phi0_prime`` and, once
+    ``first_order_correction`` fills it, ``phi1``) are the Newton solution
+    on the truncated line that the profile study checks.  ``phi0_at`` and
+    ``phi1_at`` evaluate the closed form instead, elementwise, so mirrored
+    points give mirrored values bit for bit: phi0 is ``well.transition``,
+    phi0' = scale (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1),
+    with sigma and W''(1) taken from the well, never from ``sigma``.
+    Outside the window the profile takes its limits, +-1 for phi0 and
+    sigma / W''(1) for phi1.  NaN gives NaN.
     """
 
+    well: DoubleWell
     half_width: float
     spacing: float
     sigma: float
@@ -170,56 +134,43 @@ class ProfileTable:
     phi1_tail_minus: float | None = None
     phi1_tail_plus: float | None = None
     fredholm_ratio: float | None = None
-    _splines: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _spline(self, key: str, values: np.ndarray) -> np.ndarray:
-        coefficients = self._splines.get(key)
-        if coefficients is None:
-            coefficients = _spline_coefficients(self.positions, values)
-            self._splines[key] = coefficients
-        return coefficients
+    def _eval(self, phi0_weight: float, phi1_weight: float, r):
+        """phi0_weight * phi0(r) + phi1_weight * phi1(r), one tanh per point.
 
-    def _eval(self, key: str, values: np.ndarray | None, r, lo: float, hi: float):
-        if values is None:
-            raise ValueError(f"table has no {key} data; run first_order_correction")
-        coefficients = self._spline(key, values)
-        x = self.positions
-        last = x.size - 2
+        The output is built in place; a nonzero phi1_weight adds one
+        scratch array of the points' size.
+        """
+        if phi1_weight and self.phi1 is None:
+            raise ValueError("table has no phi1 data; run first_order_correction")
+        scale = self.well.scale
         r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
-        flat, flat_out = r.reshape(-1), out.reshape(-1)
-        for start in range(0, flat.size, _EVAL_BLOCK):
-            rb = flat[start : start + _EVAL_BLOCK]
-            ob = flat_out[start : start + _EVAL_BLOCK]
-            # The knots are uniform, so one division finds the interval to
-            # within one place (NaN lands on 0); one comparison each way
-            # settles x[i] <= r < x[i+1], the last interval closed.
-            q = np.fmin(np.fmax((rb - x[0]) / self.spacing, 0.0), last)
-            i = q.astype(np.intp)
-            i -= rb < x.take(i)
-            i += rb >= x.take(i + 1)
-            np.clip(i, 0, last, out=i)
-            # PPoly's power sum, term by term in its order, for its bits.
-            z = rb - x.take(i)
-            c = coefficients.take(i, axis=0)
-            np.multiply(c[:, 2], z, out=ob)
-            ob += c[:, 3]
-            zz = z * z
-            ob += c[:, 1] * zz
-            zz *= z
-            zz *= c[:, 0]
-            ob += zz
-            # The window ends on the outer knots; beyond them its limits
-            # take over.
-            ob[rb < -self.half_width] = lo
-            ob[rb > self.half_width] = hi
+        # well.transition's operations, in its order; out= keeps a single
+        # point an array, so every step below works in place
+        out = np.multiply(scale, r, out=np.empty(r.shape))
+        out /= SQRT2
+        np.tanh(out, out=out)
+        # beyond the window its limits take over
+        out[r < -self.half_width] = -1.0
+        out[r > self.half_width] = 1.0
+        if phi1_weight:
+            # phi0' = scale (1 - phi0^2) / sqrt 2, then (sigma - phi0') / W''(1)
+            phi1 = np.multiply(out, out, out=np.empty(r.shape))
+            np.subtract(1.0, phi1, out=phi1)
+            phi1 *= scale
+            phi1 /= SQRT2
+            np.subtract(surface_tension(self.well), phi1, out=phi1)
+            phi1 /= float(self.well.second_derivative(1.0))
+            phi1 *= phi1_weight
+            out *= phi0_weight
+            out += phi1
         return float(out[()]) if r.ndim == 0 else out
 
     def phi0_at(self, r):
-        return self._eval("phi0", self.phi0, r, -1.0, 1.0)
+        return self._eval(1.0, 0.0, r)
 
     def phi1_at(self, r):
-        return self._eval("phi1", self.phi1, r, self.phi1_tail_minus, self.phi1_tail_plus)
+        return self._eval(0.0, 1.0, r)
 
     def interior_residual(self, well: DoubleWell) -> float:
         """Sup norm of -phi0'' + W'(phi0) over interior nodes, by differences."""
@@ -325,6 +276,7 @@ def optimal_profile(
     phi0[m:] = u
     phi0[:m] = -u[:0:-1]
     return ProfileTable(
+        well=well,
         half_width=half_width,
         spacing=h,
         sigma=sigma,
@@ -369,7 +321,6 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     table.phi1_tail_minus = sigma / float(well.second_derivative(-1.0))
     table.phi1_tail_plus = tail
     table.fredholm_ratio = pairing / (2.0 * sigma)
-    table._splines.pop("phi1", None)
     return table
 
 
@@ -429,6 +380,5 @@ def far_field_values(
         raise ValueError("eps and delta must be positive")
     arg = delta / eps
     coeff = eps * (2.0 / (3.0 * table.sigma)) * force
-    beta_plus = table.phi0_at(arg) + coeff * table.phi1_at(arg)
-    beta_minus = table.phi0_at(-arg) + coeff * table.phi1_at(-arg)
+    beta_minus, beta_plus = table._eval(1.0, coeff, np.array([-arg, arg]))
     return (float(beta_minus), float(beta_plus))

@@ -120,8 +120,8 @@ class TestProfileFidelity:
         assert fine_table.interior_residual(well) < 1e-8
 
     def test_matches_tanh(self, fine_table):
-        r = np.linspace(-10.0, 10.0, 20001)
-        gap = np.abs(fine_table.phi0_at(r) - np.tanh(r / SQRT2))
+        # the Newton nodes; phi0_at evaluates tanh itself
+        gap = np.abs(fine_table.phi0 - np.tanh(fine_table.positions / SQRT2))
         assert np.max(gap) < 1e-7
 
     def test_correction_tails(self, fine_table):

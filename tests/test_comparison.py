@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
 from gtlab.comparison import (
+    _EVAL_BLOCK,
     CutoffSchedule,
     DefectCertificate,
     GraphPatch,
@@ -27,7 +27,6 @@ from gtlab.comparison import (
     verify_subsolution,
 )
 from gtlab.field import Grid, laplacian
-from gtlab.potential import _EVAL_BLOCK
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -35,30 +34,30 @@ SQRT2 = float(np.sqrt(2.0))
 # r = linspace(0, 3 delta, 200001).  The signed maximum sits inside the
 # taper; the absolute maximum is the (negative) plateau tail value.
 FLAT_SIGNED_MAX = {
-    0.02: 0.0009201064694426943,
-    0.01: 0.0003098884859720421,
-    0.005: 0.00011065321057649289,
+    0.02: 0.0009201064266586612,
+    0.01: 0.0003098884632011536,
+    0.005: 0.00011065319917588335,
 }
 FLAT_ABS_MAX = {
-    0.02: 0.0031303292830621604,
-    0.01: 0.0009110392445033601,
-    0.005: 0.00033285042883759904,
+    0.02: 0.0031303288223429016,
+    0.01: 0.0009110390806444836,
+    0.005: 0.0003328503570871899,
 }
 
 # Grid defect of the same flat field, eps = 0.01, h = eps/128, top and
 # bottom wall layers excluded.
-FLAT_GRID_DEFECT_SUP = 0.0009110229277375526
+FLAT_GRID_DEFECT_SUP = 0.0009110223478997329
 
 # Constant-curvature bowl (force 1, curvature sqrt(2), base radius 0.6,
 # box [-0.36, 0.36] x [-0.54, 0.72]) at eps = 0.04, h = eps/16.
-BOWL_MAX_DEFECT = 0.7187208210964702
+BOWL_MAX_DEFECT = 0.7187205909974512
 
 # Normalized gaps between bulk roots and plateau values at force 1,
 # rows keyed by eps as (upper gap, lower gap).
 GAP_ROWS = {
-    0.01: (0.10862790041494819, 0.11367338628284207),
-    0.005: (0.10976306363192911, 0.11247795890805268),
-    0.0025: (0.11040758696800879, 0.111819199606078),
+    0.01: (0.10862790033130398, 0.11367338636493196),
+    0.005: (0.10976306360341859, 0.11247795893636336),
+    0.0025: (0.1104075869585941, 0.11181919961544828),
 }
 # The same two gaps at eps = 0.01 from 50-digit root finding.
 GAP_UPPER_EXACT = 0.108627900331319
@@ -581,8 +580,6 @@ class TestBuildSubsolution:
         s = make_schedule(eps)
         grid = Grid.box((-0.36, -0.54), (0.36, 0.72), (768, 1344))
         arc = bowl_arc(profile_table.sigma)
-        profile_table.phi0_at(0.5)  # build the spline coefficients first
-        profile_table.phi1_at(0.5)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -616,15 +613,10 @@ class TestBuildSubsolution:
 
 
 def phi0_prime_at(table, z):
-    """phi0' by the rule of the table's phi0_at and phi1_at: the not-a-knot
-    cubic spline through the knots inside the tabulated window (scipy's
-    CubicSpline, which the table's own spline equals bit for bit), the
-    limit 0 outside."""
-    out = np.zeros_like(z)
-    inside = np.abs(z) <= table.half_width
-    spline = CubicSpline(table.positions, table.phi0_prime, extrapolate=False)
-    out[inside] = spline(z[inside])
-    return out
+    """phi0' by the rule of the table's phi1_at: scale (1 - phi0^2) / sqrt 2
+    on phi0_at, so 0 outside the window, where phi0_at is +-1."""
+    phi0 = table.phi0_at(z)
+    return table.well.scale * (1.0 - phi0 * phi0) / SQRT2
 
 
 class TestFlatDefectClosedForm:
@@ -758,9 +750,10 @@ class TestAsymptoticGap:
         assert lowers[0] > lowers[1] > lowers[2] > limit
 
     def test_matches_high_precision_roots(self, profile_table, well):
+        # the plateaus are the closed-form profile, so only rounding is left
         upper, lower = asymptotic_gap(well, profile_table, 1.0, 0.01)
-        assert abs(upper - GAP_UPPER_EXACT) <= 1e-9
-        assert abs(lower - GAP_LOWER_EXACT) <= 1e-9
+        assert abs(upper - GAP_UPPER_EXACT) <= 1e-12
+        assert abs(lower - GAP_LOWER_EXACT) <= 1e-12
 
     def test_force_validation(self, profile_table, well):
         with pytest.raises(ValueError, match="positive"):

@@ -14,7 +14,7 @@ import pytest
 
 import gtlab
 from gtlab import harness
-from gtlab.comparison import asymptotic_gap
+from gtlab.comparison import _EVAL_BLOCK, asymptotic_gap
 from gtlab.field import Grid
 from gtlab.harness import (
     STUDIES,
@@ -28,7 +28,6 @@ from gtlab.harness import (
     write_contour_csv,
 )
 from gtlab.interface import Contour
-from gtlab.potential import _EVAL_BLOCK
 from gtlab.solve import disk_signed_distance, long_range_potential
 
 
@@ -157,6 +156,15 @@ class TestProfileStudy:
         assert row.metrics["tanh_gap"] <= 1e-7
         assert row.metrics["tail_error"] <= 1e-6
         assert row.metrics["equipartition"] <= 1e-8
+
+    def test_coarse_table_fails_tanh_within(self, monkeypatch):
+        # tanh_gap compares the Newton nodes with the closed form (phi0_at
+        # is the closed form itself): at spacing 0.05 the nodes sit 7.1e-5
+        # off tanh, against the 1e-7 gate
+        monkeypatch.setattr(harness, "PROFILE_SPACING", 0.05)
+        row = run_study(StudyConfig(kind="profile", eps=(0.02,))).rows[0]
+        assert row.metrics["tanh_gap"] == pytest.approx(7.05e-5, rel=1e-3)
+        assert not row.checks["tanh_within"]
 
     def test_writes_table_artifact(self, tmp_path):
         out = tmp_path / "profile"

@@ -6,16 +6,14 @@ closed-form homogeneous solutions and adaptive quadrature) before the
 module was written.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
-from gtlab import potential
 from gtlab.potential import (
     DoubleWell,
     bulk_roots,
@@ -190,6 +188,14 @@ class TestFirstOrderCorrection:
         exact = (table.sigma - (scale / SQRT2) / np.cosh(x) ** 2) / (2.0 * scale**2)
         assert np.max(np.abs(table.phi1 - exact)) <= 2e-8
 
+    def test_phi1_ignores_the_sigma_field(self, profile_table):
+        # phi1_at takes sigma from the well: a table whose sigma is replaced
+        # (the sigma mutation of test_mutations) keeps its phi1 bit for bit,
+        # so the wrong sigma reaches the coefficient 2 / (3 sigma) alone
+        points = np.random.default_rng(2).uniform(-25.0, 25.0, 10**4)
+        wrong = dataclasses.replace(profile_table, sigma=2 * profile_table.sigma)
+        assert wrong.phi1_at(points).tobytes() == profile_table.phi1_at(points).tobytes()
+
     def test_phi1_query_requires_correction(self, well):
         table = optimal_profile(well, half_width=8.0, spacing=2e-3)
         with pytest.raises(ValueError):
@@ -200,68 +206,38 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def _column_stack_coefficients(x, y):
-    """The spline build as it was before its columns were written in place:
-    the same slope solve, then np.column_stack of the four columns."""
-    n = x.size
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    ab = np.zeros((3, n))
-    b = np.empty(n)
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    ab[1, 0] = dx[1]
-    ab[0, 1] = d
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    ab[1, -1] = dx[-2]
-    ab[-1, -2] = d
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.column_stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-
-
 class TestProfileTableSpline:
-    """The table's in-house spline is scipy's CubicSpline, bit for bit."""
+    """Evaluation at arbitrary points: the closed form, one tanh per point,
+    with the limits outside the window."""
 
-    @pytest.mark.parametrize("key", ["phi0", "phi1"])
-    def test_coefficients_equal_cubic_spline(self, profile_table, key):
-        values = getattr(profile_table, key)
-        spline = CubicSpline(profile_table.positions, values, extrapolate=False)
-        coefficients = profile_table._spline(key, values)
-        assert coefficients.shape == (values.size - 1, 4)
-        assert np.array_equal(_bits(coefficients), _bits(spline.c.T))
-
-    @pytest.mark.parametrize("key", ["phi0", "phi1"])
-    def test_evaluation_equals_cubic_spline(self, profile_table, key):
-        table = profile_table
-        values = getattr(table, key)
-        lo, hi = (-1.0, 1.0) if key == "phi0" else (table.phi1_tail_minus, table.phi1_tail_plus)
-        knots = table.positions
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_evaluation_equals_closed_form(self, scale):
+        well = DoubleWell(scale)
+        table = first_order_correction(optimal_profile(well, half_width=8.0, spacing=2e-3), well)
+        w = table.half_width
         points = np.concatenate(
             [
-                knots,
-                np.nextafter(knots, -np.inf),
-                np.nextafter(knots, np.inf),
-                [table.half_width, -table.half_width, 0.0, -0.0],
-                np.random.default_rng(0).uniform(-table.half_width, table.half_width, 10**6),
+                [w, -w, 0.0, -0.0],
+                np.nextafter([w, -w], 0.0),
+                np.random.default_rng(0).uniform(-2.0 * w, 2.0 * w, 10**5),
             ]
         )
-        got = getattr(table, f"{key}_at")(points)
-        # the table's rule: the spline inside the window, the limits outside
         inside = np.abs(points) <= table.half_width
-        want = np.where(points < 0.0, lo, hi)
-        want[inside] = CubicSpline(knots, values, extrapolate=False)(points[inside])
-        assert np.array_equal(_bits(got), _bits(want))
+        phi0 = np.where(inside, well.transition(points), np.sign(points))
+        assert np.array_equal(_bits(table.phi0_at(points)), _bits(phi0))
+        prime = scale * (1.0 - phi0 * phi0) / SQRT2
+        phi1 = (surface_tension(well) - prime) / well.second_derivative(1.0)
+        assert np.array_equal(_bits(table.phi1_at(points)), _bits(phi1))
+        # one evaluation gives phi0 + c * phi1 with the bits of the two
+        both = table._eval(1.0, 0.3, points)
+        assert np.array_equal(_bits(both), _bits(phi0 + 0.3 * phi1))
+        # elementwise: mirrored points give mirrored values bit for bit
+        assert np.array_equal(_bits(table.phi0_at(-points)), _bits(-phi0))
+        assert np.array_equal(_bits(table.phi1_at(-points)), _bits(phi1))
 
     def test_window_ends_on_last_knot(self, well):
         # 12 * 0.3 and 24 * 0.03 round below 3.6 and 7.2; the window ends on
-        # the last knot, so no point near its edges falls between the knots
-        # and the limits
+        # the last knot, and the limits take over right after it
         for half_width, spacing in ((3.6, 0.3), (7.2, 0.03)):
             table = optimal_profile(well, half_width=half_width, spacing=spacing)
             edge = half_width + 0.1
@@ -273,8 +249,8 @@ class TestProfileTableSpline:
             assert table.half_width == table.positions[-1] == -table.positions[0]
             beyond = np.abs(points) > table.half_width
             assert np.array_equal(got[beyond], np.sign(points[beyond]))
-            want = CubicSpline(table.positions, table.phi0, extrapolate=False)
-            assert np.array_equal(_bits(got[~beyond]), _bits(want(points[~beyond])))
+            want = well.transition(points[~beyond])
+            assert np.array_equal(_bits(got[~beyond]), _bits(want))
         # the wider table has room for the correction
         first_order_correction(table, well)
         got = table.phi1_at(points)
@@ -298,45 +274,19 @@ class TestProfileTableSpline:
         assert values[0, 1] == profile_table.phi0_at(-0.5)
         assert isinstance(profile_table.phi0_at(0.5), float)
 
-    def test_coefficients_written_in_place(self, profile_table):
-        # the columns of the old np.column_stack build, bit for bit, on the
-        # table's knots and on non-uniform ones
-        knots = np.sort(np.random.default_rng(5).uniform(-3.0, 4.0, 777))
-        data = [
-            (profile_table.positions, profile_table.phi0),
-            (profile_table.positions, profile_table.phi1),
-            (knots, np.random.default_rng(6).standard_normal(knots.size)),
-        ]
-        for x, y in data:
-            got = potential._spline_coefficients(x, y)
-            assert np.array_equal(_bits(got), _bits(_column_stack_coefficients(x, y)))
-        assert np.array_equal(_bits(got), _bits(CubicSpline(x, y).c.T))
-
-    def test_coefficients_memory(self, profile_table):
-        # one (n - 1, 4) output and no band matrix beside it: at most 9
-        # knot-sized arrays at a time (the column_stack build held 13)
-        x, y = profile_table.positions, profile_table.phi0
-        tracemalloc.start()
-        try:
-            potential._spline_coefficients(x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * x.nbytes
-
-    def test_blocked_evaluation_memory(self, well):
-        # the evaluation works in fixed blocks, so its scratch stays a small
-        # fraction of the output (an unblocked evaluator peaks above 3x)
-        table = optimal_profile(well, half_width=8.0, spacing=2e-3)
-        points = np.random.default_rng(1).uniform(-8.0, 8.0, 10**6)
-        table.phi0_at(0.5)  # build the coefficients before measuring
-        tracemalloc.start()
-        try:
-            values = table.phi0_at(points)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * values.nbytes
+    def test_blocked_evaluation_memory(self, profile_table):
+        # the evaluation works in place in its output: phi0 needs no float
+        # scratch array (its window masks are bytes), and phi0 + c * phi1
+        # needs one
+        points = np.random.default_rng(1).uniform(-25.0, 25.0, 10**6)
+        for phi1_weight, bound in ((0.0, 1.5), (0.3, 2.5)):
+            tracemalloc.start()
+            try:
+                values = profile_table._eval(1.0, phi1_weight, points)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * values.nbytes
 
 
 class TestBulkRoots:

@@ -10,7 +10,9 @@ from scipy.fft import dctn, idctn
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import minres as scipy_minres
 
+from gtlab import harness
 from gtlab.field import Grid, integrate, laplacian, neumann_symbol, sample
+from gtlab.harness import StudyConfig
 from gtlab.potential import bulk_roots
 from gtlab.solve import (
     _cosine_jacobian,
@@ -399,6 +401,24 @@ class TestMirrorFold:
         assert u.shape == grid.shape
         assert np.array_equal(u, u[::-1]) and np.array_equal(u, u[:, ::-1])
         assert abs(folded.mass - mass) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "eps, n, steps, krylov", [(0.016, 250, 5, 42), (0.01, 400, 5, 45)]
+    )
+    def test_study_disk_solves_on_the_quarter(
+        self, laplacian_shapes, well, profile_table, eps, n, steps, krylov
+    ):
+        # the seed of the ch-disk study, which solves folded; _disk_solve's
+        # full-grid seed is not bitwise symmetric and pins the full box
+        config = StudyConfig(kind="ch-disk", eps=(eps,))
+        grid, seed = harness._disk(config, profile_table, eps, 4)
+        assert grid.shape == (n, n)
+        _, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+        assert set(laplacian_shapes) == {(n // 2, n // 2)}
+        assert report.stop_reason == "converged" and report.residual <= 1e-9
+        assert report.iterations <= steps
+        assert report.krylov_iterations <= krylov
+        assert report.krylov_failures == 0
 
     @pytest.mark.parametrize("n, seen", [(80, (40,)), (81, (81,))])
     def test_only_an_even_cell_count_folds(self, laplacian_shapes, well, n, seen):
