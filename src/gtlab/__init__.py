@@ -54,6 +54,7 @@ from gtlab.potential import (
     DoubleWell,
     ProfileTable,
     bulk_roots,
+    closed_form_profile,
     far_field_values,
     first_order_correction,
     optimal_profile,
@@ -84,6 +85,7 @@ __all__ = [
     "build_subsolution",
     "bulk_deviation",
     "bulk_roots",
+    "closed_form_profile",
     "curvature",
     "curvature_balance",
     "disk_signed_distance",

@@ -52,11 +52,6 @@ def _smoothstep_prime(x):
     return 30.0 * x * x * (1.0 - x) ** 2
 
 
-def _smoothstep_integral(x):
-    """Antiderivative of the quintic smoothstep vanishing at 0."""
-    return x * x * x * x * (2.5 + x * (x - 3.0))
-
-
 @dataclass(frozen=True)
 class CutoffSchedule:
     """Odd saturating map: identity near 0, constant +-saturation far out.
@@ -93,14 +88,37 @@ class CutoffSchedule:
         x = np.clip((a - self.taper_start) / self.taper_span, 0.0, 1.0)
         return r, a, x
 
-    def value(self, r):
-        r, a, x = self._pieces(r)
-        ramp = self.taper_start + self.taper_span * (x - _smoothstep_integral(x))
-        out = np.where(a <= self.taper_start, a, ramp)
-        # The saturated branch returns the constant itself, so every cell on
+    def value(self, r, out=None, work=None):
+        """The map at r, built in ``out`` with the pair of scratch arrays
+        ``work`` when they are given (neither may be r), fresh otherwise."""
+        r = np.asarray(r, dtype=float)
+        if out is None:
+            out = np.empty(r.shape)
+        x, poly = (np.empty(r.shape), np.empty(r.shape)) if work is None else work
+        a = np.abs(r, out=x)
+        core = a <= self.taper_start
+        # The saturated branch takes the constant itself, so every cell on
         # a plateau carries bitwise the same value.
-        out = np.where(a >= self.taper_start + self.taper_span, self.saturation, out)
-        return np.copysign(out, r)
+        flat = a >= self.taper_start + self.taper_span
+        x -= self.taper_start
+        x /= self.taper_span
+        np.clip(x, 0.0, 1.0, out=x)
+        # the smoothstep's antiderivative vanishing at 0, x^4 (2.5 + x (x - 3))
+        np.multiply(x, x, out=out)
+        out *= x
+        out *= x
+        np.subtract(x, 3.0, out=poly)
+        poly *= x
+        poly += 2.5
+        out *= poly
+        # the ramp taper_start + taper_span * (x - integral)
+        np.subtract(x, out, out=out)
+        out *= self.taper_span
+        out += self.taper_start
+        np.abs(r, out=out, where=core)
+        out[flat] = self.saturation
+        np.copysign(out, r, out=out)
+        return out if out.ndim else out[()]
 
     def slope(self, r):
         _, a, x = self._pieces(r)
@@ -215,21 +233,33 @@ class GraphPatch:
         cos = np.sqrt(1.0 - sin * sin)
         return np.array([cos * along - sin * normal, cos * along + sin * normal])
 
-    def height(self, x):
+    def height(self, x, out=None, work=None):
         """Graph height over the base interval.
 
         With t = x - start_x and (tx, ty) the unit tangent at the start, the
         graph rises from the start height by the root near 0 of the arc's
         equation c r^2 - 2 tx r + g = 0, g = t (c t + 2 ty), written as
         g / (tx + sqrt(tx^2 - c g)) so that c = 0 gives the segment.
+
+        The heights land in ``out``, with ``work`` as scratch, when they
+        are given; either may be x itself.
         """
         (x0, y0), _ = self.ends()
         (tx, ty), _ = self.tangents()
         c = self.curvature
-        t = np.asarray(x, dtype=float) - x0
-        g = t * (c * t + 2.0 * ty)
-        out = y0 + g / (tx + np.sqrt(tx * tx - c * g))
-        return float(out) if out.ndim == 0 else out
+        x = np.asarray(x, dtype=float)
+        t = np.subtract(x, x0, out=np.empty(x.shape) if out is None else out)
+        g = np.multiply(c, t, out=np.empty(x.shape) if work is None else work)
+        g += 2.0 * ty
+        g *= t
+        # y0 + g / (tx + sqrt(tx^2 - c g)), over t
+        np.multiply(c, g, out=t)
+        np.subtract(tx * tx, t, out=t)
+        np.sqrt(t, out=t)
+        t += tx
+        np.divide(g, t, out=t)
+        t += y0
+        return float(t) if t.ndim == 0 else t
 
 
 def solve_cmc_graph(
@@ -256,7 +286,7 @@ def solve_cmc_graph(
     )
 
 
-def signed_distance(patch: GraphPatch, points) -> np.ndarray:
+def signed_distance(patch: GraphPatch, points, out=None, work=None) -> np.ndarray:
     """Exact distance to the graph, positive on or above it, at each row
     of the (m, 2) array points.
 
@@ -273,29 +303,59 @@ def signed_distance(patch: GraphPatch, points) -> np.ndarray:
     coordinate with the height at the horizontal position clipped to the
     base, the exact side test for a height graph.  A flat front at height 0
     gives y itself.
+
+    The distances land in ``out`` when it is given, and ``work``, three
+    scratch arrays of length m, takes every intermediate; the field
+    assembly passes the same ones for every block, so its blocks allocate
+    nothing of their size.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
+    m = len(pts)
+    if out is None:
+        out = np.empty(m)
+    qx, qy, scratch = (np.empty(m) for _ in range(3)) if work is None else work
     (x0, y0), (x1, y1) = patch.ends()
     (tx0, ty0), (tx1, ty1) = patch.tangents()
     c = patch.curvature
     x, y = pts[:, 0], pts[:, 1]
-    # Ordered and written in place so that at most five point-sized arrays
-    # are alive at once; the field assembly passes one block of grid rows
-    # per call, so this scratch stays small next to the field.
-    below = y < patch.height(np.clip(x, x0, x1))
-    qx, qy = x - x0, y - y0
-    beyond = (qx * tx0 + qy * ty0 < 0.0) | ((x - x1) * tx1 + (y - y1) * ty1 > 0.0)
-    # 2 q.m - c |q|^2 with m = (-ty0, tx0)
-    dist = np.abs(qy * (2.0 * tx0 - c * qy) - qx * (2.0 * ty0 + c * qx))
-    den = c * qx + ty0
-    dist /= np.hypot(den, c * qy - tx0, out=den) + 1.0
-    dist[beyond] = np.minimum(
+    below = y < patch.height(np.clip(x, x0, x1, out=qx), out=qx, work=qy)
+    np.subtract(x, x0, out=qx)
+    np.subtract(y, y0, out=qy)
+    # beyond the end normals: q.t0 < 0 or (p - end).t1 > 0
+    np.multiply(qx, tx0, out=out)
+    out += np.multiply(qy, ty0, out=scratch)
+    beyond = out < 0.0
+    np.subtract(x, x1, out=out)
+    out *= tx1
+    np.subtract(y, y1, out=scratch)
+    scratch *= ty1
+    out += scratch
+    beyond |= out > 0.0
+    # |2 q.m - c |q|^2| with m = (-ty0, tx0): qy (2 tx0 - c qy) - qx (2 ty0 + c qx)
+    np.multiply(c, qy, out=out)
+    np.subtract(2.0 * tx0, out, out=out)
+    out *= qy
+    np.multiply(c, qx, out=scratch)
+    scratch += 2.0 * ty0
+    scratch *= qx
+    out -= scratch
+    np.abs(out, out=out)
+    ends = np.minimum(
         np.hypot(qx[beyond], qy[beyond]), np.hypot(x[beyond] - x1, y[beyond] - y1)
     )
-    np.negative(dist, out=dist, where=below)
-    return dist
+    # over 1 + |c q - m| = 1 + hypot(c qx + ty0, c qy - tx0)
+    np.multiply(c, qx, out=scratch)
+    scratch += ty0
+    np.multiply(c, qy, out=qy)
+    qy -= tx0
+    np.hypot(scratch, qy, out=scratch)
+    scratch += 1.0
+    out /= scratch
+    out[beyond] = ends
+    np.negative(out, out=out, where=below)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +420,8 @@ def build_subsolution(
     are built one block of grid rows at a time, in row order, and each
     finished block goes to ``write(rows, values, defect)`` with rows the
     block's slice of the grid's first axis; only the interior maximum of
-    the defect is kept.  The grid box must contain
+    the defect is kept.  The two arrays are reused for later blocks, so a
+    sink that keeps a block copies it.  The grid box must contain
     the saturation tube of the front: the graph must span the box
     horizontally and clear the top and bottom walls by twice the saturation
     length.
@@ -383,44 +444,69 @@ def build_subsolution(
             f"{min(top_gap, bottom_gap):.4g} < {2.0 * delta:.4g}"
         )
 
-    # One pass over blocks of grid rows.  Each step's temporaries die with
-    # the helper that made them, so the fields of two blocks and one halo
-    # row are all that outlive a step and a few blocks set the peak
-    # memory.  Every step is cell by cell except the Laplacian, which sees
-    # its block plus one halo row on each interior side and keeps only the
-    # block's own rows: the flux-form stencil then gives each cell the bits
-    # of the whole-grid call, and only the true walls get the wall formula.
-    # The field of the next block is therefore built before the defect of
-    # the current one.
+    # One pass over blocks of grid rows, each built in arrays made once
+    # here and reused for every block, so a block allocates nothing of its
+    # size and the peak memory is a few blocks.  Every step is cell by cell
+    # except the Laplacian, which sees its block plus one halo row on each
+    # interior side and keeps only the block's own rows: the flux-form
+    # stencil then gives each cell the bits of the whole-grid call, and only
+    # the true walls get the wall formula.  The field of the next block is
+    # therefore built before the defect of the current one.  A block's
+    # field sits in rows 1.. of one of two slabs, between its halo rows.
     xs, ys = grid.axes()
     rows = max(1, _EVAL_BLOCK // ys.size)
     coeff = eps * (2.0 / (3.0 * table.sigma)) * force
+    centres = np.empty((rows, ys.size, 2))
+    centres[:, :, 1] = ys
+    dist, *work = np.empty((4, rows * ys.size))
+    slabs = np.empty((2, rows + 2, ys.size))
+    lap, *lap_work = np.empty((3, rows + 2, ys.size))
 
-    def field(start):
+    def field(start, slab):
         bx = xs[start : start + rows]
-        points = np.column_stack([np.repeat(bx, ys.size), np.tile(ys, bx.size)])
-        z = schedule.value(signed_distance(patch, points)) / eps
-        del points
-        z = z.reshape(bx.size, ys.size)
+        points = centres[: bx.size]
+        points[:, :, 0] = bx[:, None]
+        values = slab[1 : 1 + bx.size]
+        flat = values.reshape(-1)
+        m = flat.size
+        scratch = [w[:m] for w in work]
+        signed_distance(patch, points.reshape(-1, 2), out=dist[:m], work=scratch)
+        schedule.value(dist[:m], out=flat, work=scratch[:2])
+        flat /= eps
         # phi0 + coeff * phi1 in one closed-form evaluation
-        return table._eval(1.0, coeff, z)
-
-    def finish(start, behind, values, ahead):
-        lap = laplacian(np.concatenate([behind, values, ahead[:1]]), grid.spacing)
-        lap = lap[len(behind) : len(behind) + len(values)]
-        defect = -eps * lap + well.derivative(values) / eps
-        block_max = interior_max(defect, start, grid.shape)
-        write(slice(start, start + len(values)), values, defect)
-        return block_max
+        table._eval(1.0, coeff, flat, out=flat, work=scratch[0])
+        return values
 
     max_defect = -np.inf
-    behind = empty = np.empty((0, ys.size))
-    values = field(0)
-    for start in range(0, xs.size, rows):
-        ahead = field(start + rows) if start + rows < xs.size else empty
+    values = field(0, slabs[0])
+    for block, start in enumerate(range(0, xs.size, rows)):
+        slab, other = slabs[block % 2], slabs[1 - block % 2]
+        n = len(values)
+        # the halo rows: the last row of the previous block, a full one in
+        # the other slab, and the first of the next, built there now
+        lo = 1
+        if start > 0:
+            slab[0] = other[rows]
+            lo = 0
+        hi = 1 + n
+        ahead = None
+        if start + rows < xs.size:
+            ahead = field(start + rows, other)
+            slab[hi] = ahead[0]
+            hi += 1
+        k = hi - lo
+        fluxes = [w[:k] for w in lap_work]
+        laplacian(slab[lo:hi], grid.spacing, out=lap[:k], work=fluxes)
+        # -eps * lap + W'(values) / eps
+        defect = lap[1 - lo : 1 - lo + n]
+        defect *= -eps
+        well_term = well.derivative(values, out=lap_work[0][:n])
+        well_term /= eps
+        defect += well_term
         # np.maximum, not max: a NaN anywhere in the defect is kept
-        max_defect = np.maximum(max_defect, finish(start, behind, values, ahead))
-        behind, values = values[-1:].copy(), ahead
+        max_defect = np.maximum(max_defect, interior_max(defect, start, grid.shape))
+        write(slice(start, start + n), values, defect)
+        values = ahead
     plateau_minus, plateau_plus = far_field_values(table, eps, delta, force)
     return SubsolutionField(
         max_defect=float(max_defect),

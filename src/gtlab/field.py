@@ -92,12 +92,22 @@ def _moved(values: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(values, axis, 0)
 
 
-def laplacian(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Zero-flux five-point Laplacian in flux form."""
-    out = np.zeros_like(values)
-    d = np.empty_like(values)
+def laplacian(
+    values: np.ndarray, spacing: float, out=None, work=None
+) -> np.ndarray:
+    """Zero-flux five-point Laplacian in flux form.
+
+    The result lands in ``out`` and the stencil's fluxes and differences
+    in ``work``, a pair of arrays of the values' shape, when they are
+    given; all three are fresh arrays otherwise.
+    """
+    if out is None:
+        out = np.empty_like(values)
+    d, faces = (np.empty_like(values), np.empty_like(values)) if work is None else work
+    out.fill(0.0)
     for axis in range(values.ndim):
-        f = _moved(np.diff(values, axis=axis), axis)
+        v = _moved(values, axis)
+        f = np.subtract(v[1:], v[:-1], out=_moved(faces, axis)[:-1])
         dm = _moved(d, axis)
         # the difference of the face fluxes with zero wall fluxes, written
         # as (f - 0.0) and (0.0 - f) so signed zeros come out as they would

@@ -62,6 +62,7 @@ from .measure import bulk_deviation, multiplicity_estimate
 from .potential import (
     DoubleWell,
     bulk_roots,
+    closed_form_profile,
     first_order_correction,
     optimal_profile,
 )
@@ -750,18 +751,15 @@ def _orders(names: tuple[str, ...], rows: list[EpsRow]) -> dict:
 def run_study(config: StudyConfig) -> StudyReport:
     """Execute every eps entry, collect rows, and write the report files.
 
-    A failure at one eps is recorded in that row and the sweep continues; a
-    profile table that cannot be built is recorded in every row.  The study
+    Every kind reads the profile through the node-less closed-form table;
+    the profile study builds and checks its own Newton table.  A failure at
+    one eps is recorded in that row and the sweep continues.  The study
     passes only if every row completed and every row-level and cross-eps
     check holds.
     """
     study = STUDIES[config.kind]
     well = DoubleWell(scale=config.well_scale)
-    failure = None
-    try:
-        table = first_order_correction(optimal_profile(well), well)
-    except Exception as exc:
-        table, failure = None, exc
+    table = closed_form_profile(well)
     out = None
     if config.out_dir is not None:
         out = Path(config.out_dir)
@@ -772,8 +770,6 @@ def run_study(config: StudyConfig) -> StudyReport:
     for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
         start = time.perf_counter()
         try:
-            if failure is not None:
-                raise failure
             metrics, checks = study.run(config, well, table, eps, k, out, index)
             rows.append(EpsRow(eps=eps, metrics=_plain(metrics), checks=checks))
         except Exception as exc:

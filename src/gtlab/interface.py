@@ -146,18 +146,9 @@ def zero_crossings_1d(values: np.ndarray, grid: Grid):
     return x[hits] + t * grid.spacing
 
 
-def _fit_circle(pts: np.ndarray):
-    """Algebraic circle fit; returns (center, radius) or None if degenerate."""
-    ax = np.column_stack([2.0 * pts, np.ones(len(pts))])
-    rhs = np.sum(pts**2, axis=1)
-    sol, _, rank, svals = np.linalg.lstsq(ax, rhs, rcond=None)
-    if rank < 3 or svals[-1] <= 1e-12 * svals[0]:
-        return None
-    center = sol[:2]
-    r2 = sol[2] + center @ center
-    if r2 <= 0.0:
-        return None
-    return center, float(np.sqrt(r2))
+# Window rows per chunk of the batched fit: the chunk's stack and its left
+# singular vectors stay near 1.5 MB apiece however long the loop.
+_FIT_ROWS = 1 << 16
 
 
 def curvature(
@@ -169,10 +160,18 @@ def curvature(
     """Signed curvature at every vertex of a closed loop by windowed circle fit.
 
     The fit uses all vertices within arclength window/2 on either side,
-    wrapping around the loop; an open contour is rejected.  A degenerate
-    (collinear) window gives curvature 0.  The sign convention makes the
-    curvature of a bubble of the positive phase positive: kappa carries the
-    sign of (fit center - vertex) . grad(u).
+    wrapping around the loop; an open contour is rejected.  Each vertex's
+    fit is the algebraic (Kasa) least-squares circle through its window,
+    [2x 2y 1] (cx, cy, c) = x^2 + y^2, with radius^2 = c + |center|^2.  A
+    degenerate (collinear) window gives curvature 0.  The sign convention
+    makes the curvature of a bubble of the positive phase positive: kappa
+    carries the sign of (fit center - vertex) . grad(u).
+
+    All windows are solved at once: each holds its vertices in index order
+    and is zero-padded to the widest, and zero rows leave a least-squares
+    fit unchanged.  The stack is solved by SVD in chunks of vertices, with
+    numpy.linalg.lstsq's rank test and a 1e-12 bound on the ratio of the
+    extreme singular values.
     """
     if not contour.closed:
         raise ValueError("curvature is measured on closed loops only")
@@ -181,21 +180,52 @@ def curvature(
     seg = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
     gx = sample(grad_fields[0], grid, pts)
     gy = sample(grad_fields[1], grid, pts)
-    kappa = np.empty(m)
     half = window / 2.0
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     cum = cum[:-1]  # one arclength per vertex; total closes the loop
-    for k in range(m):
-        d = np.abs(cum - cum[k])
-        idx = np.nonzero(np.minimum(d, total - d) <= half)[0]
-        fit = _fit_circle(pts[idx])
-        if fit is None:
-            kappa[k] = 0.0
-            continue
-        center, radius = fit
-        orient = (center[0] - pts[k, 0]) * gx[k] + (center[1] - pts[k, 1]) * gy[k]
-        kappa[k] = np.copysign(1.0 / radius, orient)
+    # the farthest window member on either side, bounded through the
+    # unrolled arclengths with one vertex to spare for rounding; offsets
+    # that reach past half the loop would visit a vertex twice
+    unrolled = np.concatenate([cum - total, cum, cum + total])
+    own = np.arange(m) + m
+    reach = max(
+        int(np.max(np.searchsorted(unrolled, cum + half, side="right") - 1 - own)),
+        int(np.max(own - np.searchsorted(unrolled, cum - half, side="left"))),
+    )
+    offsets = np.arange(max(-reach - 1, -((m - 1) // 2)), min(reach + 1, m // 2) + 1)
+    squares = np.sum(pts**2, axis=1)
+    kappa = np.empty(m)
+    chunk = max(1, _FIT_ROWS // offsets.size)
+    for lo in range(0, m, chunk):
+        k = np.arange(lo, min(lo + chunk, m))
+        idx = (k[:, None] + offsets) % m
+        # the window: cyclic arclength distance at most half
+        d = np.abs(cum[idx] - cum[k, None])
+        inside = np.minimum(d, total - d) <= half
+        # each window's vertices first, in index order, then its zero rows
+        idx = np.sort(np.where(inside, idx, m), axis=1)
+        inside = idx < m
+        idx[~inside] = 0
+        ax = np.empty(idx.shape + (3,))
+        np.multiply(2.0, pts[idx], out=ax[..., :2])
+        ax[..., 2] = 1.0
+        ax *= inside[..., None]
+        rhs = np.where(inside, squares[idx], 0.0)
+        u, svals, vt = np.linalg.svd(ax, full_matrices=False)
+        # lstsq's rank test, rcond = eps * max(rows, columns)
+        rows = np.maximum(np.count_nonzero(inside, axis=1), 3)
+        cutoff = np.maximum(1e-12, np.finfo(float).eps * rows) * svals[:, 0]
+        degenerate = svals[:, -1] <= cutoff
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.einsum("kri,kr->ki", u, rhs) / svals
+        sol = np.einsum("kij,ki->kj", vt, coef)
+        cx, cy = sol[:, 0], sol[:, 1]
+        r2 = sol[:, 2] + (cx * cx + cy * cy)
+        orient = (cx - pts[k, 0]) * gx[k] + (cy - pts[k, 1]) * gy[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitted = ~degenerate & (r2 > 0.0)
+            kappa[k] = np.where(fitted, np.copysign(1.0 / np.sqrt(r2), orient), 0.0)
     return kappa
 
 

@@ -18,6 +18,8 @@ closed forms.  Every other use evaluates the profile at arbitrary points
 (``ProfileTable.phi0_at`` and ``phi1_at``), and that evaluation is the
 closed form itself, one tanh per point: phi0 = tanh(scale r / sqrt 2),
 phi0' = scale (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1).
+So those uses take a table with no nodes at all (``closed_form_profile``),
+built from the well alone.
 """
 
 from __future__ import annotations
@@ -25,9 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 SQRT2 = float(np.sqrt(2.0))
+
+# Window of the default profile: beyond +-20 the profile takes its limits.
+# The Newton table ends on exactly this float at both spacings in use
+# (40,000 knots of 5e-4, 50,000 of 4e-4), so a closed-form table clamps
+# where a Newton table of this window does.
+HALF_WIDTH = 20.0
 
 # Roots of W' on the outer branches exist only while the forcing stays below
 # the local extremum of W' at r = +-1/sqrt(3); see bulk_roots.
@@ -49,9 +56,14 @@ class DoubleWell:
         q = 1.0 - r * r
         return self.scale**2 * q * q / 4.0
 
-    def derivative(self, r):
+    def derivative(self, r, out=None):
+        """W'(r), written into ``out`` (not r itself) when it is given."""
         r = np.asarray(r, dtype=float)
-        return self.scale**2 * (r * r - 1.0) * r
+        w = np.multiply(r, r, out=out)
+        w -= 1.0
+        w *= self.scale**2
+        w *= r
+        return w
 
     def second_derivative(self, r):
         r = np.asarray(r, dtype=float)
@@ -114,48 +126,51 @@ class ProfileTable:
 
     The nodes (``positions``, ``phi0``, ``phi0_prime`` and, once
     ``first_order_correction`` fills it, ``phi1``) are the Newton solution
-    on the truncated line that the profile study checks.  ``phi0_at`` and
-    ``phi1_at`` evaluate the closed form instead, elementwise, so mirrored
-    points give mirrored values bit for bit: phi0 is ``well.transition``,
-    phi0' = scale (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1),
-    with sigma and W''(1) taken from the well, never from ``sigma``.
-    Outside the window the profile takes its limits, +-1 for phi0 and
-    sigma / W''(1) for phi1.  NaN gives NaN.
+    on the truncated line that the profile study checks; a table from
+    ``closed_form_profile`` has none.  ``phi0_at`` and ``phi1_at`` evaluate
+    the closed form instead, elementwise, so mirrored points give mirrored
+    values bit for bit: phi0 is ``well.transition``, phi0' = scale (1 -
+    phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1), with sigma and
+    W''(1) taken from the well, never from ``sigma``.  Outside the window
+    the profile takes its limits, +-1 for phi0 and sigma / W''(1) for phi1.
+    NaN gives NaN.
     """
 
     well: DoubleWell
     half_width: float
-    spacing: float
     sigma: float
-    positions: np.ndarray
-    phi0: np.ndarray
-    phi0_prime: np.ndarray
+    spacing: float | None = None
+    positions: np.ndarray | None = None
+    phi0: np.ndarray | None = None
+    phi0_prime: np.ndarray | None = None
     phi1: np.ndarray | None = None
     phi1_tail_minus: float | None = None
     phi1_tail_plus: float | None = None
     fredholm_ratio: float | None = None
 
-    def _eval(self, phi0_weight: float, phi1_weight: float, r):
+    def _eval(self, phi0_weight: float, phi1_weight: float, r, out=None, work=None):
         """phi0_weight * phi0(r) + phi1_weight * phi1(r), one tanh per point.
 
-        The output is built in place; a nonzero phi1_weight adds one
-        scratch array of the points' size.
+        The output is built in place, in ``out`` when it is given (it may be
+        r itself); a nonzero phi1_weight needs one scratch array of the
+        points' size, ``work`` when it is given.
         """
-        if phi1_weight and self.phi1 is None:
-            raise ValueError("table has no phi1 data; run first_order_correction")
         scale = self.well.scale
         r = np.asarray(r, dtype=float)
+        # beyond the window its limits take over
+        below = r < -self.half_width
+        above = r > self.half_width
         # well.transition's operations, in its order; out= keeps a single
         # point an array, so every step below works in place
-        out = np.multiply(scale, r, out=np.empty(r.shape))
+        out = np.multiply(scale, r, out=np.empty(r.shape) if out is None else out)
         out /= SQRT2
         np.tanh(out, out=out)
-        # beyond the window its limits take over
-        out[r < -self.half_width] = -1.0
-        out[r > self.half_width] = 1.0
+        out[below] = -1.0
+        out[above] = 1.0
         if phi1_weight:
             # phi0' = scale (1 - phi0^2) / sqrt 2, then (sigma - phi0') / W''(1)
-            phi1 = np.multiply(out, out, out=np.empty(r.shape))
+            phi1 = np.empty(r.shape) if work is None else work
+            np.multiply(out, out, out=phi1)
             np.subtract(1.0, phi1, out=phi1)
             phi1 *= scale
             phi1 /= SQRT2
@@ -172,8 +187,16 @@ class ProfileTable:
     def phi1_at(self, r):
         return self._eval(0.0, 1.0, r)
 
+    def _check_well(self, well: DoubleWell) -> None:
+        if well != self.well:
+            raise ValueError(f"{well} does not match the table's {self.well}")
+
     def interior_residual(self, well: DoubleWell) -> float:
-        """Sup norm of -phi0'' + W'(phi0) over interior nodes, by differences."""
+        """Sup norm of -phi0'' + W'(phi0) over interior nodes, by differences.
+
+        ``well`` must be the table's own.
+        """
+        self._check_well(well)
         lap = _second_difference(self.phi0, self.spacing)
         res = -lap + well.derivative(self.phi0[1:-1])
         return float(np.max(np.abs(res)))
@@ -199,8 +222,14 @@ class ProfileTable:
         )
 
 
+def closed_form_profile(well: DoubleWell) -> ProfileTable:
+    """The default window's profile with no nodes: only ``phi0_at``,
+    ``phi1_at`` and ``sigma`` are there to read, and no Newton solve runs."""
+    return ProfileTable(well=well, half_width=HALF_WIDTH, sigma=surface_tension(well))
+
+
 def optimal_profile(
-    well: DoubleWell, half_width: float = 20.0, spacing: float = 5e-4
+    well: DoubleWell, half_width: float = HALF_WIDTH, spacing: float = 5e-4
 ) -> ProfileTable:
     """Solve -phi0'' + W'(phi0) = 0 on [-half_width, half_width], tabulated.
 
@@ -210,6 +239,8 @@ def optimal_profile(
     translation near-kernel that makes the full-interval system numerically
     singular for large windows.
     """
+    from scipy.linalg import solve_banded
+
     if half_width <= 0 or spacing <= 0:
         raise ValueError("half_width and spacing must be positive")
     m = int(round(half_width / spacing))
@@ -304,7 +335,10 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     sigma = scale sqrt2 / 3 and W''(1) = 2 scale^2.  Any other solution
     differs from it by a multiple of the kernel phi0', which the
     normalization fixes.
+
+    ``well`` must be the table's own.
     """
+    table._check_well(well)
     kern = table.phi0_prime
     sigma = table.sigma
     weights = np.full(kern.size, table.spacing)

@@ -7,8 +7,10 @@ Two problem shapes share one damped-Newton loop:
                            -lap(v) = u - mean(u),  integral(u) = m
 
 The linearizations are symmetric, so the inner solves use MINRES, an
-in-house transcription of scipy's that gives the same bits and works on a
-fixed set of vectors reused in place (see `minres`).  Both problems are
+in-house transcription of scipy's that works on a fixed set of vectors
+reused in place (see `minres`).  Its inner products, and the Newton loop's
+norms, are summed by numpy's own loop rather than a threaded BLAS dot, so a
+solve gives the same bits at any BLAS thread count.  Both problems are
 solved in the mean-zero subspace: the multiplier is the mean of the
 unconstrained residual, Newton steps solve the projected system
 P J P du = -P F(u), and updates have zero mean, so the mass fixed by the
@@ -177,6 +179,15 @@ def _cosine_jacobian(symbol: np.ndarray, w2: np.ndarray):
     return matvec
 
 
+def _dot(a, b):
+    """Inner product of two equal-shape arrays, summed by numpy's own loop.
+
+    A BLAS dot splits a long sum over its threads, so its last bits follow
+    the thread count; this sum allocates nothing and does not.
+    """
+    return np.einsum("i,i->", a.ravel(), b.ravel())
+
+
 def minres(matvec, b, precond, rtol, maxiter, callback=None):
     """Preconditioned MINRES (Paige & Saunders 1975) for a symmetric operator;
     returns (x, info, itn): info = maxiter if the iteration limit stopped
@@ -187,7 +198,8 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
     same way, M symmetric positive definite.  The recurrences and stop tests
     are those of scipy.sparse.linalg.minres (shift 0, no starting guess, the
     scalars only its printout reads left out), evaluated in the same order,
-    so x, info and the number of callback(x) calls are bitwise the same.
+    so with BLAS inner products in place of `_dot` x, info and the number
+    of callback(x) calls are bitwise scipy's.
 
     The vectors are a fixed set worked on in place: b is consumed as the
     first residual r1; from the third iteration on r1, r2 and tmp rotate,
@@ -198,7 +210,7 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
     x = np.zeros(b.size)
     r1 = b
     z = precond(r1)
-    beta1 = np.inner(r1, z)
+    beta1 = _dot(r1, z)
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0:
@@ -235,13 +247,13 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
             # r1 retires here (in the first iteration it is r2), and its
             # buffer takes the next product
             tmp = r1
-        alfa = np.inner(v, y)
+        alfa = _dot(v, y)
         y -= np.multiply(alfa / beta, r2, out=z)
         r1 = r2
         r2 = y
         precond(r2, out=z)
         oldb = beta
-        beta = np.inner(r2, z)
+        beta = _dot(r2, z)
         if beta < 0:
             raise ValueError("non-symmetric matrix")
         beta = sqrt(beta)
@@ -277,7 +289,7 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
         gmin = min(gmin, gamma)
 
         anorm = sqrt(tnorm2)
-        ynorm = np.linalg.norm(x)
+        ynorm = sqrt(_dot(x, x))
         epsx = anorm * ynorm * eps
         if ynorm == 0 or anorm == 0:
             test1 = inf
@@ -365,7 +377,7 @@ def _newton(residual_fn, symbol, u, grid, well, eps, copies=1):
             return stop(iteration, sup, lam, "converged")
         if not np.isfinite(sup):
             return stop(iteration, sup, lam, "non_finite")
-        norm0 = float(np.linalg.norm(r))
+        norm0 = sqrt(_dot(r, r))
         rhs = dctn(r, type=2, norm="ortho").ravel()
         del r
         rhs[0] = 0.0
@@ -387,7 +399,7 @@ def _newton(residual_fn, symbol, u, grid, well, eps, copies=1):
             r_trial, lam_trial = split(trial)
             # a NaN norm fails this comparison, so the step is taken and the
             # next iteration stops on it as non_finite
-            if not float(np.linalg.norm(r_trial)) > (1.0 - 1e-4 * step) * norm0:
+            if not sqrt(_dot(r_trial, r_trial)) > (1.0 - 1e-4 * step) * norm0:
                 break
             step *= _BACKTRACK
             if step < _MIN_STEP:

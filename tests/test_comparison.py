@@ -78,11 +78,13 @@ def bowl_arc(sigma, force=1.0):
 def build_gathered(patch, schedule, table, force, grid, well):
     """build_subsolution with a list sink: the record and the field and
     defect stacked from their blocks, which must tile the grid's rows in
-    order."""
+    order.  The sink copies each block: its arrays are reused for the next."""
     blocks = []
-    sub = build_subsolution(
-        patch, schedule, table, force, grid, well, lambda *block: blocks.append(block)
-    )
+
+    def sink(rows, values, defect):
+        blocks.append((rows, values.copy(), defect.copy()))
+
+    sub = build_subsolution(patch, schedule, table, force, grid, well, sink)
     stops = [0] + [rows.stop for rows, _, _ in blocks]
     assert [rows.start for rows, _, _ in blocks] == stops[:-1]
     assert stops[-1] == grid.shape[0]

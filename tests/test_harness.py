@@ -390,7 +390,9 @@ class TestFailureRecording:
         # a well whose profile table cannot be built still gets a report:
         # every row carries the failure and the CLI exits 1
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"kind": "gap", "eps": [0.01, 0.005], "well_scale": scale}))
+        path.write_text(
+            json.dumps({"kind": "profile", "eps": [0.01, 0.005], "well_scale": scale})
+        )
         out = tmp_path / "out"
         assert main(["study", "--config", str(path), "--out", str(out)]) == 1
         assert "result: FAIL" in capsys.readouterr().out
@@ -665,14 +667,16 @@ class TestCommandRouting:
         assert "result: PASS" in run.stdout
 
     def test_import_and_cli_leave_heavy_scipy_unloaded(self, tmp_path):
-        # importing gtlab pays for scipy.fft and scipy.linalg only (MINRES
-        # is in-house); these subpackages, scipy.sparse among them, must stay
-        # out of a default command's process
+        # importing gtlab pays for scipy.fft only (MINRES is in-house and
+        # only the profile study's Newton table needs scipy.linalg); these
+        # subpackages, scipy.sparse among them, must stay out of a default
+        # command's process
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         script = (
             "import runpy, sys\n"
             "import gtlab\n"
-            "heavy = ('integrate', 'interpolate', 'optimize', 'sparse', 'spatial')\n"
+            "heavy = ('integrate', 'interpolate', 'linalg', 'optimize', 'sparse',\n"
+            "         'spatial')\n"
             "def loaded():\n"
             "    return [n for n in heavy if 'scipy.' + n in sys.modules]\n"
             "print('loaded after import:', loaded())\n"
@@ -696,6 +700,30 @@ class TestCommandRouting:
         assert "loaded after import: []" in lines, run.stdout
         assert "loaded after gap: []" in lines, run.stdout
         assert (tmp_path / "gap" / "report.json").is_file()
+
+    def test_solved_report_bytes_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # the solver's inner products and norms sum without BLAS, whose
+        # threads split a dot into partial sums that end in other bits
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(ROOT / "src"),
+                "OPENBLAS_NUM_THREADS": threads,
+            }
+            args = ["solve-ch", "--eps", "0.016", "--grid-k", "4", "--out", str(out)]
+            run = subprocess.run(
+                [sys.executable, "-m", "gtlab", *args],
+                cwd=ROOT,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gtlab.field import Grid, gradient
+from gtlab.field import Grid, gradient, integrate, sample
 from gtlab.interface import (
     Contour,
     curvature,
@@ -13,11 +13,38 @@ from gtlab.interface import (
     extract_contours,
     zero_crossings_1d,
 )
+from gtlab.potential import DoubleWell
+from gtlab.solve import disk_signed_distance, solve_conserved
 
 
 def circle_field(grid, center, radius):
     x, y = grid.mesh()
     return radius - np.hypot(x - center[0], y - center[1])
+
+
+def _loop_curvature(contour, grid, grad_fields, window):
+    """The reference: one numpy.linalg.lstsq circle fit per vertex."""
+    pts = contour.points
+    m = len(pts)
+    seg = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
+    gx = sample(grad_fields[0], grid, pts)
+    gy = sample(grad_fields[1], grid, pts)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = cum[-1]
+    cum = cum[:-1]
+    kappa = np.zeros(m)
+    for k in range(m):
+        d = np.abs(cum - cum[k])
+        window_pts = pts[np.nonzero(np.minimum(d, total - d) <= window / 2.0)[0]]
+        ax = np.column_stack([2.0 * window_pts, np.ones(len(window_pts))])
+        rhs = np.sum(window_pts**2, axis=1)
+        sol, _, rank, svals = np.linalg.lstsq(ax, rhs, rcond=None)
+        r2 = sol[2] + sol[:2] @ sol[:2]
+        if rank < 3 or svals[-1] <= 1e-12 * svals[0] or r2 <= 0.0:
+            continue
+        orient = (sol[0] - pts[k, 0]) * gx[k] + (sol[1] - pts[k, 1]) * gy[k]
+        kappa[k] = np.copysign(1.0 / float(np.sqrt(r2)), orient)
+    return kappa
 
 
 class TestExtractContours:
@@ -185,6 +212,52 @@ class TestCurvature:
         kappa = curvature(c, grid, grads, window=8.0 * grid.spacing)
         assert not np.any(np.isnan(kappa))
         assert np.max(np.abs(kappa - 4.0)) <= 0.04  # within 1 percent
+
+    def test_batched_fit_matches_the_per_vertex_loop_on_a_solved_disk(self):
+        well = DoubleWell()
+        eps = 0.04
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (100, 100))
+        seed = well.transition(disk_signed_distance(grid, (0.5, 0.5), 0.25) / eps)
+        u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+        assert report.converged
+        grads = gradient(u, grid.spacing)
+        (c,) = extract_contours(u, grid)
+        for window in (8.0 * eps, 2.0):
+            # the wider window covers the whole loop: every window wraps
+            kappa = curvature(c, grid, grads, window=window)
+            want = _loop_curvature(c, grid, grads, window)
+            assert np.all(want > 0.0)
+            assert np.max(np.abs(kappa / want - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 8])
+    @pytest.mark.parametrize("window", [0.3, 0.9, 10.0])
+    def test_batched_fit_matches_the_loop_on_short_loops(self, m, window):
+        # windows of 2w+1 offsets reach past half the loop here; each
+        # vertex still enters its window once, as in the loop
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (32, 32))
+        u = circle_field(grid, (0.5, 0.5), 0.25)
+        grads = gradient(u, grid.spacing)
+        theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False) + 0.1 * np.arange(m)
+        radius = 0.25 * (1.0 + 0.1 * np.cos(3.0 * theta))
+        pts = 0.5 + radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+        ring = Contour(points=pts, closed=True)
+        kappa = curvature(ring, grid, grads, window=window)
+        want = _loop_curvature(ring, grid, grads, window)
+        assert np.array_equal(kappa == 0.0, want == 0.0)
+        hit = want != 0.0
+        assert np.max(np.abs(kappa[hit] / want[hit] - 1.0), initial=0.0) <= 1e-10
+
+    def test_collinear_windows_match_the_loop(self):
+        grid = Grid.box((0.0, 0.0), (1.0, 1.0), (32, 32))
+        x, y = grid.mesh()
+        u = np.minimum(np.minimum(x - 0.2, 0.8 - x), np.minimum(y - 0.3, 0.7 - y))
+        grads = gradient(u, grid.spacing)
+        (c,) = extract_contours(u, grid)
+        kappa = curvature(c, grid, grads, window=0.1)
+        want = _loop_curvature(c, grid, grads, 0.1)
+        assert np.array_equal(kappa == 0.0, want == 0.0)
+        hit = want != 0.0
+        assert np.max(np.abs(kappa[hit] / want[hit] - 1.0)) <= 1e-10
 
     def test_open_contour_rejected(self):
         grid = Grid.box((0.0, 0.0), (1.0, 1.0), (32, 32))

@@ -3,9 +3,10 @@
 Every case runs one study kind at its CLI defaults with one harness global
 rebound, and asserts exactly which checks fail.  Two kinds of mutation:
 
-* sigma * 1.1, sigma / 1.1 and sigma * 1.02: the profile table the harness
-  builds carries a wrong surface tension (first_order_correction is wrapped
-  to return a copy with sigma scaled);
+* sigma * 1.1, sigma / 1.1 and sigma * 1.02: every profile table the
+  harness builds carries a wrong surface tension (closed_form_profile, which
+  every kind reads, and first_order_correction, which finishes the profile
+  study's Newton table, are wrapped to return a copy with sigma scaled);
 * -kappa: every curvature the harness measures has the wrong sign.
 
 The sigma mutation replaces the table's ``sigma`` only; ``phi1_at`` takes
@@ -67,13 +68,14 @@ CELLS = [
 def _mutate(monkeypatch, mutation):
     if mutation in _SIGMA_FACTORS:
         factor = _SIGMA_FACTORS[mutation]
-        build = harness.first_order_correction
+        for name in ("closed_form_profile", "first_order_correction"):
+            build = getattr(harness, name)
 
-        def wrong_sigma(table, well):
-            table = build(table, well)
-            return dataclasses.replace(table, sigma=factor * table.sigma)
+            def wrong_sigma(*args, build=build):
+                table = build(*args)
+                return dataclasses.replace(table, sigma=factor * table.sigma)
 
-        monkeypatch.setattr(harness, "first_order_correction", wrong_sigma)
+            monkeypatch.setattr(harness, name, wrong_sigma)
     else:
         measure = harness.curvature
         monkeypatch.setattr(harness, "curvature", lambda *a, **k: -measure(*a, **k))

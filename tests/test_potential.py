@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gtlab.potential import (
     DoubleWell,
     bulk_roots,
+    closed_form_profile,
     far_field_values,
     first_order_correction,
     optimal_profile,
@@ -196,10 +197,44 @@ class TestFirstOrderCorrection:
         wrong = dataclasses.replace(profile_table, sigma=2 * profile_table.sigma)
         assert wrong.phi1_at(points).tobytes() == profile_table.phi1_at(points).tobytes()
 
-    def test_phi1_query_requires_correction(self, well):
+    def test_phi1_query_needs_no_correction(self, well):
+        # phi1 comes from the well, so a table without phi1 nodes reads it
         table = optimal_profile(well, half_width=8.0, spacing=2e-3)
-        with pytest.raises(ValueError):
-            table.phi1_at(0.0)
+        assert table.phi1 is None
+        assert table.phi1_at(0.0) == pytest.approx(PHI1_AT_ZERO, abs=1e-15)
+
+    def test_well_must_match_the_table(self):
+        # a second well would give phi1 nodes whose tail disagrees with
+        # phi1_at, which reads the table's own well
+        table = optimal_profile(DoubleWell(1.0), half_width=8.0, spacing=2e-3)
+        with pytest.raises(ValueError, match="does not match"):
+            first_order_correction(table, DoubleWell(2.0))
+        with pytest.raises(ValueError, match="does not match"):
+            table.interior_residual(DoubleWell(2.0))
+        assert table.phi1 is None
+        first_order_correction(table, DoubleWell(1.0))
+        assert table.phi1_tail_plus == table.phi1_at(100.0)
+
+
+class TestClosedFormProfile:
+    @pytest.mark.parametrize("scale", [1.0, 1.7, 0.5])
+    def test_same_bits_as_the_newton_table(self, scale):
+        # the node-less table clamps at the Newton table's window, so every
+        # seed, field and plateau reads the same bits from either
+        well = DoubleWell(scale)
+        nodes = first_order_correction(optimal_profile(well), well)
+        bare = closed_form_profile(well)
+        assert bare.half_width == nodes.half_width == 20.0
+        assert bare.sigma == nodes.sigma
+        assert bare.positions is None and bare.phi0 is None and bare.phi1 is None
+        points = np.random.default_rng(4).uniform(-25.0, 25.0, 10**4)
+        points = np.concatenate([points, [-20.0, 20.0, np.nan]])
+        for weights in [(1.0, 0.0), (0.0, 1.0), (1.0, 0.0123)]:
+            want = nodes._eval(*weights, points)
+            assert bare._eval(*weights, points).tobytes() == want.tobytes()
+        assert far_field_values(bare, 0.01, 0.09, 1.0) == far_field_values(
+            nodes, 0.01, 0.09, 1.0
+        )
 
 
 def _bits(values):
