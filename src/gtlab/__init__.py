@@ -48,6 +48,7 @@ from gtlab.measure import (
     bulk_deviation,
     distance_to_points,
     energy_density,
+    mixing_energy,
     multiplicity_estimate,
 )
 from gtlab.potential import (
@@ -64,7 +65,6 @@ from gtlab.solve import (
     SolveReport,
     disk_signed_distance,
     long_range_potential,
-    mixing_energy,
     solve_conserved,
 )
 

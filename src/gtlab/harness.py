@@ -58,7 +58,7 @@ from .interface import (
     extract_contours,
     zero_crossings_1d,
 )
-from .measure import bulk_deviation, multiplicity_estimate
+from .measure import bulk_deviation, mixing_energy, multiplicity_estimate
 from .potential import (
     DoubleWell,
     bulk_roots,
@@ -454,7 +454,7 @@ def _ch_disk(config, well, table, eps, grid, u, rep, points, target, sup):
         "ratio": ratio,
         "ratio_error": abs(ratio - 1.0),
         "gt_sup": sup,
-        "energy": rep.energy,
+        "energy": mixing_energy(u, grid, well, eps),
     }
     return metrics, {}
 
@@ -469,8 +469,9 @@ def _across_ch_disk(config, rows):
 
 
 def _ch_planar(config, well, table, eps, grid, u, rep, points, target, sup):
-    energy_error = abs(rep.energy - 2.0 * table.sigma)
-    metrics = {"energy": rep.energy, "energy_error": energy_error}
+    energy = mixing_energy(u, grid, well, eps)
+    energy_error = abs(energy - 2.0 * table.sigma)
+    metrics = {"energy": energy, "energy_error": energy_error}
     return metrics, {"energy_within": energy_error <= config.tolerances["energy"]}
 
 

@@ -2,8 +2,8 @@
 
 The energy density W(u)/eps + eps|grad u|^2/2 concentrates on interfaces as
 eps shrinks; its mass per unit interface length approaches 2*sigma times the
-local sheet count.  This module holds that density (the one the mixing
-energy integrates), the sheet count of a ball derived from its mass, and
+local sheet count.  This module holds that density and the mixing energy
+that integrates it, the sheet count of a ball derived from its mass, and
 the far-from-interface deviation of the field from its bulk plateaus.
 """
 
@@ -23,6 +23,11 @@ def energy_density(
     for g in gradient(values, grid.spacing):
         density = density + 0.5 * eps * g * g
     return density
+
+
+def mixing_energy(values: np.ndarray, grid: Grid, well: DoubleWell, eps: float) -> float:
+    """The mixing energy of a state: its energy density, integrated."""
+    return integrate(energy_density(values, grid, well, eps), grid)
 
 
 def multiplicity_estimate(

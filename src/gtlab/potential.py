@@ -25,6 +25,7 @@ built from the well alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import acos, cos, sqrt
 
 import numpy as np
 
@@ -191,12 +192,17 @@ class ProfileTable:
         if well != self.well:
             raise ValueError(f"{well} does not match the table's {self.well}")
 
+    def _check_nodes(self, use: str) -> None:
+        if self.phi0 is None:
+            raise ValueError(f"{use} needs the Newton nodes phi0 and phi0_prime; none are here")
+
     def interior_residual(self, well: DoubleWell) -> float:
         """Sup norm of -phi0'' + W'(phi0) over interior nodes, by differences.
 
-        ``well`` must be the table's own.
+        ``well`` must be the table's own, and the table must have nodes.
         """
         self._check_well(well)
+        self._check_nodes("interior_residual")
         lap = _second_difference(self.phi0, self.spacing)
         res = -lap + well.derivative(self.phi0[1:-1])
         return float(np.max(np.abs(res)))
@@ -204,6 +210,7 @@ class ProfileTable:
     def save(self, path) -> None:
         """Write the table's constants and phi0 (phi1 and its constants once
         filled) as .npz arrays, readable with np.load."""
+        self._check_nodes("save")
         phi1 = {}
         if self.phi1 is not None:
             phi1 = {
@@ -336,9 +343,10 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     differs from it by a multiple of the kernel phi0', which the
     normalization fixes.
 
-    ``well`` must be the table's own.
+    ``well`` must be the table's own, and the table must have nodes.
     """
     table._check_well(well)
+    table._check_nodes("first_order_correction")
     kern = table.phi0_prime
     sigma = table.sigma
     weights = np.full(kern.size, table.spacing)
@@ -359,26 +367,10 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
 
 
 def _root_near_one(c: float) -> float:
-    """Root of r^3 - r = c on the branch through r = 1 (requires |c| small)."""
-    if c >= 0.0:
-        lo, hi = 1.0, 1.0 + c + 1e-30
-    else:
-        lo, hi = 1.0 + c, 1.0
-    r = 1.0
-    for _ in range(100):
-        val = (r * r - 1.0) * r - c
-        if val > 0.0:
-            hi = r
-        else:
-            lo = r
-        slope = 3.0 * r * r - 1.0
-        r_new = r - val / slope
-        if not (lo <= r_new <= hi):
-            r_new = 0.5 * (lo + hi)
-        if abs(r_new - r) <= 1e-15 * max(1.0, abs(r)):
-            return r_new
-        r = r_new
-    return r
+    """Largest root of r^3 - r = c, the branch through r = 1, by the cubic's
+    trigonometric form; it is real while |c| <= _BRANCH_LIMIT, the domain of
+    the arccos."""
+    return 2.0 * cos(acos(1.5 * sqrt(3.0) * c) / 3.0) / sqrt(3.0)
 
 
 def bulk_roots(well: DoubleWell, eps: float, forcing: float) -> tuple[float, float]:

@@ -57,7 +57,7 @@ bit for bit.  Folded into c copies, the residual has 1/sqrt(c) of the
 box's 2-norm, so the floor, an absolute target, divides by sqrt(c)*||r||_2
 to ask each inner solve for the box's target (and the iteration cap counts
 the box's cells); the relative tolerance and the line search compare norms
-of one grid and need nothing.  Energy and mass are those of the unfolded
+of one grid and need nothing.  The reported mass is that of the unfolded
 state.
 
 A solve stops for one of four reasons, kept in ``SolveReport.stop_reason``:
@@ -83,7 +83,6 @@ from .field import (
     poisson_neumann,
     squared_distance,
 )
-from .measure import energy_density
 from .potential import DoubleWell
 
 # Newton step cap, sup-residual tolerance, backtracking factor, and the
@@ -96,33 +95,19 @@ _MIN_STEP = 2.0**-20
 
 @dataclass
 class SolveReport:
+    """How a solve went: why it stopped, its residual and multiplier, the
+    mass it held fixed and the inner work it took."""
+
     converged: bool
     iterations: int
     residual: float
     multiplier: float
-    energy: float
     mass: float
     stop_reason: str
     # MINRES iterations summed over all Newton steps, and the number of
     # inner solves that ended with info != 0
     krylov_iterations: int
     krylov_failures: int
-
-
-def mixing_energy(
-    values: np.ndarray,
-    grid: Grid,
-    well: DoubleWell,
-    eps: float,
-    long_range: float = 0.0,
-) -> float:
-    """Gradient + well energy, plus the screened long-range term if coupled."""
-    total = integrate(energy_density(values, grid, well, eps), grid)
-    if long_range != 0.0:
-        dev = values - values.mean()
-        v = long_range_potential(values, grid)
-        total += 0.5 * long_range * integrate(v * dev, grid)
-    return total
 
 
 def disk_signed_distance(grid: Grid, center, radius: float) -> np.ndarray:
@@ -459,7 +444,6 @@ def solve_conserved(
         iterations=iters,
         residual=sup,
         multiplier=lam,
-        energy=mixing_energy(u, grid, well, eps, long_range=long_range),
         mass=integrate(u, grid),
         stop_reason=reason,
         krylov_iterations=inner,
@@ -468,7 +452,7 @@ def solve_conserved(
     return u, report
 
 
-def long_range_potential(values: np.ndarray, grid: Grid, coupling: float = 1.0):
+def long_range_potential(values: np.ndarray, grid: Grid, coupling: float):
     """The screened potential gamma*v with -lap(v) = u - mean(u).
 
     The mean is taken out here and again inside `poisson_neumann`; the

@@ -28,6 +28,8 @@ from gtlab.harness import (
     write_contour_csv,
 )
 from gtlab.interface import Contour
+from gtlab.measure import mixing_energy
+from gtlab.potential import DoubleWell
 from gtlab.solve import disk_signed_distance, long_range_potential
 
 
@@ -245,6 +247,26 @@ class TestOneDimensionalSolves:
         row = run_study(StudyConfig(kind=kind, out_dir=str(out), **settings)).rows[0]
         assert row.error == f"RuntimeError: {error}"
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
+
+
+class TestReportedEnergy:
+    @pytest.mark.parametrize(
+        "kind, settings",
+        [("ch-disk", {"eps": (0.04,)}), ("ch-planar", {"eps": (0.02,)})],
+    )
+    def test_energy_is_that_of_the_written_state(self, tmp_path, kind, settings):
+        # the kind measures the mixing energy of the state it writes, bit for bit
+        config = StudyConfig(kind=kind, out_dir=str(tmp_path), **settings)
+        row = run_study(config).rows[0]
+        with np.load(tmp_path / f"{kind}-field-00.npz") as snapshot:
+            values = snapshot["values"]
+            grid = Grid(
+                tuple(float(o) for o in snapshot["origin"]),
+                float(snapshot["spacing"]),
+                values.shape,
+            )
+        well = DoubleWell(config.well_scale)
+        assert row.metrics["energy"] == mixing_energy(values, grid, well, row.eps)
 
 
 class TestMirrorFold:

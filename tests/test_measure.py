@@ -14,10 +14,10 @@ from gtlab.measure import (
     bulk_deviation,
     distance_to_points,
     energy_density,
+    mixing_energy,
     multiplicity_estimate,
 )
 from gtlab.potential import DoubleWell
-from gtlab.solve import mixing_energy
 
 SQRT2 = float(np.sqrt(2.0))
 SIGMA = SQRT2 / 3.0

@@ -236,6 +236,19 @@ class TestClosedFormProfile:
             nodes, 0.01, 0.09, 1.0
         )
 
+    @pytest.mark.parametrize("use", ["first_order_correction", "interior_residual", "save"])
+    def test_node_reads_raise_a_plain_error(self, well, tmp_path, use):
+        bare = closed_form_profile(well)
+        path = tmp_path / "bare.npz"
+        calls = {
+            "first_order_correction": lambda: first_order_correction(bare, well),
+            "interior_residual": lambda: bare.interior_residual(well),
+            "save": lambda: bare.save(path),
+        }
+        with pytest.raises(ValueError, match=f"^{use} needs the Newton nodes"):
+            calls[use]()
+        assert not path.exists()
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
@@ -352,7 +365,27 @@ class TestBulkRoots:
     def test_merge_threshold(self, well):
         with pytest.raises(ValueError):
             bulk_roots(well, MERGE_EPS + 1e-6, FORCING)
-        bulk_roots(well, MERGE_EPS - 1e-3, FORCING)  # still resolvable
+        # still resolvable, at |c| = 0.384, where both roots are past 0.382
+        eps = MERGE_EPS - 1e-3
+        minus, plus = bulk_roots(well, eps, FORCING)
+        assert well.derivative(minus) == pytest.approx(eps * FORCING, abs=1e-12)
+        assert well.derivative(plus) == pytest.approx(eps * FORCING, abs=1e-12)
+        assert minus < -1.0 / np.sqrt(3.0) and plus > 1.0
+
+    def test_roots_solve_equation_across_the_branch(self, well):
+        # W'(r) = c on both well branches for every c short of the merge at
+        # |c| = 2 / (3 sqrt 3), including |c| > (3 - sqrt 5) / 2 = 0.382
+        limit = 2.0 / (3.0 * np.sqrt(3.0))
+        for c in np.linspace(-limit, limit, 402)[1:-1]:
+            minus, plus = bulk_roots(well, 1.0, float(c))
+            assert type(minus) is float and type(plus) is float
+            assert abs(float(well.derivative(plus)) - c) <= 1e-12
+            assert abs(float(well.derivative(minus)) - c) <= 1e-12
+            # a positive forcing lifts both plateaus, a negative one lowers them
+            if c > 0.0:
+                assert plus > 1.0 > -minus
+            else:
+                assert plus < 1.0 < -minus
 
     def test_scale_invariance(self):
         # W' scales by scale^2, so eps/scale^2 is the effective forcing

@@ -13,6 +13,7 @@ from scipy.sparse.linalg import minres as scipy_minres
 from gtlab import harness, solve
 from gtlab.field import Grid, integrate, laplacian, neumann_symbol, sample
 from gtlab.harness import StudyConfig
+from gtlab.measure import mixing_energy
 from gtlab.potential import bulk_roots
 from gtlab.solve import (
     _cosine_jacobian,
@@ -21,7 +22,6 @@ from gtlab.solve import (
     disk_signed_distance,
     long_range_potential,
     minres,
-    mixing_energy,
     solve_conserved,
 )
 
@@ -76,8 +76,9 @@ class TestConserved:
         # discrete transition energy follows the second-order defect law
         # E_h = 2*sigma - (4 sqrt2 / 90) (h/eps)^2 + O((h/eps)^4)
         law = 2.0 * SIGMA - (4.0 * np.sqrt(2.0) / 90.0) * (1.0 / 64.0)
-        assert report.energy == pytest.approx(law, abs=5e-7)
-        assert abs(report.energy - 2.0 * SIGMA) <= 1e-3
+        energy = mixing_energy(u, grid, well, eps)
+        assert energy == pytest.approx(law, abs=5e-7)
+        assert abs(energy - 2.0 * SIGMA) <= 1e-3
 
     def test_disk_multiplier_tracks_curvature(self, well, profile_table):
         radius = 0.3
@@ -130,17 +131,9 @@ class TestLongRange:
         assert report.converged
         assert abs(report.mass) <= 1e-10
         # flat interfaces: sigma*kappa = 0, so lam - v must vanish on them
-        v = long_range_potential(u, grid)
+        v = long_range_potential(u, grid, 1.0)
         v_at = sample(v, grid, np.array([0.25, 0.75]))
         assert np.max(np.abs(report.multiplier - v_at)) <= 0.1
-
-    def test_energy_includes_screened_term(self, well):
-        grid = Grid.box((0.0,), (1.0,), (128,))
-        x = grid.axis(0)
-        u = np.tanh((x - 0.5) / 0.05)
-        base = mixing_energy(u, grid, well, 0.05)
-        coupled = mixing_energy(u, grid, well, 0.05, long_range=1.0)
-        assert coupled > base
 
 
 class TestMeanZeroSteps:
@@ -459,6 +452,25 @@ class TestWorkingSet:
         assert report.converged
         assert peak <= 15 * 8 * n * n
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_folded_solve_peaks_below_four_grid_arrays(self, well, profile_table, gamma):
+        # the same solve, seeded as the ch-disk study seeds it: the 13 arrays
+        # are of the quarter (3.25 box arrays) and the unfolding ends on the
+        # box's state; an energy evaluated on that state inside the solve
+        # would take the peak to about 5.9 box arrays
+        eps, n = 0.02, 200
+        grid, seed = _mirrored_disk_seed(profile_table, eps, n)
+        mass = integrate(seed, grid)
+        neumann_symbol.cache_clear()
+        tracemalloc.start()
+        try:
+            _, report = solve_conserved(well, grid, eps, mass, seed, long_range=gamma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak <= 3.5 * 8 * n * n
+
 
 class TestBall3d:
     def test_ball_converges_without_mass_drift(self, well, profile_table):
@@ -484,9 +496,9 @@ class TestPlanarLayerEnergy:
         for k in (2, 4, 8, 16):
             grid = Grid.box((0.0,), (1.0,), (int(round(k / eps)),))
             seed = profile_table.phi0_at((grid.axis(0) - 0.5) / eps)
-            _, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+            u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
             assert report.converged
-            ratio = report.energy / (2.0 * SIGMA)
+            ratio = mixing_energy(u, grid, well, eps) / (2.0 * SIGMA)
             remainders.append(abs(ratio - 1.0 + (grid.spacing / eps) ** 2 / 15.0))
         for coarse, fine in zip(remainders, remainders[1:]):
             assert fine <= coarse / 12.0
