@@ -100,7 +100,6 @@ _KEY_TYPES = {
     "kind": ("a string", _string),
     "eps": ("a number or a list of numbers", _number_or_list),
     "grid_k": ("a number or a list of numbers", _number_or_list),
-    "well_scale": ("a number", _number),
     "radius": ("a number", _number),
     "center": ("a list of numbers", _numbers),
     "mass": ("a number or null", _optional(_number)),
@@ -130,7 +129,6 @@ class StudyConfig:
     kind: str
     eps: float | tuple[float, ...]
     grid_k: int | tuple[int, ...] = 8
-    well_scale: float = 1.0
     radius: float = 0.25
     center: tuple[float, float] = (0.5, 0.5)
     mass: float | None = None
@@ -160,8 +158,6 @@ class StudyConfig:
         if not all(np.isfinite(k) and int(k) == k and k >= 4 for k in ks):
             raise ValueError("grid_k entries must be finite integers >= 4")
         object.__setattr__(self, "grid_k", tuple(int(k) for k in ks))
-        if not (self.well_scale > 0.0 and np.isfinite(self.well_scale)):
-            raise ValueError("well_scale must be positive and finite")
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         center = tuple(float(c) for c in self.center)
@@ -324,19 +320,10 @@ PROFILE_SPACING = 4e-4
 
 
 def _study_profile(config, well, table, eps, k, out, index):
-    scale = well.scale
-    # the profile's tails decay like exp(-sqrt(2) * scale * r), so a well
-    # wider than scale 1 gets the window 20 / scale, on whole knots, for its
-    # tails to settle as far as they do at scale 1
-    half_width = 20.0
-    if scale < 1.0:
-        half_width = round(20.0 / scale / PROFILE_SPACING) * PROFILE_SPACING
-    table = first_order_correction(
-        optimal_profile(well, half_width=half_width, spacing=PROFILE_SPACING), well
-    )
+    table = first_order_correction(optimal_profile(well, spacing=PROFILE_SPACING), well)
     # the Newton nodes against the closed form, which phi0_at evaluates
     tanh_gap = float(np.max(np.abs(table.phi0 - well.transition(table.positions))))
-    tail = SQRT2 / (6.0 * scale)
+    tail = SQRT2 / 6.0
     tail_error = max(
         abs(float(table.phi1[0]) - tail), abs(float(table.phi1[-1]) - tail)
     )
@@ -633,7 +620,6 @@ _FLAT = "flat interface: v = lambda"
 _BULK = "|u - lambda_pm| <= eps^2 off the interface"
 _DEFECT = "defect <= (7/9) * force"
 _SHEETS = "ball mass / (2 sigma omega r) -> sheet count"
-_SIGMA = "sigma = scale * sqrt(2)/3"
 
 STUDIES = {
     "profile": _Study(
@@ -647,11 +633,11 @@ STUDIES = {
             "equipartition": 1e-8,
         },
         anchors={
-            "sigma": _SIGMA,
+            "sigma": "sigma = sqrt(2)/3",
             "sigma_error": _LAYER,
             "profile_residual": "phi0'' = W'(phi0)",
-            "tanh_gap": "phi0(r) = tanh(scale * r / sqrt(2))",
-            "tail_error": "phi1(+-inf) = sqrt(2) / (6 * scale)",
+            "tanh_gap": "phi0(r) = tanh(r / sqrt(2))",
+            "tail_error": "phi1(+-inf) = sqrt(2) / 6",
             "equipartition": "phi0'^2 / 2 = W(phi0)",
         },
     ),
@@ -759,7 +745,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     check holds.
     """
     study = STUDIES[config.kind]
-    well = DoubleWell(scale=config.well_scale)
+    well = DoubleWell()
     table = closed_form_profile(well)
     out = None
     if config.out_dir is not None:

@@ -1,7 +1,9 @@
-"""Double-well potentials, optimal transition profiles, and bulk root asymptotics.
+"""The double well, its optimal transition profile, and bulk root asymptotics.
 
-The scaled quartic well W(r) = scale^2 (1 - r^2)^2 / 4 has wells at r = -1, +1.
-Associated objects built here:
+The quartic well W(r) = (1 - r^2)^2 / 4 has wells at r = -1, +1.  It is
+the only well: the scaled well s^2 W is this one at width eps / s, with
+lambda, sigma and the energy multiplied by s, so it reaches no state that
+another eps does not.  Associated objects built here:
 
 * the surface tension (integral of sqrt(W/2) between the wells, in closed
   form: sqrt(W/2) is a polynomial on [-1, 1]),
@@ -16,8 +18,8 @@ Associated objects built here:
 The Newton-solved nodes are what the profile study checks against the
 closed forms.  Every other use evaluates the profile at arbitrary points
 (``ProfileTable.phi0_at`` and ``phi1_at``), and that evaluation is the
-closed form itself, one tanh per point: phi0 = tanh(scale r / sqrt 2),
-phi0' = scale (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1).
+closed form itself, one tanh per point: phi0 = tanh(r / sqrt 2),
+phi0' = (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1).
 So those uses take a table with no nodes at all (``closed_form_profile``),
 built from the well alone.
 """
@@ -44,46 +46,39 @@ _BRANCH_LIMIT = 2.0 / (3.0 * np.sqrt(3.0))
 
 @dataclass(frozen=True)
 class DoubleWell:
-    """Quartic double well W(r) = scale^2 (1 - r^2)^2 / 4 with wells at -1, +1."""
-
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+    """Quartic double well W(r) = (1 - r^2)^2 / 4 with wells at -1, +1."""
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
         q = 1.0 - r * r
-        return self.scale**2 * q * q / 4.0
+        return q * q / 4.0
 
     def derivative(self, r, out=None):
         """W'(r), written into ``out`` (not r itself) when it is given."""
         r = np.asarray(r, dtype=float)
         w = np.multiply(r, r, out=out)
         w -= 1.0
-        w *= self.scale**2
         w *= r
         return w
 
     def second_derivative(self, r):
         r = np.asarray(r, dtype=float)
-        return self.scale**2 * (3.0 * r * r - 1.0)
+        return 3.0 * r * r - 1.0
 
     def transition(self, r):
-        """Closed-form optimal profile tanh(scale * r / sqrt(2))."""
+        """Closed-form optimal profile tanh(r / sqrt(2))."""
         r = np.asarray(r, dtype=float)
-        return np.tanh(self.scale * r / SQRT2)
+        return np.tanh(r / SQRT2)
 
 
 def surface_tension(well: DoubleWell) -> float:
-    """Integral of sqrt(W/2) over [-1, 1], in closed form: scale * sqrt(2) / 3.
+    """Integral of sqrt(W/2) over [-1, 1], in closed form: sqrt(2) / 3.
 
-    On [-1, 1] sqrt(W/2) is the polynomial scale * (1 - r^2) / (2 sqrt 2),
-    so its integral is exact.  The profile study checks sigma against the
-    energy per layer, 2 * sigma, of the tabulated profile.
+    On [-1, 1] sqrt(W/2) is the polynomial (1 - r^2) / (2 sqrt 2), so its
+    integral is exact.  The profile study checks sigma against the energy
+    per layer, 2 * sigma, of the tabulated profile.
     """
-    return well.scale * SQRT2 / 3.0
+    return SQRT2 / 3.0
 
 
 def _second_difference(values: np.ndarray, spacing: float) -> np.ndarray:
@@ -130,10 +125,11 @@ class ProfileTable:
     on the truncated line that the profile study checks; a table from
     ``closed_form_profile`` has none.  ``phi0_at`` and ``phi1_at`` evaluate
     the closed form instead, elementwise, so mirrored points give mirrored
-    values bit for bit: phi0 is ``well.transition``, phi0' = scale (1 -
-    phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1), with sigma and
-    W''(1) taken from the well, never from ``sigma``.  Outside the window
-    the profile takes its limits, +-1 for phi0 and sigma / W''(1) for phi1.
+    values bit for bit: phi0 is ``well.transition``,
+    phi0' = (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1), with
+    sigma and W''(1) taken from the well, never from ``sigma``.  Outside the
+    window the profile takes its limits, +-1 for phi0 and sigma / W''(1) for
+    phi1.
     NaN gives NaN.
     """
 
@@ -156,24 +152,21 @@ class ProfileTable:
         r itself); a nonzero phi1_weight needs one scratch array of the
         points' size, ``work`` when it is given.
         """
-        scale = self.well.scale
         r = np.asarray(r, dtype=float)
         # beyond the window its limits take over
         below = r < -self.half_width
         above = r > self.half_width
         # well.transition's operations, in its order; out= keeps a single
         # point an array, so every step below works in place
-        out = np.multiply(scale, r, out=np.empty(r.shape) if out is None else out)
-        out /= SQRT2
+        out = np.divide(r, SQRT2, out=np.empty(r.shape) if out is None else out)
         np.tanh(out, out=out)
         out[below] = -1.0
         out[above] = 1.0
         if phi1_weight:
-            # phi0' = scale (1 - phi0^2) / sqrt 2, then (sigma - phi0') / W''(1)
+            # phi0' = (1 - phi0^2) / sqrt 2, then (sigma - phi0') / W''(1)
             phi1 = np.empty(r.shape) if work is None else work
             np.multiply(out, out, out=phi1)
             np.subtract(1.0, phi1, out=phi1)
-            phi1 *= scale
             phi1 /= SQRT2
             np.subtract(surface_tension(self.well), phi1, out=phi1)
             phi1 /= float(self.well.second_derivative(1.0))
@@ -188,10 +181,6 @@ class ProfileTable:
     def phi1_at(self, r):
         return self._eval(0.0, 1.0, r)
 
-    def _check_well(self, well: DoubleWell) -> None:
-        if well != self.well:
-            raise ValueError(f"{well} does not match the table's {self.well}")
-
     def _check_nodes(self, use: str) -> None:
         if self.phi0 is None:
             raise ValueError(f"{use} needs the Newton nodes phi0 and phi0_prime; none are here")
@@ -199,9 +188,8 @@ class ProfileTable:
     def interior_residual(self, well: DoubleWell) -> float:
         """Sup norm of -phi0'' + W'(phi0) over interior nodes, by differences.
 
-        ``well`` must be the table's own, and the table must have nodes.
+        The table must have nodes.
         """
-        self._check_well(well)
         self._check_nodes("interior_residual")
         lap = _second_difference(self.phi0, self.spacing)
         res = -lap + well.derivative(self.phi0[1:-1])
@@ -336,16 +324,14 @@ def first_order_correction(table: ProfileTable, well: DoubleWell) -> ProfileTabl
     side into the even function sigma - phi0'.
 
     For the quartic well the solution is closed form.  On the profile
-    phi0' = scale (1 - phi0^2) / sqrt 2, so W''(phi0) = W''(1) -
-    3 sqrt2 scale phi0', and L maps the constant sigma / W''(1) to
-    sigma - (3 sqrt2 scale sigma / W''(1)) phi0' = sigma - phi0', because
-    sigma = scale sqrt2 / 3 and W''(1) = 2 scale^2.  Any other solution
-    differs from it by a multiple of the kernel phi0', which the
-    normalization fixes.
+    phi0' = (1 - phi0^2) / sqrt 2, so W''(phi0) = 3 phi0^2 - 1 = W''(1) -
+    3 sqrt2 phi0', and L maps the constant sigma / W''(1) to
+    sigma - (3 sqrt2 sigma / W''(1)) phi0' = sigma - phi0', because
+    sigma = sqrt2 / 3 and W''(1) = 2.  Any other solution differs from it
+    by a multiple of the kernel phi0', which the normalization fixes.
 
-    ``well`` must be the table's own, and the table must have nodes.
+    The table must have nodes.
     """
-    table._check_well(well)
     table._check_nodes("first_order_correction")
     kern = table.phi0_prime
     sigma = table.sigma
@@ -378,15 +364,14 @@ def bulk_roots(well: DoubleWell, eps: float, forcing: float) -> tuple[float, flo
 
     Both roots continue the wells -1 and +1.  They exist only while the
     forcing stays below the local extremum of W' between well and barrier;
-    the merge threshold is eps_crit = scale^2 * 2 / (3 sqrt(3) |forcing|).
+    the merge threshold is eps_crit = 2 / (3 sqrt(3) |forcing|).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    c = eps * forcing / well.scale**2
+    c = eps * forcing
     if abs(c) >= _BRANCH_LIMIT:
         raise ValueError(
-            f"bulk roots merge: |eps*forcing|/scale^2 = {abs(c):.6g} "
-            f">= {_BRANCH_LIMIT:.6g}"
+            f"bulk roots merge: |eps*forcing| = {abs(c):.6g} >= {_BRANCH_LIMIT:.6g}"
         )
     plus = _root_near_one(c)
     minus = -_root_near_one(-c)

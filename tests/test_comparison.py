@@ -615,10 +615,10 @@ class TestBuildSubsolution:
 
 
 def phi0_prime_at(table, z):
-    """phi0' by the rule of the table's phi1_at: scale (1 - phi0^2) / sqrt 2
-    on phi0_at, so 0 outside the window, where phi0_at is +-1."""
+    """phi0' by the rule of the table's phi1_at: (1 - phi0^2) / sqrt 2 on
+    phi0_at, so 0 outside the window, where phi0_at is +-1."""
     phi0 = table.phi0_at(z)
-    return table.well.scale * (1.0 - phi0 * phi0) / SQRT2
+    return (1.0 - phi0 * phi0) / SQRT2
 
 
 class TestFlatDefectClosedForm:

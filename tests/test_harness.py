@@ -109,8 +109,6 @@ class TestStudyConfig:
             StudyConfig(kind="ch-disk", eps=(0.04,), radius=0.0)
         with pytest.raises(ValueError, match="center"):
             StudyConfig(kind="ch-disk", eps=(0.04,), center=(0.5,))
-        with pytest.raises(ValueError, match="well_scale"):
-            StudyConfig(kind="gap", eps=(0.01,), well_scale=-1.0)
         with pytest.raises(ValueError, match="mass"):
             StudyConfig(kind="ch-disk", eps=(0.04,), mass=np.nan)
 
@@ -177,18 +175,6 @@ class TestProfileStudy:
         with np.load(out / "profile-table.npz") as blob:
             assert blob["phi0"].size == blob["phi1"].size > 0
         assert (out / "report.json").is_file()
-
-    def test_wide_well_tails_settle(self):
-        # the tails of a scale-0.5 profile decay half as fast, so its table
-        # spans the window 20 / scale; on the scale-1 window phi1's end
-        # values missed the closed form by 2.0e-6, against the gate 1e-6
-        config = StudyConfig.from_mapping(
-            {"kind": "profile", "eps": [0.02], "well_scale": 0.5}
-        )
-        report = run_study(config)
-        assert report.rows[0].checks["tail_within"]
-        assert report.rows[0].metrics["tail_error"] <= 1e-10
-        assert report.passed
 
 
 class TestMultiplicityStudy:
@@ -265,8 +251,7 @@ class TestReportedEnergy:
                 float(snapshot["spacing"]),
                 values.shape,
             )
-        well = DoubleWell(config.well_scale)
-        assert row.metrics["energy"] == mixing_energy(values, grid, well, row.eps)
+        assert row.metrics["energy"] == mixing_energy(values, grid, DoubleWell(), row.eps)
 
 
 class TestMirrorFold:
@@ -403,24 +388,19 @@ class TestFailureRecording:
         assert report.rows[1].error is None
         assert not report.passed
 
-    @pytest.mark.parametrize(
-        "scale, error",
-        [(1e100, "RuntimeError: profile Newton stalled"), (1e160, "OverflowError")],
-        ids=["1e100", "1e160"],
-    )
-    def test_table_failure_fails_every_row(self, tmp_path, capsys, scale, error):
-        # a well whose profile table cannot be built still gets a report:
-        # every row carries the failure and the CLI exits 1
+    def test_every_row_failing_still_writes_the_report(self, tmp_path, capsys):
+        # the margin 10 * eps swallows the unit square at both widths, so
+        # every row carries the failure, the CLI exits 1 and the report is
+        # still written
         path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps({"kind": "profile", "eps": [0.01, 0.005], "well_scale": scale})
-        )
+        path.write_text(json.dumps({"kind": "gt-check", "eps": [0.1, 0.08], "grid_k": 4}))
         out = tmp_path / "out"
         assert main(["study", "--config", str(path), "--out", str(out)]) == 1
         assert "result: FAIL" in capsys.readouterr().out
         report = json.loads((out / "report.json").read_text())
         assert not report["passed"]
-        assert [row["error"].startswith(error) for row in report["rows"]] == [True, True]
+        error = "ValueError: margin leaves no bulk cells to check"
+        assert [row["error"] for row in report["rows"]] == [error, error]
 
 
 class TestReportPayload:
@@ -522,6 +502,17 @@ class TestCommandLine:
     def test_study_requires_config(self, capsys):
         assert main(["study"]) == 2
         assert "--config" in capsys.readouterr().err
+
+    def test_well_scale_is_not_a_key(self, tmp_path, capsys):
+        # W(r) = (1 - r^2)^2 / 4 is the only well; a scaled well is this one
+        # at another eps
+        mapping = {"kind": "gap", "eps": [0.01], "well_scale": 1.0}
+        with pytest.raises(ValueError, match="^unknown config key\\(s\\): well_scale$"):
+            StudyConfig.from_mapping(mapping)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(mapping))
+        assert main(["study", "--config", str(path)]) == 2
+        assert "unknown config key(s): well_scale" in capsys.readouterr().err
 
     def test_unknown_key_named_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

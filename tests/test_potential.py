@@ -36,7 +36,7 @@ LAM_PLUS_001 = 1.00441516094144365
 LAM_MINUS_001 = -0.995525569554061849
 BETA_PLUS_001 = 1.00332888193813046
 BETA_MINUS_001 = -0.996662303417711131
-MERGE_EPS = 0.43301270189221932  # sqrt(3)/4 for unit scale and unit force
+MERGE_EPS = 0.43301270189221932  # sqrt(3)/4 for unit force
 # The bulk roots are frozen at the forcing of the comparison argument,
 # (8/9) * force with unit force.
 FORCING = 8.0 / 9.0
@@ -52,49 +52,28 @@ class TestDoubleWell:
         assert well.value(0.0) == pytest.approx(0.25)
         assert well.second_derivative(1.0) == pytest.approx(2.0)
 
-    @given(st.floats(0.25, 4.0), st.floats(-3.0, 3.0))
-    def test_scaling(self, scale, r):
-        base = DoubleWell()
-        scaled = DoubleWell(scale=scale)
-        assert scaled.value(r) == pytest.approx(scale**2 * base.value(r), rel=1e-12)
-        assert scaled.second_derivative(1.0) == pytest.approx(2 * scale**2, rel=1e-12)
-
     @given(st.floats(-5.0, 5.0))
     def test_transition_odd(self, r):
-        well = DoubleWell(scale=1.5)
+        well = DoubleWell()
         assert well.transition(-r) == pytest.approx(-well.transition(r), abs=1e-15)
 
     def test_derivative_consistency(self):
-        well = DoubleWell(scale=0.7)
+        well = DoubleWell()
         r = np.linspace(-2, 2, 41)
         h = 1e-6
         numeric = (well.value(r + h) - well.value(r - h)) / (2 * h)
         assert np.allclose(numeric, well.derivative(r), atol=1e-7)
-
-    def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            DoubleWell(scale=0.0)
-        with pytest.raises(ValueError):
-            DoubleWell(scale=-1.0)
 
 
 class TestSurfaceTension:
     def test_quadrature_matches_closed_form(self, well):
         assert abs(surface_tension(well) - SIGMA) <= 1e-12
 
-    @given(st.floats(0.5, 2.5))
-    @settings(max_examples=20)
-    def test_scales_linearly(self, scale):
-        value = surface_tension(DoubleWell(scale=scale))
-        assert value == pytest.approx(scale * SIGMA, rel=1e-9)
-
-    def test_closed_form_bits(self):
+    def test_closed_form_bits(self, well):
         # sqrt(W/2) is a polynomial on [-1, 1], so sigma is its exact
         # integral and every profile table carries those bits
-        for s in (0.5, 1.0, 1.7):
-            sigma = s * SQRT2 / 3.0
-            assert surface_tension(DoubleWell(s)) == sigma
-            assert optimal_profile(DoubleWell(s), half_width=8.0, spacing=2e-3).sigma == sigma
+        assert surface_tension(well) == SIGMA
+        assert optimal_profile(well, half_width=8.0, spacing=2e-3).sigma == SIGMA
 
 
 class TestOptimalProfile:
@@ -115,13 +94,6 @@ class TestOptimalProfile:
     def test_monotone(self, profile_table):
         assert np.all(np.diff(profile_table.phi0) > 0.0)
 
-    def test_scaled_well_profile(self):
-        well = DoubleWell(scale=1.5)
-        table = optimal_profile(well, half_width=8.0, spacing=2e-3)
-        exact = np.tanh(1.5 * table.positions / SQRT2)
-        assert np.max(np.abs(table.phi0 - exact)) <= 1e-5
-        assert table.sigma == pytest.approx(1.5 * SIGMA, rel=1e-10)
-
     def test_spline_and_tails(self, profile_table):
         assert abs(profile_table.phi0_at(0.0)) <= 1e-15
         assert profile_table.phi0_at(25.0) == 1.0
@@ -136,6 +108,16 @@ class TestOptimalProfile:
             optimal_profile(well, half_width=20.0, spacing=3e-4)  # not a divisor
         with pytest.raises(ValueError):
             optimal_profile(well, half_width=0.001, spacing=1e-3)
+
+    def test_stall_is_reported(self):
+        # a Jacobian of the wrong sign and size leaves the residual above
+        # the tolerance, and the Newton loop says where it stopped
+        class WrongCurvature(DoubleWell):
+            def second_derivative(self, r):
+                return -10.0 * super().second_derivative(r)
+
+        with pytest.raises(RuntimeError, match="^profile Newton stalled at residual"):
+            optimal_profile(WrongCurvature(), half_width=8.0, spacing=2e-3)
 
 
 class TestFirstOrderCorrection:
@@ -180,13 +162,11 @@ class TestFirstOrderCorrection:
         )
         assert np.max(np.abs(res)) <= 1e-5
 
-    @pytest.mark.parametrize("scale", [1.0, 1.7])
-    def test_matches_continuum_closed_form(self, scale):
-        # phi1 = (sigma - phi0') / W''(1) with phi0' = (s / sqrt2) sech^2(s r / sqrt2)
-        well = DoubleWell(scale)
-        table = first_order_correction(optimal_profile(well), well)
-        x = scale * table.positions / SQRT2
-        exact = (table.sigma - (scale / SQRT2) / np.cosh(x) ** 2) / (2.0 * scale**2)
+    def test_matches_continuum_closed_form(self, profile_table):
+        # phi1 = (sigma - phi0') / W''(1) with phi0' = sech^2(r / sqrt2) / sqrt2
+        table = profile_table
+        x = table.positions / SQRT2
+        exact = (table.sigma - (1.0 / SQRT2) / np.cosh(x) ** 2) / 2.0
         assert np.max(np.abs(table.phi1 - exact)) <= 2e-8
 
     def test_phi1_ignores_the_sigma_field(self, profile_table):
@@ -203,26 +183,13 @@ class TestFirstOrderCorrection:
         assert table.phi1 is None
         assert table.phi1_at(0.0) == pytest.approx(PHI1_AT_ZERO, abs=1e-15)
 
-    def test_well_must_match_the_table(self):
-        # a second well would give phi1 nodes whose tail disagrees with
-        # phi1_at, which reads the table's own well
-        table = optimal_profile(DoubleWell(1.0), half_width=8.0, spacing=2e-3)
-        with pytest.raises(ValueError, match="does not match"):
-            first_order_correction(table, DoubleWell(2.0))
-        with pytest.raises(ValueError, match="does not match"):
-            table.interior_residual(DoubleWell(2.0))
-        assert table.phi1 is None
-        first_order_correction(table, DoubleWell(1.0))
-        assert table.phi1_tail_plus == table.phi1_at(100.0)
 
 
 class TestClosedFormProfile:
-    @pytest.mark.parametrize("scale", [1.0, 1.7, 0.5])
-    def test_same_bits_as_the_newton_table(self, scale):
+    def test_same_bits_as_the_newton_table(self, well, profile_table):
         # the node-less table clamps at the Newton table's window, so every
         # seed, field and plateau reads the same bits from either
-        well = DoubleWell(scale)
-        nodes = first_order_correction(optimal_profile(well), well)
+        nodes = profile_table
         bare = closed_form_profile(well)
         assert bare.half_width == nodes.half_width == 20.0
         assert bare.sigma == nodes.sigma
@@ -258,9 +225,7 @@ class TestProfileTableSpline:
     """Evaluation at arbitrary points: the closed form, one tanh per point,
     with the limits outside the window."""
 
-    @pytest.mark.parametrize("scale", [1.0, 1.7])
-    def test_evaluation_equals_closed_form(self, scale):
-        well = DoubleWell(scale)
+    def test_evaluation_equals_closed_form(self, well):
         table = first_order_correction(optimal_profile(well, half_width=8.0, spacing=2e-3), well)
         w = table.half_width
         points = np.concatenate(
@@ -273,7 +238,7 @@ class TestProfileTableSpline:
         inside = np.abs(points) <= table.half_width
         phi0 = np.where(inside, well.transition(points), np.sign(points))
         assert np.array_equal(_bits(table.phi0_at(points)), _bits(phi0))
-        prime = scale * (1.0 - phi0 * phi0) / SQRT2
+        prime = (1.0 - phi0 * phi0) / SQRT2
         phi1 = (surface_tension(well) - prime) / well.second_derivative(1.0)
         assert np.array_equal(_bits(table.phi1_at(points)), _bits(phi1))
         # one evaluation gives phi0 + c * phi1 with the bits of the two
@@ -386,13 +351,6 @@ class TestBulkRoots:
                 assert plus > 1.0 > -minus
             else:
                 assert plus < 1.0 < -minus
-
-    def test_scale_invariance(self):
-        # W' scales by scale^2, so eps/scale^2 is the effective forcing
-        a = bulk_roots(DoubleWell(scale=2.0), 0.08, FORCING)
-        b = bulk_roots(DoubleWell(scale=1.0), 0.02, FORCING)
-        assert a[0] == pytest.approx(b[0], abs=1e-14)
-        assert a[1] == pytest.approx(b[1], abs=1e-14)
 
     def test_eps_validation(self, well):
         with pytest.raises(ValueError):
