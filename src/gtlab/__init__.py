@@ -52,6 +52,7 @@ from gtlab.measure import (
     multiplicity_estimate,
 )
 from gtlab.potential import (
+    SIGMA,
     DoubleWell,
     ProfileTable,
     bulk_roots,
@@ -59,7 +60,6 @@ from gtlab.potential import (
     far_field_values,
     first_order_correction,
     optimal_profile,
-    surface_tension,
 )
 from gtlab.solve import (
     SolveReport,
@@ -77,6 +77,7 @@ __all__ = [
     "GraphPatch",
     "Grid",
     "ProfileTable",
+    "SIGMA",
     "SolveReport",
     "StudyConfig",
     "StudyReport",
@@ -110,7 +111,6 @@ __all__ = [
     "signed_distance",
     "solve_cmc_graph",
     "solve_conserved",
-    "surface_tension",
     "verify_subsolution",
     "write_report",
     "zero_crossings_1d",

@@ -409,7 +409,6 @@ def build_subsolution(
     table: ProfileTable,
     force: float,
     grid: Grid,
-    well: DoubleWell,
     write: Callable[[slice, np.ndarray, np.ndarray], None],
 ) -> SubsolutionField:
     """Profile riding on the saturated signed distance to the graph.
@@ -500,7 +499,7 @@ def build_subsolution(
         # -eps * lap + W'(values) / eps
         defect = lap[1 - lo : 1 - lo + n]
         defect *= -eps
-        well_term = well.derivative(values, out=lap_work[0][:n])
+        well_term = DoubleWell.derivative(values, out=lap_work[0][:n])
         well_term /= eps
         defect += well_term
         # np.maximum, not max: a NaN anywhere in the defect is kept
@@ -534,9 +533,7 @@ def verify_subsolution(sub: SubsolutionField, slack: float) -> DefectCertificate
     return DefectCertificate(max_defect, bound, max_defect <= bound + slack)
 
 
-def asymptotic_gap(
-    well: DoubleWell, table: ProfileTable, force: float, eps: float
-) -> tuple[float, float]:
+def asymptotic_gap(table: ProfileTable, force: float, eps: float) -> tuple[float, float]:
     """Normalized gaps between bulk roots and plateau values at one width.
 
     The bulk roots under the forcing (8/9) * force, the roots of
@@ -550,6 +547,6 @@ def asymptotic_gap(
     schedule = make_schedule(float(eps))
     # the barrier argument compares against the bulk state forced at
     # (8/9) * force, strictly above the (7/9) * force defect bound
-    lam_minus, lam_plus = bulk_roots(well, eps, (8.0 / 9.0) * force)
+    lam_minus, lam_plus = bulk_roots(eps, (8.0 / 9.0) * force)
     beta_minus, beta_plus = far_field_values(table, eps, schedule.saturation, force)
     return (lam_plus - beta_plus) / eps, (lam_minus - beta_minus) / eps

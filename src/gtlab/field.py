@@ -54,6 +54,8 @@ class Grid:
         widths = [hi - lo for lo, hi in zip(lower, upper)]
         if any(w <= 0.0 for w in widths):
             raise ValueError("box bounds are out of order")
+        if any(n < 2 for n in n_cells):
+            raise ValueError("each axis needs at least 2 cells")
         spacing = widths[0] / n_cells[0]
         if any(abs(w / n - spacing) > 1e-12 * spacing for w, n in zip(widths, n_cells)):
             raise ValueError("cells must be square; adjust counts or bounds")

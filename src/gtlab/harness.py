@@ -319,16 +319,17 @@ def write_contour_csv(path, contour: Contour, kappa, force, sigma: float) -> Non
 PROFILE_SPACING = 4e-4
 
 
-def _study_profile(config, well, table, eps, k, out, index):
+def _study_profile(config, table, eps, k, out, index):
+    well = DoubleWell()
     table = first_order_correction(optimal_profile(well, spacing=PROFILE_SPACING), well)
     # the Newton nodes against the closed form, which phi0_at evaluates
-    tanh_gap = float(np.max(np.abs(table.phi0 - well.transition(table.positions))))
+    tanh_gap = float(np.max(np.abs(table.phi0 - DoubleWell.transition(table.positions))))
     tail = SQRT2 / 6.0
     tail_error = max(
         abs(float(table.phi1[0]) - tail), abs(float(table.phi1[-1]) - tail)
     )
     kinetic = 0.5 * table.phi0_prime**2
-    bulk = well.value(table.phi0)
+    bulk = DoubleWell.value(table.phi0)
     equi = float(np.max(np.abs(kinetic - bulk)))
     # one layer carries energy 2 * sigma: the trapezoid integral of
     # phi0'^2 / 2 + W(phi0) over the table, halved, is sigma
@@ -338,7 +339,7 @@ def _study_profile(config, well, table, eps, k, out, index):
     metrics = {
         "sigma": table.sigma,
         "sigma_error": abs(0.5 * layer - table.sigma),
-        "profile_residual": table.interior_residual(well),
+        "profile_residual": table.interior_residual(),
         "tanh_gap": tanh_gap,
         "tail_error": tail_error,
         "equipartition": equi,
@@ -391,16 +392,16 @@ def _solved(seed, measure, coupled=False):
     solves with gamma = config.coupling.  Before any write, the interface
     is located (contour vertices and windowed kappa in 2D, crossings and
     kappa = 0 in 1D; none raises) and sup is the largest residual there of
-    sigma * kappa = target = lambda - gamma * v.  measure(config, well,
-    table, eps, grid, u, rep, points, target, sup) returns the kind's own
-    metrics and checks; lambda, h and solver_converged are added here.
+    sigma * kappa = target = lambda - gamma * v.  measure(config, table,
+    eps, grid, u, rep, points, target, sup) returns the kind's own metrics
+    and checks; lambda, h and solver_converged are added here.
     """
 
-    def run(config, well, table, eps, k, out, index):
+    def run(config, table, eps, k, out, index):
         grid, values = seed(config, table, eps, k)
         mass = integrate(values, grid) if config.mass is None else config.mass
         gamma = config.coupling if coupled else 0.0
-        u, rep = solve_conserved(well, grid, eps, mass, values, long_range=gamma)
+        u, rep = solve_conserved(grid, eps, mass, values, long_range=gamma)
         del values
         if grid.ndim == 2:
             contour = _main_contour(u, grid)
@@ -425,7 +426,7 @@ def _solved(seed, measure, coupled=False):
         elif out is not None:
             name = f"{config.kind}-interface-{index:02d}.csv"
             write_contour_csv(out / name, contour, kappa, target, table.sigma)
-        metrics, checks = measure(config, well, table, eps, grid, u, rep, points, target, sup)
+        metrics, checks = measure(config, table, eps, grid, u, rep, points, target, sup)
         metrics.update({"lambda": lam, "h": grid.spacing})
         checks["solver_converged"] = rep.converged
         return metrics, checks
@@ -433,7 +434,7 @@ def _solved(seed, measure, coupled=False):
     return run
 
 
-def _ch_disk(config, well, table, eps, grid, u, rep, points, target, sup):
+def _ch_disk(config, table, eps, grid, u, rep, points, target, sup):
     r_eps = _shoelace_radius(points)
     ratio = rep.multiplier * r_eps / table.sigma
     metrics = {
@@ -441,7 +442,7 @@ def _ch_disk(config, well, table, eps, grid, u, rep, points, target, sup):
         "ratio": ratio,
         "ratio_error": abs(ratio - 1.0),
         "gt_sup": sup,
-        "energy": mixing_energy(u, grid, well, eps),
+        "energy": mixing_energy(u, grid, eps),
     }
     return metrics, {}
 
@@ -455,30 +456,30 @@ def _across_ch_disk(config, rows):
     }
 
 
-def _ch_planar(config, well, table, eps, grid, u, rep, points, target, sup):
-    energy = mixing_energy(u, grid, well, eps)
+def _ch_planar(config, table, eps, grid, u, rep, points, target, sup):
+    energy = mixing_energy(u, grid, eps)
     energy_error = abs(energy - 2.0 * table.sigma)
     metrics = {"energy": energy, "energy_error": energy_error}
     return metrics, {"energy_within": energy_error <= config.tolerances["energy"]}
 
 
-def _ok_disk(config, well, table, eps, grid, u, rep, points, target, sup):
+def _ok_disk(config, table, eps, grid, u, rep, points, target, sup):
     scale = float(np.max(np.abs(target)))
     metrics = {"ok_sup": sup, "ok_scale": scale}
     return metrics, {"balance_within": sup <= config.tolerances["balance"] * scale}
 
 
-def _ok_lamellar(config, well, table, eps, grid, u, rep, points, target, sup):
+def _ok_lamellar(config, table, eps, grid, u, rep, points, target, sup):
     # a flat layer has kappa = 0, so sup is max |lambda - gamma * v|
     metrics = {"flat_sup": sup, "n_crossings": float(points.size)}
     return metrics, {"flat_within": sup <= config.tolerances["flat"]}
 
 
-def _gt_check(config, well, table, eps, grid, u, rep, points, target, sup):
+def _gt_check(config, table, eps, grid, u, rep, points, target, sup):
     lam = rep.multiplier
     # bulk plateaus continue the wells under the constant forcing lam:
     # roots of W'(r) = eps * lam
-    lam_minus, lam_plus = bulk_roots(well, eps, lam)
+    lam_minus, lam_plus = bulk_roots(eps, lam)
     dev = bulk_deviation(u, grid, points, 10.0 * eps, lam_plus, lam_minus)
     metrics = {"gt_sup": sup, "bulk_dev": dev, "bulk_bound": eps * eps}
     checks = {
@@ -488,7 +489,7 @@ def _gt_check(config, well, table, eps, grid, u, rep, points, target, sup):
     return metrics, checks
 
 
-def _study_subsolution(config, well, table, eps, k, out, index):
+def _study_subsolution(config, table, eps, k, out, index):
     force = config.force
     if not force > 0.0:
         raise ValueError("subsolution studies need positive force")
@@ -519,7 +520,7 @@ def _study_subsolution(config, well, table, eps, k, out, index):
             write_field(values)
             write_defect(defect)
 
-        sub = build_subsolution(patch, schedule, table, force, grid, well, write)
+        sub = build_subsolution(patch, schedule, table, force, grid, write)
     cert = verify_subsolution(sub, slack=config.tolerances["slack"] * force)
     metrics = {
         "max_defect": cert.max_defect,
@@ -548,7 +549,7 @@ def _across_subsolution(config, rows):
     }
 
 
-def _study_multiplicity(config, well, table, eps, k, out, index):
+def _study_multiplicity(config, table, eps, k, out, index):
     grid = _unit_box(eps, k, 1)
     x = grid.axis(0)
     center = config.center[0]
@@ -563,7 +564,7 @@ def _study_multiplicity(config, well, table, eps, k, out, index):
             u += (-1.0) ** i * table.phi0_at((x - center - off) / eps)
         if layers % 2 == 0:
             u -= 1.0
-        est = multiplicity_estimate(u, grid, well, eps, table.sigma, center, 8.0 * eps)
+        est = multiplicity_estimate(u, grid, eps, table.sigma, center, 8.0 * eps)
         metrics[f"est_{layers}"] = est
         exact = exact and round(est) == layers
         within = within and abs(est - layers) <= config.tolerances["estimate"]
@@ -574,8 +575,8 @@ def _study_multiplicity(config, well, table, eps, k, out, index):
     return metrics, checks
 
 
-def _study_gap(config, well, table, eps, k, out, index):
-    upper, lower = asymptotic_gap(well, table, config.force, eps)
+def _study_gap(config, table, eps, k, out, index):
+    upper, lower = asymptotic_gap(table, config.force, eps)
     limit = config.force / 9.0
     metrics = {
         "upper_gap": upper,
@@ -595,7 +596,7 @@ def _study_gap(config, well, table, eps, k, out, index):
 class _Study(NamedTuple):
     """Everything one study kind declares.
 
-    run(config, well, table, eps, k, out, index) solves (or constructs) one
+    run(config, table, eps, k, out, index) solves (or constructs) one
     width and returns its (metrics, checks); defaults are the CLI config
     values, tolerances the default gates; anchors name the balance law each
     metric probes; orders lists the error metrics whose eps-to-eps ratios
@@ -738,15 +739,14 @@ def _orders(names: tuple[str, ...], rows: list[EpsRow]) -> dict:
 def run_study(config: StudyConfig) -> StudyReport:
     """Execute every eps entry, collect rows, and write the report files.
 
-    Every kind reads the profile through the node-less closed-form table;
-    the profile study builds and checks its own Newton table.  A failure at
+    Every kind reads the profile through the node-less closed-form table
+    (the well is a constant); the profile study builds its own Newton table.  A failure at
     one eps is recorded in that row and the sweep continues.  The study
     passes only if every row completed and every row-level and cross-eps
     check holds.
     """
     study = STUDIES[config.kind]
-    well = DoubleWell()
-    table = closed_form_profile(well)
+    table = closed_form_profile()
     out = None
     if config.out_dir is not None:
         out = Path(config.out_dir)
@@ -757,7 +757,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
         start = time.perf_counter()
         try:
-            metrics, checks = study.run(config, well, table, eps, k, out, index)
+            metrics, checks = study.run(config, table, eps, k, out, index)
             rows.append(EpsRow(eps=eps, metrics=_plain(metrics), checks=checks))
         except Exception as exc:
             rows.append(

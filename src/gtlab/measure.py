@@ -15,25 +15,22 @@ from .field import Grid, gradient, integrate, squared_distance
 from .potential import DoubleWell
 
 
-def energy_density(
-    values: np.ndarray, grid: Grid, well: DoubleWell, eps: float
-) -> np.ndarray:
+def energy_density(values: np.ndarray, grid: Grid, eps: float) -> np.ndarray:
     """Cell-wise W(u)/eps + eps|grad u|^2/2, the integrand of the mixing energy."""
-    density = well.value(values) / eps
+    density = DoubleWell.value(values) / eps
     for g in gradient(values, grid.spacing):
         density = density + 0.5 * eps * g * g
     return density
 
 
-def mixing_energy(values: np.ndarray, grid: Grid, well: DoubleWell, eps: float) -> float:
+def mixing_energy(values: np.ndarray, grid: Grid, eps: float) -> float:
     """The mixing energy of a state: its energy density, integrated."""
-    return integrate(energy_density(values, grid, well, eps), grid)
+    return integrate(energy_density(values, grid, eps), grid)
 
 
 def multiplicity_estimate(
     values: np.ndarray,
     grid: Grid,
-    well: DoubleWell,
     eps: float,
     sigma: float,
     center,
@@ -56,7 +53,7 @@ def multiplicity_estimate(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     sq = squared_distance(grid, center, radius)
-    inside = np.where(sq <= radius**2, energy_density(values, grid, well, eps), 0.0)
+    inside = np.where(sq <= radius**2, energy_density(values, grid, eps), 0.0)
     omega = (1.0, 2.0, np.pi)[n - 1]
     return integrate(inside, grid) / (2.0 * sigma * omega * radius ** (n - 1))
 

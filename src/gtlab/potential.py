@@ -5,8 +5,8 @@ the only well: the scaled well s^2 W is this one at width eps / s, with
 lambda, sigma and the energy multiplied by s, so it reaches no state that
 another eps does not.  Associated objects built here:
 
-* the surface tension (integral of sqrt(W/2) between the wells, in closed
-  form: sqrt(W/2) is a polynomial on [-1, 1]),
+* the surface tension ``SIGMA`` (integral of sqrt(W/2) between the wells,
+  in closed form: sqrt(W/2) is a polynomial on [-1, 1]),
 * the optimal transition profile phi0 solving -phi0'' + W'(phi0) = 0 on a
   truncated line, solved by Newton on a uniform grid of nodes,
 * the first-order profile correction phi1 solving the linearized equation with
@@ -20,8 +20,10 @@ closed forms.  Every other use evaluates the profile at arbitrary points
 (``ProfileTable.phi0_at`` and ``phi1_at``), and that evaluation is the
 closed form itself, one tanh per point: phi0 = tanh(r / sqrt 2),
 phi0' = (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1).
-So those uses take a table with no nodes at all (``closed_form_profile``),
-built from the well alone.
+So those uses take a table with no nodes at all (``closed_form_profile``).
+W and sigma are constants: ``DoubleWell``'s methods are static and
+``SIGMA`` is the surface tension.  Only ``optimal_profile`` and
+``first_order_correction`` take a well, as ``perfbench/worker.py`` calls them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from math import acos, cos, sqrt
 import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
+
+# The surface tension, the integral of sqrt(W/2) over [-1, 1]: there sqrt(W/2)
+# is the polynomial (1 - r^2) / (2 sqrt 2), so sqrt(2) / 3 is exact.  The
+# profile study checks it against the energy per layer, 2 * sigma.
+SIGMA = SQRT2 / 3.0
 
 # Window of the default profile: beyond +-20 the profile takes its limits.
 # The Newton table ends on exactly this float at both spacings in use
@@ -44,16 +51,17 @@ HALF_WIDTH = 20.0
 _BRANCH_LIMIT = 2.0 / (3.0 * np.sqrt(3.0))
 
 
-@dataclass(frozen=True)
 class DoubleWell:
-    """Quartic double well W(r) = (1 - r^2)^2 / 4 with wells at -1, +1."""
+    """Quartic double well W(r) = (1 - r^2)^2 / 4, wells at -1, +1; stateless."""
 
-    def value(self, r):
+    @staticmethod
+    def value(r):
         r = np.asarray(r, dtype=float)
         q = 1.0 - r * r
         return q * q / 4.0
 
-    def derivative(self, r, out=None):
+    @staticmethod
+    def derivative(r, out=None):
         """W'(r), written into ``out`` (not r itself) when it is given."""
         r = np.asarray(r, dtype=float)
         w = np.multiply(r, r, out=out)
@@ -61,24 +69,16 @@ class DoubleWell:
         w *= r
         return w
 
-    def second_derivative(self, r):
+    @staticmethod
+    def second_derivative(r):
         r = np.asarray(r, dtype=float)
         return 3.0 * r * r - 1.0
 
-    def transition(self, r):
+    @staticmethod
+    def transition(r):
         """Closed-form optimal profile tanh(r / sqrt(2))."""
         r = np.asarray(r, dtype=float)
         return np.tanh(r / SQRT2)
-
-
-def surface_tension(well: DoubleWell) -> float:
-    """Integral of sqrt(W/2) over [-1, 1], in closed form: sqrt(2) / 3.
-
-    On [-1, 1] sqrt(W/2) is the polynomial (1 - r^2) / (2 sqrt 2), so its
-    integral is exact.  The profile study checks sigma against the energy
-    per layer, 2 * sigma, of the tabulated profile.
-    """
-    return SQRT2 / 3.0
 
 
 def _second_difference(values: np.ndarray, spacing: float) -> np.ndarray:
@@ -118,22 +118,21 @@ def _derivative_table(values: np.ndarray, spacing: float) -> np.ndarray:
 
 @dataclass
 class ProfileTable:
-    """The transition profile of a well on [-half_width, half_width].
+    """The transition profile on [-half_width, half_width].
 
     The nodes (``positions``, ``phi0``, ``phi0_prime`` and, once
     ``first_order_correction`` fills it, ``phi1``) are the Newton solution
     on the truncated line that the profile study checks; a table from
     ``closed_form_profile`` has none.  ``phi0_at`` and ``phi1_at`` evaluate
     the closed form instead, elementwise, so mirrored points give mirrored
-    values bit for bit: phi0 is ``well.transition``,
+    values bit for bit: phi0 is ``DoubleWell.transition``,
     phi0' = (1 - phi0^2) / sqrt 2 and phi1 = (sigma - phi0') / W''(1), with
-    sigma and W''(1) taken from the well, never from ``sigma``.  Outside the
+    sigma the constant ``SIGMA``, never the field ``sigma``.  Outside the
     window the profile takes its limits, +-1 for phi0 and sigma / W''(1) for
     phi1.
     NaN gives NaN.
     """
 
-    well: DoubleWell
     half_width: float
     sigma: float
     spacing: float | None = None
@@ -156,7 +155,7 @@ class ProfileTable:
         # beyond the window its limits take over
         below = r < -self.half_width
         above = r > self.half_width
-        # well.transition's operations, in its order; out= keeps a single
+        # DoubleWell.transition's operations, in its order; out= keeps a single
         # point an array, so every step below works in place
         out = np.divide(r, SQRT2, out=np.empty(r.shape) if out is None else out)
         np.tanh(out, out=out)
@@ -168,8 +167,8 @@ class ProfileTable:
             np.multiply(out, out, out=phi1)
             np.subtract(1.0, phi1, out=phi1)
             phi1 /= SQRT2
-            np.subtract(surface_tension(self.well), phi1, out=phi1)
-            phi1 /= float(self.well.second_derivative(1.0))
+            np.subtract(SIGMA, phi1, out=phi1)
+            phi1 /= float(DoubleWell.second_derivative(1.0))
             phi1 *= phi1_weight
             out *= phi0_weight
             out += phi1
@@ -185,14 +184,14 @@ class ProfileTable:
         if self.phi0 is None:
             raise ValueError(f"{use} needs the Newton nodes phi0 and phi0_prime; none are here")
 
-    def interior_residual(self, well: DoubleWell) -> float:
+    def interior_residual(self) -> float:
         """Sup norm of -phi0'' + W'(phi0) over interior nodes, by differences.
 
         The table must have nodes.
         """
         self._check_nodes("interior_residual")
         lap = _second_difference(self.phi0, self.spacing)
-        res = -lap + well.derivative(self.phi0[1:-1])
+        res = -lap + DoubleWell.derivative(self.phi0[1:-1])
         return float(np.max(np.abs(res)))
 
     def save(self, path) -> None:
@@ -217,10 +216,10 @@ class ProfileTable:
         )
 
 
-def closed_form_profile(well: DoubleWell) -> ProfileTable:
+def closed_form_profile() -> ProfileTable:
     """The default window's profile with no nodes: only ``phi0_at``,
     ``phi1_at`` and ``sigma`` are there to read, and no Newton solve runs."""
-    return ProfileTable(well=well, half_width=HALF_WIDTH, sigma=surface_tension(well))
+    return ProfileTable(half_width=HALF_WIDTH, sigma=SIGMA)
 
 
 def optimal_profile(
@@ -248,7 +247,6 @@ def optimal_profile(
     # inside the requested half width.
     half_width = m * spacing
     h = spacing
-    sigma = surface_tension(well)
     u = well.transition(np.arange(m + 1) * h)
     u[0] = 0.0
     u[-1] = float(well.transition(half_width))
@@ -302,10 +300,9 @@ def optimal_profile(
     phi0[m:] = u
     phi0[:m] = -u[:0:-1]
     return ProfileTable(
-        well=well,
         half_width=half_width,
         spacing=h,
-        sigma=sigma,
+        sigma=SIGMA,
         positions=positions,
         phi0=phi0,
         phi0_prime=_derivative_table(phi0, h),
@@ -359,7 +356,7 @@ def _root_near_one(c: float) -> float:
     return 2.0 * cos(acos(1.5 * sqrt(3.0) * c) / 3.0) / sqrt(3.0)
 
 
-def bulk_roots(well: DoubleWell, eps: float, forcing: float) -> tuple[float, float]:
+def bulk_roots(eps: float, forcing: float) -> tuple[float, float]:
     """Near-well roots (lam_minus, lam_plus) of W'(lam) = eps * forcing.
 
     Both roots continue the wells -1 and +1.  They exist only while the

@@ -312,7 +312,7 @@ def minres(matvec, b, precond, rtol, maxiter, callback=None):
     return x, maxiter if istop == 6 else 0, itn
 
 
-def _newton(residual_fn, symbol, u, grid, well, eps, copies=1):
+def _newton(residual_fn, symbol, u, grid, eps, copies=1):
     """Damped-Newton loop.
 
     Returns (u, lam, iterations, sup, converged, stop_reason,
@@ -340,7 +340,7 @@ def _newton(residual_fn, symbol, u, grid, well, eps, copies=1):
     solve for the box's floor and iteration cap: the box's residual has
     sqrt(copies) times this grid's 2-norm and copies times its cells.
     """
-    shift = well.second_derivative(1.0) / eps
+    shift = DoubleWell.second_derivative(1.0) / eps
     precond = _SpectralInverse(grid, eps, shift)
 
     def split(u):
@@ -367,7 +367,7 @@ def _newton(residual_fn, symbol, u, grid, well, eps, copies=1):
         del r
         rhs[0] = 0.0
         c, info, inner = minres(
-            _cosine_jacobian(symbol, well.second_derivative(u) / eps),
+            _cosine_jacobian(symbol, DoubleWell.second_derivative(u) / eps),
             rhs,
             precond,
             max(0.01 * min(sup, 1.0), 0.5 * _TOLERANCE / (norm0 * sqrt(copies))),
@@ -397,7 +397,6 @@ def _newton(residual_fn, symbol, u, grid, well, eps, copies=1):
 
 
 def solve_conserved(
-    well: DoubleWell,
     grid: Grid,
     eps: float,
     mass: float,
@@ -427,7 +426,7 @@ def solve_conserved(
     cell = Grid(grid.origin, grid.spacing, seed[half].shape)
 
     def residual(u):
-        r = -eps * laplacian(u, grid.spacing) + well.derivative(u) / eps
+        r = -eps * laplacian(u, grid.spacing) + DoubleWell.derivative(u) / eps
         if long_range != 0.0:
             r = r + long_range_potential(u, cell, long_range)
         return r
@@ -435,7 +434,7 @@ def solve_conserved(
     symbol = _jacobian_symbol(cell, eps, long_range)
     # the shifted seed is a fresh array that only _newton holds
     u, lam, iters, sup, ok, reason, inner, failures = _newton(
-        residual, symbol, seed[half] + shift, cell, well, eps, copies=2 ** len(mirrors)
+        residual, symbol, seed[half] + shift, cell, eps, copies=2 ** len(mirrors)
     )
     for j in mirrors:
         u = np.concatenate((u, np.flip(u, j)), axis=j)

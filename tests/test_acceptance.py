@@ -21,11 +21,10 @@ from gtlab.harness import PROFILE_SPACING, StudyConfig, run_study
 from gtlab.interface import Contour, curvature, curvature_balance, extract_contours, zero_crossings_1d
 from gtlab.measure import bulk_deviation, multiplicity_estimate
 from gtlab.potential import (
-    DoubleWell,
+    SIGMA,
     bulk_roots,
     first_order_correction,
     optimal_profile,
-    surface_tension,
 )
 from gtlab.solve import (
     disk_signed_distance,
@@ -69,7 +68,7 @@ def _polygon_radius(points):
 
 
 @pytest.fixture(scope="module")
-def disk_states(well, profile_table):
+def disk_states(profile_table):
     """The conserved disk ladder at h = eps/4, solved once and shared."""
     states = []
     for eps in DISK_EPS:
@@ -77,7 +76,7 @@ def disk_states(well, profile_table):
         dist = disk_signed_distance(grid, DISK_CENTER, DISK_RADIUS)
         seed = profile_table.phi0_at(dist / eps)
         start = time.perf_counter()
-        u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+        u, report = solve_conserved(grid, eps, integrate(seed, grid), seed)
         seconds = time.perf_counter() - start
         assert report.converged
         contour = _largest_loop(u, grid)
@@ -102,7 +101,7 @@ def disk_states(well, profile_table):
 class TestSurfaceTensionAnchor:
     def test_closed_form_and_runtime(self):
         start = time.perf_counter()
-        sigma = surface_tension(DoubleWell())
+        sigma = SIGMA
         elapsed = time.perf_counter() - start
         assert abs(sigma - SQRT2 / 3.0) <= 1e-10
         assert elapsed < 1.0
@@ -116,8 +115,8 @@ def fine_table(well):
 
 
 class TestProfileFidelity:
-    def test_profile_residual(self, fine_table, well):
-        assert fine_table.interior_residual(well) < 1e-8
+    def test_profile_residual(self, fine_table):
+        assert fine_table.interior_residual() < 1e-8
 
     def test_matches_tanh(self, fine_table):
         # the Newton nodes; phi0_at evaluates tanh itself
@@ -188,13 +187,13 @@ class TestPointwiseBalance:
 
 
 class TestLongRangeBalance:
-    def test_disk_balance(self, well, profile_table):
+    def test_disk_balance(self, profile_table):
         eps = 0.02
         grid = _disk_grid(eps, 4)
         dist = disk_signed_distance(grid, DISK_CENTER, DISK_RADIUS)
         seed = profile_table.phi0_at(dist / eps)
         u, report = solve_conserved(
-            well, grid, eps, integrate(seed, grid), seed, long_range=1.0
+            grid, eps, integrate(seed, grid), seed, long_range=1.0
         )
         assert report.converged
         lam = float(report.multiplier)
@@ -209,7 +208,7 @@ class TestLongRangeBalance:
         scale = float(np.max(np.abs(lam - w_at[good])))
         assert float(np.max(np.abs(residual))) <= 0.1 * scale
 
-    def test_lamellar_flat_interfaces(self, well, profile_table):
+    def test_lamellar_flat_interfaces(self, profile_table):
         # walls off the mirror-symmetric 0.25/0.75 pair, where lam = v = 0
         # at the crossings whatever the solver does
         eps = 0.01
@@ -221,7 +220,7 @@ class TestLongRangeBalance:
             - 1.0
         )
         u, report = solve_conserved(
-            well, grid, eps, integrate(seed, grid), seed, long_range=1.0
+            grid, eps, integrate(seed, grid), seed, long_range=1.0
         )
         assert report.converged
         lam = float(report.multiplier)
@@ -255,16 +254,16 @@ class TestSubsolutionCertificate:
 
 
 class TestGapWindow:
-    def test_gaps_in_window_and_positive(self, well, profile_table):
+    def test_gaps_in_window_and_positive(self, profile_table):
         for eps in (0.01, 0.005, 0.0025):
-            upper, lower = asymptotic_gap(well, profile_table, 1.0, eps)
+            upper, lower = asymptotic_gap(profile_table, 1.0, eps)
             assert upper > 0.0 and lower > 0.0
             assert 0.08 <= upper <= 0.14
             assert 0.08 <= lower <= 0.14
 
 
 class TestMultiplicityCounts:
-    def test_synthetic_stacks_count_exactly(self, well, profile_table):
+    def test_synthetic_stacks_count_exactly(self, profile_table):
         eps = 0.01
         grid = Grid.box((0.0,), (1.0,), (int(round(8 / eps)),))
         x = grid.axis(0)
@@ -276,18 +275,18 @@ class TestMultiplicityCounts:
             if layers % 2 == 0:
                 u -= 1.0
             est = multiplicity_estimate(
-                u, grid, well, eps, profile_table.sigma, 0.5, 8.0 * eps
+                u, grid, eps, profile_table.sigma, 0.5, 8.0 * eps
             )
             assert round(est) == layers
 
 
 class TestBulkPlateaus:
-    def test_deviation_from_shifted_wells(self, disk_states, well):
+    def test_deviation_from_shifted_wells(self, disk_states):
         state = disk_states[-1]
         eps = state.eps
         assert eps == 0.02
         # plateaus continue the wells under the multiplier: W'(r) = eps*lam
-        lam_minus, lam_plus = bulk_roots(well, eps, state.multiplier)
+        lam_minus, lam_plus = bulk_roots(eps, state.multiplier)
         dev = bulk_deviation(
             state.values,
             state.grid,

@@ -75,7 +75,7 @@ def bowl_arc(sigma, force=1.0):
     return solve_cmc_graph(0.0, rho, (cap, cap), curvature)
 
 
-def build_gathered(patch, schedule, table, force, grid, well):
+def build_gathered(patch, schedule, table, force, grid):
     """build_subsolution with a list sink: the record and the field and
     defect stacked from their blocks, which must tile the grid's rows in
     order.  The sink copies each block: its arrays are reused for the next."""
@@ -84,7 +84,7 @@ def build_gathered(patch, schedule, table, force, grid, well):
     def sink(rows, values, defect):
         blocks.append((rows, values.copy(), defect.copy()))
 
-    sub = build_subsolution(patch, schedule, table, force, grid, well, sink)
+    sub = build_subsolution(patch, schedule, table, force, grid, sink)
     stops = [0] + [rows.stop for rows, _, _ in blocks]
     assert [rows.start for rows, _, _ in blocks] == stops[:-1]
     assert stops[-1] == grid.shape[0]
@@ -488,13 +488,13 @@ class TestSignedDistance:
 
 
 class TestBuildSubsolution:
-    def test_flat_force_free_matches_profile(self, profile_table, well):
+    def test_flat_force_free_matches_profile(self, profile_table):
         eps = 0.02
         s = make_schedule(eps)
         h = eps / 16.0
         grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        sub, values, _ = build_gathered(patch, s, profile_table, 0.0, grid, well)
+        sub, values, _ = build_gathered(patch, s, profile_table, 0.0, grid)
         expected = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
         for col in values:
             assert np.array_equal(col, expected)
@@ -510,18 +510,18 @@ class TestBuildSubsolution:
         h = eps / 32.0
         grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 1280))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        _, _, defect = build_gathered(patch, s, profile_table, 0.0, grid, well)
+        _, _, defect = build_gathered(patch, s, profile_table, 0.0, grid)
         v1 = profile_table.phi0_at(s.value(grid.axis(1)) / eps)
         d1 = -eps * laplacian(v1, h) + well.derivative(v1) / eps
         assert np.max(np.abs(defect - d1[None, :])) <= 1e-12
 
-    def test_plateau_cells_bitwise_constant(self, profile_table, well):
+    def test_plateau_cells_bitwise_constant(self, profile_table):
         eps = 0.02
         s = make_schedule(eps)
         h = eps / 16.0
         grid = Grid.box((-4 * h, -0.36), (4 * h, 0.36), (8, 576))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        sub, values, _ = build_gathered(patch, s, profile_table, 1.0, grid, well)
+        sub, values, _ = build_gathered(patch, s, profile_table, 1.0, grid)
         y = grid.axis(1)
         above = values[:, y >= 2.0 * s.saturation]
         below = values[:, y <= -2.0 * s.saturation]
@@ -532,13 +532,13 @@ class TestBuildSubsolution:
         assert -1.0 < sub.plateau_minus < -0.95
         assert 1.0 < sub.plateau_plus < 1.05
 
-    def test_flat_grid_defect_sup_frozen(self, profile_table, well):
+    def test_flat_grid_defect_sup_frozen(self, profile_table):
         eps = 0.01
         s = make_schedule(eps)
         h = eps / 128.0
         grid = Grid.box((-4 * h, -0.2), (4 * h, 0.2), (8, 5120))
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
-        _, _, defect = build_gathered(patch, s, profile_table, 0.0, grid, well)
+        _, _, defect = build_gathered(patch, s, profile_table, 0.0, grid)
         sup = float(np.max(np.abs(defect[:, 2:-2])))
         assert sup == pytest.approx(FLAT_GRID_DEFECT_SUP, rel=1e-9)
 
@@ -552,7 +552,7 @@ class TestBuildSubsolution:
         rows = _EVAL_BLOCK // grid.shape[1]
         assert grid.shape[0] > 2 * rows and grid.shape[0] % rows
         arc = bowl_arc(profile_table.sigma)
-        sub, values, defect = build_gathered(arc, s, profile_table, force, grid, well)
+        sub, values, defect = build_gathered(arc, s, profile_table, force, grid)
         whole_values, whole_defect = whole_grid(arc, s, profile_table, force, grid, well)
         assert values.tobytes() == whole_values.tobytes()
         assert defect.tobytes() == whole_defect.tobytes()
@@ -569,13 +569,13 @@ class TestBuildSubsolution:
         grid = Grid.box((-4 * h, -n * h / 2), (4 * h, n * h / 2), (8, n))
         assert _EVAL_BLOCK // n == 1
         arc = solve_cmc_graph(0.0, 0.5, (0.1, 0.1), 1.0)
-        sub, values, defect = build_gathered(arc, s, profile_table, force, grid, well)
+        sub, values, defect = build_gathered(arc, s, profile_table, force, grid)
         whole_values, whole_defect = whole_grid(arc, s, profile_table, force, grid, well)
         assert values.tobytes() == whole_values.tobytes()
         assert defect.tobytes() == whole_defect.tobytes()
         assert sub.max_defect == float(np.max(whole_defect[2:-2, 2:-2]))
 
-    def test_peak_memory_no_full_grid_array(self, profile_table, well):
+    def test_peak_memory_no_full_grid_array(self, profile_table):
         # about 1M cells, with a sink that drops each block: the pass holds
         # a few row blocks at a time and no array the size of the grid
         eps = 0.04
@@ -585,13 +585,13 @@ class TestBuildSubsolution:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            build_subsolution(arc, s, profile_table, 1.0, grid, well, lambda *block: None)
+            build_subsolution(arc, s, profile_table, 1.0, grid, lambda *block: None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - start < 0.5 * np.zeros(grid.shape).nbytes
 
-    def test_validation_errors(self, profile_table, well):
+    def test_validation_errors(self, profile_table):
         s = make_schedule(0.02)
         patch = solve_cmc_graph(0.0, 0.5, (0.0, 0.0), 0.0)
         blocks = []
@@ -600,7 +600,7 @@ class TestBuildSubsolution:
             def sink(*block):
                 blocks.append(block)
 
-            return build_subsolution(patch, s, profile_table, 0.0, grid, well, sink)
+            return build_subsolution(patch, s, profile_table, 0.0, grid, sink)
 
         with pytest.raises(ValueError, match="2D"):
             build(Grid.box((0.0,), (1.0,), (64,)))
@@ -647,14 +647,14 @@ class TestFlatDefectClosedForm:
 
 
 class TestVerifySubsolution:
-    def test_bowl_certificate_frozen(self, profile_table, well):
+    def test_bowl_certificate_frozen(self, profile_table):
         eps = 0.04
         s = make_schedule(eps)
         h = eps / 16.0
         grid = Grid.box((-0.36, -0.54), (0.36, 0.72), (288, 504))
         assert grid.spacing == pytest.approx(h, rel=1e-12)
         arc = bowl_arc(profile_table.sigma)
-        sub, _, defect = build_gathered(arc, s, profile_table, 1.0, grid, well)
+        sub, _, defect = build_gathered(arc, s, profile_table, 1.0, grid)
         cert = verify_subsolution(sub, slack=0.05)
         assert isinstance(cert, DefectCertificate)
         assert cert.max_defect == interior_max(defect, 0, grid.shape)
@@ -732,15 +732,15 @@ class TestVerifySubsolution:
 
 
 class TestAsymptoticGap:
-    def test_frozen_rows(self, profile_table, well):
+    def test_frozen_rows(self, profile_table):
         for eps, (ref_upper, ref_lower) in GAP_ROWS.items():
-            upper, lower = asymptotic_gap(well, profile_table, 1.0, eps)
+            upper, lower = asymptotic_gap(profile_table, 1.0, eps)
             assert upper == pytest.approx(ref_upper, rel=1e-9)
             assert lower == pytest.approx(ref_lower, rel=1e-9)
 
-    def test_windows_and_trends(self, profile_table, well):
+    def test_windows_and_trends(self, profile_table):
         gaps = [
-            asymptotic_gap(well, profile_table, 1.0, eps) for eps in (0.01, 0.005, 0.0025)
+            asymptotic_gap(profile_table, 1.0, eps) for eps in (0.01, 0.005, 0.0025)
         ]
         uppers, lowers = zip(*gaps)
         limit = 1.0 / 9.0
@@ -751,14 +751,14 @@ class TestAsymptoticGap:
         assert uppers[0] < uppers[1] < uppers[2] < limit
         assert lowers[0] > lowers[1] > lowers[2] > limit
 
-    def test_matches_high_precision_roots(self, profile_table, well):
+    def test_matches_high_precision_roots(self, profile_table):
         # the plateaus are the closed-form profile, so only rounding is left
-        upper, lower = asymptotic_gap(well, profile_table, 1.0, 0.01)
+        upper, lower = asymptotic_gap(profile_table, 1.0, 0.01)
         assert abs(upper - GAP_UPPER_EXACT) <= 1e-12
         assert abs(lower - GAP_LOWER_EXACT) <= 1e-12
 
-    def test_force_validation(self, profile_table, well):
+    def test_force_validation(self, profile_table):
         with pytest.raises(ValueError, match="positive"):
-            asymptotic_gap(well, profile_table, 0.0, 0.01)
+            asymptotic_gap(profile_table, 0.0, 0.01)
         with pytest.raises(ValueError, match="positive"):
-            asymptotic_gap(well, profile_table, -1.0, 0.01)
+            asymptotic_gap(profile_table, -1.0, 0.01)

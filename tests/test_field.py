@@ -74,6 +74,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((0.0,), -0.1, (8,))
 
+    @pytest.mark.parametrize("n_cells", [(0,), (1,), (4, 0), (0, 4)])
+    def test_too_few_cells_are_refused_before_the_spacing(self, n_cells):
+        # a zero count must not reach the division that makes the spacing
+        lower, upper = (0.0,) * len(n_cells), (1.0,) * len(n_cells)
+        with pytest.raises(ValueError, match="^each axis needs at least 2 cells$"):
+            Grid.box(lower, upper, n_cells)
+
 
 def padded_flux_laplacian(values, spacing):
     """Reference flux form: per axis, the face differences padded with zero

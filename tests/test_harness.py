@@ -29,7 +29,6 @@ from gtlab.harness import (
 )
 from gtlab.interface import Contour
 from gtlab.measure import mixing_energy
-from gtlab.potential import DoubleWell
 from gtlab.solve import disk_signed_distance, long_range_potential
 
 
@@ -123,11 +122,11 @@ class TestStudyConfig:
 
 
 class TestGapStudy:
-    def test_matches_direct_evaluation(self, well, profile_table):
+    def test_matches_direct_evaluation(self, profile_table):
         config = StudyConfig(kind="gap", eps=(0.01, 0.005))
         report = run_study(config)
         for row in report.rows:
-            upper, lower = asymptotic_gap(well, profile_table, 1.0, row.eps)
+            upper, lower = asymptotic_gap(profile_table, 1.0, row.eps)
             assert row.metrics["upper_gap"] == pytest.approx(upper, rel=1e-12)
             assert row.metrics["lower_gap"] == pytest.approx(lower, rel=1e-12)
         assert report.passed
@@ -251,7 +250,7 @@ class TestReportedEnergy:
                 float(snapshot["spacing"]),
                 values.shape,
             )
-        assert row.metrics["energy"] == mixing_energy(values, grid, DoubleWell(), row.eps)
+        assert row.metrics["energy"] == mixing_energy(values, grid, row.eps)
 
 
 class TestMirrorFold:
@@ -889,7 +888,7 @@ class TestSubsolutionSnapshots:
         # wrap the study's build call so that its sink also keeps each block
         original = harness.build_subsolution
 
-        def gathering(patch, schedule, table, force, grid, well, write):
+        def gathering(patch, schedule, table, force, grid, write):
             blocks = []
 
             def keep(rows, values, defect):
@@ -899,7 +898,7 @@ class TestSubsolutionSnapshots:
                     raise RuntimeError("stopped after one block")
 
             built.append((grid, blocks))
-            return original(patch, schedule, table, force, grid, well, keep)
+            return original(patch, schedule, table, force, grid, keep)
 
         monkeypatch.setattr(harness, "build_subsolution", gathering)
 

@@ -218,7 +218,7 @@ class TestCurvature:
         eps = 0.04
         grid = Grid.box((0.0, 0.0), (1.0, 1.0), (100, 100))
         seed = well.transition(disk_signed_distance(grid, (0.5, 0.5), 0.25) / eps)
-        u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+        u, report = solve_conserved(grid, eps, integrate(seed, grid), seed)
         assert report.converged
         grads = gradient(u, grid.spacing)
         (c,) = extract_contours(u, grid)

@@ -32,42 +32,42 @@ def kink(x, eps):
 
 
 class TestDensityAndDiscrepancy:
-    def test_frozen_kink_statistics(self, well):
+    def test_frozen_kink_statistics(self):
         eps = 0.02
         grid = Grid.box((0.0,), (1.0,), (800,))
         u = kink(grid.axis(0) - 0.5, eps)
-        assert mixing_energy(u, grid, well, eps) == pytest.approx(TANH_TOTAL_MASS, rel=1e-9)
-        density = energy_density(u, grid, well, eps)
+        assert mixing_energy(u, grid, eps) == pytest.approx(TANH_TOTAL_MASS, rel=1e-9)
+        density = energy_density(u, grid, eps)
         assert np.max(density) == pytest.approx(TANH_MAX_DENSITY, rel=1e-6)
 
-    def test_total_mass_approaches_twice_sigma(self, well):
+    def test_total_mass_approaches_twice_sigma(self):
         eps = 0.02
         masses = {}
         for n in (200, 400, 800):
             grid = Grid.box((0.0,), (1.0,), (n,))
             u = kink(grid.axis(0) - 0.5, eps)
-            masses[n] = mixing_energy(u, grid, well, eps)
+            masses[n] = mixing_energy(u, grid, eps)
         assert abs(masses[800] - 2.0 * SIGMA) < abs(masses[200] - 2.0 * SIGMA)
         assert masses[800] == pytest.approx(2.0 * SIGMA, abs=3e-4)
 
-    def test_validation(self, well):
+    def test_validation(self):
         grid = Grid.box((0.0,), (1.0,), (8,))
         u = np.zeros(8)
         with pytest.raises(ValueError, match="eps"):
-            multiplicity_estimate(u, grid, well, -0.1, SIGMA, (0.5,), 0.1)
+            multiplicity_estimate(u, grid, -0.1, SIGMA, (0.5,), 0.1)
         with pytest.raises(ValueError, match="shape"):
-            multiplicity_estimate(np.zeros(9), grid, well, 0.1, SIGMA, (0.5,), 0.1)
+            multiplicity_estimate(np.zeros(9), grid, 0.1, SIGMA, (0.5,), 0.1)
         with pytest.raises(ValueError, match="radius"):
-            multiplicity_estimate(u, grid, well, 0.1, SIGMA, (0.5,), -1.0)
+            multiplicity_estimate(u, grid, 0.1, SIGMA, (0.5,), -1.0)
         with pytest.raises(ValueError, match="center"):
-            multiplicity_estimate(u, grid, well, 0.1, SIGMA, (0.5, 0.5), 0.1)
+            multiplicity_estimate(u, grid, 0.1, SIGMA, (0.5, 0.5), 0.1)
         grid4 = Grid.box((0.0,) * 4, (1.0,) * 4, (4,) * 4)
         with pytest.raises(ValueError, match="dimension 1 to 3"):
-            multiplicity_estimate(np.zeros(grid4.shape), grid4, well, 0.1, SIGMA, (0.5,) * 4, 0.2)
+            multiplicity_estimate(np.zeros(grid4.shape), grid4, 0.1, SIGMA, (0.5,) * 4, 0.2)
 
 
 class TestMultiplicity:
-    def test_kink_train_counts(self, well):
+    def test_kink_train_counts(self):
         eps = 0.02
         grid = Grid.box((0.0,), (1.0,), (400,))  # h = eps/8
         x = grid.axis(0)
@@ -76,7 +76,7 @@ class TestMultiplicity:
             u = np.full(grid.shape, -1.0)
             for i, c in enumerate(centers):
                 u = u + (-1.0) ** i * (kink(x - c, eps) + 1.0)
-            return multiplicity_estimate(u, grid, well, eps, SIGMA, (0.5,), 8 * eps)
+            return multiplicity_estimate(u, grid, eps, SIGMA, (0.5,), 8 * eps)
 
         m1 = train([0.5])
         m2 = train([0.5 - 2 * eps, 0.5 + 2 * eps])
@@ -91,33 +91,33 @@ class TestMultiplicity:
             assert round(est) == k
             assert abs(est - k) <= 0.1
 
-    def test_straight_sheet_2d(self, well):
+    def test_straight_sheet_2d(self):
         eps = 0.04
         grid = Grid.box((0.0, 0.0), (1.0, 1.0), (200, 200))
         x, _ = grid.mesh()
         u = kink(x - 0.5, eps)
-        est = multiplicity_estimate(u, grid, well, eps, SIGMA, (0.5, 0.5), 0.2)
+        est = multiplicity_estimate(u, grid, eps, SIGMA, (0.5, 0.5), 0.2)
         assert est == pytest.approx(0.9867591512315739, abs=1e-6)
         assert abs(est - 1.0) <= 0.02
 
-    def test_double_circle_2d(self, well):
+    def test_double_circle_2d(self):
         eps = 0.02
         grid = Grid.box((0.0, 0.0), (1.0, 1.0), (400, 400))
         x, y = grid.mesh()
         r = np.hypot(x - 0.5, y - 0.5)
         u = -1.0 + (kink(0.34 - r, eps) + 1.0) - (kink(0.26 - r, eps) + 1.0)
-        est = multiplicity_estimate(u, grid, well, eps, SIGMA, (0.8, 0.5), 0.24)
+        est = multiplicity_estimate(u, grid, eps, SIGMA, (0.8, 0.5), 0.24)
         assert est == pytest.approx(1.975394528456977, abs=1e-6)
         assert round(est) == 2 and abs(est - 2.0) <= 0.1
 
-    def test_straight_sheet_3d(self, well):
+    def test_straight_sheet_3d(self):
         # the cross-section of a ball through a flat sheet is a disk of
         # area pi r^2, not a diameter's 2 r
         eps = 0.04
         grid = Grid.box((0.0,) * 3, (1.0,) * 3, (100,) * 3)
         x, _, _ = grid.mesh()
         u = kink(x - 0.5, eps)
-        est = multiplicity_estimate(u, grid, well, eps, SIGMA, (0.5,) * 3, 8 * eps)
+        est = multiplicity_estimate(u, grid, eps, SIGMA, (0.5,) * 3, 8 * eps)
         assert round(est) == 1
         assert abs(est - 1.0) <= 0.1
 

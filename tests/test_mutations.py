@@ -10,11 +10,11 @@ rebound, and asserts exactly which checks fail.  Two kinds of mutation:
 * -kappa: every curvature the harness measures has the wrong sign.
 
 The sigma mutation replaces the table's ``sigma`` only; ``phi1_at`` takes
-sigma from the well.  So the wrong sigma enters the comparison field's
-coefficient 2 / (3 sigma) and not phi1's tail sigma / W''(1), and that
-alone turns the gap and subsolution cells red: the gap law force / 9 does
-not involve sigma, and a phi1 that followed the table's sigma would cancel
-it.
+sigma from the constant ``potential.SIGMA``.  So the wrong sigma enters the
+comparison field's coefficient 2 / (3 sigma) and not phi1's tail
+sigma / W''(1), and that alone turns the gap and subsolution cells red: the
+gap law force / 9 does not involve sigma, and a phi1 that followed the
+table's sigma would cancel it.
 
 Only the cells that go red are cases here.  These cells stay green, because
 no gate of the kind reads the broken quantity or the gate's tolerance is

@@ -6,22 +6,26 @@ closed-form homogeneous solutions and adaptive quadrature) before the
 module was written.
 """
 
+import ast
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtlab
+from gtlab import potential
 from gtlab.potential import (
     DoubleWell,
+    ProfileTable,
     bulk_roots,
     closed_form_profile,
     far_field_values,
     first_order_correction,
     optimal_profile,
-    surface_tension,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -65,20 +69,36 @@ class TestDoubleWell:
         assert np.allclose(numeric, well.derivative(r), atol=1e-7)
 
 
+    def test_the_well_is_a_constant(self):
+        # the methods are static, and no function of the package takes a
+        # well except the two whose signatures the benchmark's setup calls
+        assert DoubleWell.derivative(2.0) == DoubleWell().derivative(2.0) == 6.0
+        takers = set()
+        for path in sorted(Path(gtlab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    names = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                    if any(arg is not None and arg.arg == "well" for arg in names):
+                        takers.add(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+        assert takers == {"potential.optimal_profile", "potential.first_order_correction"}
+        assert "well" not in {f.name for f in dataclasses.fields(ProfileTable)}
+
+
 class TestSurfaceTension:
-    def test_quadrature_matches_closed_form(self, well):
-        assert abs(surface_tension(well) - SIGMA) <= 1e-12
+    def test_quadrature_matches_closed_form(self):
+        assert abs(potential.SIGMA - SIGMA) <= 1e-12
 
     def test_closed_form_bits(self, well):
         # sqrt(W/2) is a polynomial on [-1, 1], so sigma is its exact
         # integral and every profile table carries those bits
-        assert surface_tension(well) == SIGMA
+        assert potential.SIGMA == SIGMA
         assert optimal_profile(well, half_width=8.0, spacing=2e-3).sigma == SIGMA
 
 
 class TestOptimalProfile:
-    def test_interior_residual(self, profile_table, well):
-        assert profile_table.interior_residual(well) <= 1e-8
+    def test_interior_residual(self, profile_table):
+        assert profile_table.interior_residual() <= 1e-8
 
     def test_matches_closed_form(self, profile_table):
         exact = np.tanh(profile_table.positions / SQRT2)
@@ -170,7 +190,7 @@ class TestFirstOrderCorrection:
         assert np.max(np.abs(table.phi1 - exact)) <= 2e-8
 
     def test_phi1_ignores_the_sigma_field(self, profile_table):
-        # phi1_at takes sigma from the well: a table whose sigma is replaced
+        # phi1_at takes sigma from SIGMA: a table whose sigma is replaced
         # (the sigma mutation of test_mutations) keeps its phi1 bit for bit,
         # so the wrong sigma reaches the coefficient 2 / (3 sigma) alone
         points = np.random.default_rng(2).uniform(-25.0, 25.0, 10**4)
@@ -178,7 +198,7 @@ class TestFirstOrderCorrection:
         assert wrong.phi1_at(points).tobytes() == profile_table.phi1_at(points).tobytes()
 
     def test_phi1_query_needs_no_correction(self, well):
-        # phi1 comes from the well, so a table without phi1 nodes reads it
+        # phi1 is a closed form, so a table without phi1 nodes reads it
         table = optimal_profile(well, half_width=8.0, spacing=2e-3)
         assert table.phi1 is None
         assert table.phi1_at(0.0) == pytest.approx(PHI1_AT_ZERO, abs=1e-15)
@@ -186,11 +206,11 @@ class TestFirstOrderCorrection:
 
 
 class TestClosedFormProfile:
-    def test_same_bits_as_the_newton_table(self, well, profile_table):
+    def test_same_bits_as_the_newton_table(self, profile_table):
         # the node-less table clamps at the Newton table's window, so every
         # seed, field and plateau reads the same bits from either
         nodes = profile_table
-        bare = closed_form_profile(well)
+        bare = closed_form_profile()
         assert bare.half_width == nodes.half_width == 20.0
         assert bare.sigma == nodes.sigma
         assert bare.positions is None and bare.phi0 is None and bare.phi1 is None
@@ -205,11 +225,11 @@ class TestClosedFormProfile:
 
     @pytest.mark.parametrize("use", ["first_order_correction", "interior_residual", "save"])
     def test_node_reads_raise_a_plain_error(self, well, tmp_path, use):
-        bare = closed_form_profile(well)
+        bare = closed_form_profile()
         path = tmp_path / "bare.npz"
         calls = {
             "first_order_correction": lambda: first_order_correction(bare, well),
-            "interior_residual": lambda: bare.interior_residual(well),
+            "interior_residual": lambda: bare.interior_residual(),
             "save": lambda: bare.save(path),
         }
         with pytest.raises(ValueError, match=f"^{use} needs the Newton nodes"):
@@ -239,7 +259,7 @@ class TestProfileTableSpline:
         phi0 = np.where(inside, well.transition(points), np.sign(points))
         assert np.array_equal(_bits(table.phi0_at(points)), _bits(phi0))
         prime = (1.0 - phi0 * phi0) / SQRT2
-        phi1 = (surface_tension(well) - prime) / well.second_derivative(1.0)
+        phi1 = (potential.SIGMA - prime) / well.second_derivative(1.0)
         assert np.array_equal(_bits(table.phi1_at(points)), _bits(phi1))
         # one evaluation gives phi0 + c * phi1 with the bits of the two
         both = table._eval(1.0, 0.3, points)
@@ -303,14 +323,14 @@ class TestProfileTableSpline:
 
 
 class TestBulkRoots:
-    def test_frozen_values(self, well):
-        minus, plus = bulk_roots(well, 0.01, FORCING)
+    def test_frozen_values(self):
+        minus, plus = bulk_roots(0.01, FORCING)
         assert plus == pytest.approx(LAM_PLUS_001, abs=1e-13)
         assert minus == pytest.approx(LAM_MINUS_001, abs=1e-13)
 
     def test_roots_solve_equation(self, well):
         for eps, force in [(0.01, 1.0), (0.05, 2.0), (0.2, -1.3)]:
-            minus, plus = bulk_roots(well, eps, FORCING * force)
+            minus, plus = bulk_roots(eps, FORCING * force)
             target = eps * FORCING * force
             assert well.derivative(plus) == pytest.approx(target, abs=1e-14)
             assert well.derivative(minus) == pytest.approx(target, abs=1e-14)
@@ -319,20 +339,20 @@ class TestBulkRoots:
     @settings(max_examples=50)
     def test_odd_symmetry_exact(self, eps, force):
         well = DoubleWell()
-        minus, plus = bulk_roots(well, eps, FORCING * force)
-        minus_r, plus_r = bulk_roots(well, eps, FORCING * -force)
+        minus, plus = bulk_roots(eps, FORCING * force)
+        minus_r, plus_r = bulk_roots(eps, FORCING * -force)
         assert plus_r == -minus and minus_r == -plus
 
-    def test_ordering(self, well):
-        minus, plus = bulk_roots(well, 0.05, FORCING)
+    def test_ordering(self):
+        minus, plus = bulk_roots(0.05, FORCING)
         assert plus > 1.0 and -1.0 < minus < -0.95
 
     def test_merge_threshold(self, well):
         with pytest.raises(ValueError):
-            bulk_roots(well, MERGE_EPS + 1e-6, FORCING)
+            bulk_roots(MERGE_EPS + 1e-6, FORCING)
         # still resolvable, at |c| = 0.384, where both roots are past 0.382
         eps = MERGE_EPS - 1e-3
-        minus, plus = bulk_roots(well, eps, FORCING)
+        minus, plus = bulk_roots(eps, FORCING)
         assert well.derivative(minus) == pytest.approx(eps * FORCING, abs=1e-12)
         assert well.derivative(plus) == pytest.approx(eps * FORCING, abs=1e-12)
         assert minus < -1.0 / np.sqrt(3.0) and plus > 1.0
@@ -342,7 +362,7 @@ class TestBulkRoots:
         # |c| = 2 / (3 sqrt 3), including |c| > (3 - sqrt 5) / 2 = 0.382
         limit = 2.0 / (3.0 * np.sqrt(3.0))
         for c in np.linspace(-limit, limit, 402)[1:-1]:
-            minus, plus = bulk_roots(well, 1.0, float(c))
+            minus, plus = bulk_roots(1.0, float(c))
             assert type(minus) is float and type(plus) is float
             assert abs(float(well.derivative(plus)) - c) <= 1e-12
             assert abs(float(well.derivative(minus)) - c) <= 1e-12
@@ -352,9 +372,9 @@ class TestBulkRoots:
             else:
                 assert plus < 1.0 < -minus
 
-    def test_eps_validation(self, well):
+    def test_eps_validation(self):
         with pytest.raises(ValueError):
-            bulk_roots(well, -0.01, FORCING)
+            bulk_roots(-0.01, FORCING)
 
 
 class TestFarFieldValues:

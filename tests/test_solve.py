@@ -28,11 +28,11 @@ from gtlab.solve import (
 SIGMA = float(np.sqrt(2.0) / 3.0)
 
 
-def _disk_solve(well, table, eps, n, radius=0.25):
+def _disk_solve(table, eps, n, radius=0.25):
     grid = Grid.box((0.0, 0.0), (1.0, 1.0), (n, n))
     seed = table.phi0_at(disk_signed_distance(grid, (0.5, 0.5), radius) / eps)
     mass = integrate(seed, grid)
-    return mass, solve_conserved(well, grid, eps, mass, seed)[1]
+    return mass, solve_conserved(grid, eps, mass, seed)[1]
 
 
 class TestDistances:
@@ -60,14 +60,14 @@ class TestDistances:
 
 
 class TestConserved:
-    def test_planar_interface(self, well, profile_table):
+    def test_planar_interface(self, profile_table):
         eps = 0.05
         grid = Grid.box((0.0,), (1.0,), (160,))  # h = eps/8
         # interface seated on a cell center; the frozen energy oracle used
         # that seating (a face-seated kink differs at the 3e-6 level)
         seed = profile_table.phi0_at((grid.axis(0) - float(grid.axis(0)[56])) / eps)
         mass = integrate(seed, grid)
-        u, report = solve_conserved(well, grid, eps, mass, seed)
+        u, report = solve_conserved(grid, eps, mass, seed)
         assert report.converged
         assert report.residual <= 1e-9
         assert abs(report.mass - mass) <= 1e-10
@@ -76,13 +76,13 @@ class TestConserved:
         # discrete transition energy follows the second-order defect law
         # E_h = 2*sigma - (4 sqrt2 / 90) (h/eps)^2 + O((h/eps)^4)
         law = 2.0 * SIGMA - (4.0 * np.sqrt(2.0) / 90.0) * (1.0 / 64.0)
-        energy = mixing_energy(u, grid, well, eps)
+        energy = mixing_energy(u, grid, eps)
         assert energy == pytest.approx(law, abs=5e-7)
         assert abs(energy - 2.0 * SIGMA) <= 1e-3
 
-    def test_disk_multiplier_tracks_curvature(self, well, profile_table):
+    def test_disk_multiplier_tracks_curvature(self, profile_table):
         radius = 0.3
-        mass, report = _disk_solve(well, profile_table, 0.08, 100, radius)  # h = eps/8
+        mass, report = _disk_solve(profile_table, 0.08, 100, radius)  # h = eps/8
         assert report.converged and report.stop_reason == "converged"
         assert report.krylov_iterations > 0 and report.krylov_failures == 0
         assert report.residual <= 1e-9
@@ -97,28 +97,28 @@ class TestConserved:
         grid = Grid.box((0.0,), (1.0,), (64,))
         for value in (-0.99, 1.01):
             seed = np.full(grid.shape, value)
-            u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+            u, report = solve_conserved(grid, eps, integrate(seed, grid), seed)
             assert report.converged and report.iterations == 0
             assert report.multiplier == pytest.approx(
                 well.derivative(value) / eps, rel=1e-12
             )
-            minus, plus = bulk_roots(well, eps, report.multiplier)
+            minus, plus = bulk_roots(eps, report.multiplier)
             assert (plus if value > 0.0 else minus) == pytest.approx(value, abs=1e-12)
             assert np.max(np.abs(u - value)) <= 1e-12
 
-    def test_deterministic_rerun(self, well, profile_table):
+    def test_deterministic_rerun(self, profile_table):
         eps = 0.05
         grid = Grid.box((0.0,), (1.0,), (160,))
         seed = profile_table.phi0_at((grid.axis(0) - 0.35) / eps)
         mass = integrate(seed, grid)
-        u1, r1 = solve_conserved(well, grid, eps, mass, seed)
-        u2, r2 = solve_conserved(well, grid, eps, mass, seed)
+        u1, r1 = solve_conserved(grid, eps, mass, seed)
+        u2, r2 = solve_conserved(grid, eps, mass, seed)
         assert np.array_equal(u1, u2)
         assert r1 == r2
 
 
 class TestLongRange:
-    def test_flat_lamella_balances_potential(self, well, profile_table):
+    def test_flat_lamella_balances_potential(self, profile_table):
         eps = 0.02
         grid = Grid.box((0.0,), (1.0,), (200,))
         x = grid.axis(0)
@@ -127,7 +127,7 @@ class TestLongRange:
             - profile_table.phi0_at((x - 0.75) / eps)
             - 1.0
         )
-        u, report = solve_conserved(well, grid, eps, 0.0, seed, long_range=1.0)
+        u, report = solve_conserved(grid, eps, 0.0, seed, long_range=1.0)
         assert report.converged
         assert abs(report.mass) <= 1e-10
         # flat interfaces: sigma*kappa = 0, so lam - v must vanish on them
@@ -142,8 +142,8 @@ class TestMeanZeroSteps:
     the residual and the line search crawled on for all 60 steps."""
 
     @pytest.fixture(scope="class")
-    def eps016(self, well, profile_table):
-        return _disk_solve(well, profile_table, 0.016, 250)
+    def eps016(self, profile_table):
+        return _disk_solve(profile_table, 0.016, 250)
 
     def test_eps016_disk_converges_without_mass_drift(self, eps016):
         mass, report = eps016
@@ -159,9 +159,9 @@ class TestMeanZeroSteps:
         assert report.krylov_iterations <= 50
         assert report.krylov_failures == 0
 
-    def test_eps01_disk_converges(self, well, profile_table):
+    def test_eps01_disk_converges(self, profile_table):
         # 6 Newton steps and 53 MINRES iterations; 135 unfloored
-        _, report = _disk_solve(well, profile_table, 0.01, 400)
+        _, report = _disk_solve(profile_table, 0.01, 400)
         assert report.converged
         assert report.iterations <= 6
         assert report.krylov_iterations <= 65
@@ -171,23 +171,23 @@ class TestMeanZeroSteps:
         "eps, n, steps", [(0.08, 50, 5), (0.04, 100, 4), (0.02, 200, 4)]
     )
     def test_forcing_floor_costs_no_newton_step(
-        self, well, profile_table, eps, n, steps
+        self, profile_table, eps, n, steps
     ):
         # the solve-ch default ladder (grid_k 4); the step counts are those
         # of the unfloored forcing 0.01*min(sup, 1)
-        _, report = _disk_solve(well, profile_table, eps, n)
+        _, report = _disk_solve(profile_table, eps, n)
         assert report.stop_reason == "converged"
         assert report.iterations <= steps
         assert report.residual <= 1e-9
 
-    def test_default_eps08_disk_keeps_mass(self, well, profile_table):
+    def test_default_eps08_disk_keeps_mass(self, profile_table):
         # the solve-ch default: eps 0.08, grid_k 4, radius 0.25
-        mass, report = _disk_solve(well, profile_table, 0.08, 50)
+        mass, report = _disk_solve(profile_table, 0.08, 50)
         assert report.converged
         assert report.iterations <= 8
         assert abs(report.mass - mass) <= 1e-14
 
-    def test_strongly_coupled_lamella_converges(self, well, profile_table):
+    def test_strongly_coupled_lamella_converges(self, profile_table):
         eps = 0.01
         grid = Grid.box((0.0,), (1.0,), (800,))
         x = grid.axis(0)
@@ -197,7 +197,7 @@ class TestMeanZeroSteps:
             - 1.0
         )
         mass = integrate(seed, grid)
-        _, report = solve_conserved(well, grid, eps, mass, seed, long_range=2.5)
+        _, report = solve_conserved(grid, eps, mass, seed, long_range=2.5)
         assert report.converged
         assert report.residual <= 1e-9
         assert abs(report.mass - mass) <= 1e-13
@@ -220,7 +220,7 @@ class TestResidualEvaluations:
 
         symbol = _jacobian_symbol(grid, eps, 0.0)
         _, _, iterations, _, converged, *_ = _newton(
-            residual, symbol, seed, grid, well, eps
+            residual, symbol, seed, grid, eps
         )
         assert converged and iterations > 0
         assert calls == iterations + 1
@@ -239,7 +239,7 @@ class TestStopReason:
             return eps * laplacian(u, grid.spacing) - well.derivative(u) / eps
 
         u, lam, iterations, sup, converged, reason, inner, failures = _newton(
-            flipped, _jacobian_symbol(grid, eps, 0.0), seed, grid, well, eps
+            flipped, _jacobian_symbol(grid, eps, 0.0), seed, grid, eps
         )
         assert reason == "line_search_failed" and not converged
         assert iterations == 0 and np.array_equal(u, seed)
@@ -247,7 +247,7 @@ class TestStopReason:
         assert inner > 0
 
     @pytest.mark.parametrize("mass", [1e120, 1e200])
-    def test_non_finite_residual_stops_at_once(self, well, profile_table, mass):
+    def test_non_finite_residual_stops_at_once(self, profile_table, mass):
         # a mass this large overflows W'(u) to infinity, so the residual is
         # not finite: no Krylov solve can reduce it, and the solve must stop
         # before running one
@@ -255,7 +255,7 @@ class TestStopReason:
         grid = Grid.box((0.0, 0.0), (1.0, 1.0), (50, 50))
         seed = profile_table.phi0_at(disk_signed_distance(grid, (0.5, 0.5), 0.25) / eps)
         with np.errstate(all="ignore"):
-            _, report = solve_conserved(well, grid, eps, mass, seed)
+            _, report = solve_conserved(grid, eps, mass, seed)
         assert report.stop_reason == "non_finite" and not report.converged
         assert report.iterations == 0
         assert report.krylov_iterations == 0 and report.krylov_failures == 0
@@ -377,18 +377,18 @@ class TestMirrorFold:
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     @pytest.mark.parametrize("eps", [0.04, 0.02])
     def test_folded_solve_is_the_full_box_solve(
-        self, laplacian_shapes, well, profile_table, eps, gamma
+        self, laplacian_shapes, profile_table, eps, gamma
     ):
         n = int(round(4 / eps))
         grid, seed = _mirrored_disk_seed(profile_table, eps, n)
         mass = integrate(seed, grid)
-        u, folded = solve_conserved(well, grid, eps, mass, seed, long_range=gamma)
+        u, folded = solve_conserved(grid, eps, mass, seed, long_range=gamma)
         assert set(laplacian_shapes) == {(n // 2, n // 2)}
         # one cell moved by one ulp breaks both mirrors: the full box is solved
         broken = seed.copy()
         broken[3, 5] = np.nextafter(broken[3, 5], 2.0)
         laplacian_shapes.clear()
-        _, full = solve_conserved(well, grid, eps, mass, broken, long_range=gamma)
+        _, full = solve_conserved(grid, eps, mass, broken, long_range=gamma)
         assert set(laplacian_shapes) == {(n, n)}
 
         assert folded.converged and full.converged
@@ -404,14 +404,14 @@ class TestMirrorFold:
         "eps, n, steps, krylov", [(0.016, 250, 5, 42), (0.01, 400, 5, 45)]
     )
     def test_study_disk_solves_on_the_quarter(
-        self, laplacian_shapes, well, profile_table, eps, n, steps, krylov
+        self, laplacian_shapes, profile_table, eps, n, steps, krylov
     ):
         # the seed of the ch-disk study, which solves folded; _disk_solve's
         # full-grid seed is not bitwise symmetric and pins the full box
         config = StudyConfig(kind="ch-disk", eps=(eps,))
         grid, seed = harness._disk(config, profile_table, eps, 4)
         assert grid.shape == (n, n)
-        _, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+        _, report = solve_conserved(grid, eps, integrate(seed, grid), seed)
         assert set(laplacian_shapes) == {(n // 2, n // 2)}
         assert report.stop_reason == "converged" and report.residual <= 1e-9
         assert report.iterations <= steps
@@ -419,21 +419,21 @@ class TestMirrorFold:
         assert report.krylov_failures == 0
 
     @pytest.mark.parametrize("n, seen", [(80, (40,)), (81, (81,))])
-    def test_only_an_even_cell_count_folds(self, laplacian_shapes, well, n, seen):
+    def test_only_an_even_cell_count_folds(self, laplacian_shapes, n, seen):
         # a symmetric pair of layers; 81 cells put a cell, not a face, on
         # the mirror, so the state cannot be split there
         eps = 0.05
         grid = Grid.box((0.0,), (1.0,), (n,))
         seed = np.tanh((0.25 - np.abs(grid.axis(0) - 0.5)) / eps)
         seed = np.maximum(seed, seed[::-1])
-        u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+        u, report = solve_conserved(grid, eps, integrate(seed, grid), seed)
         assert report.converged and set(laplacian_shapes) == {seen}
         assert u.shape == grid.shape
 
 
 class TestWorkingSet:
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
-    def test_solve_peaks_below_fifteen_grid_arrays(self, well, profile_table, gamma):
+    def test_solve_peaks_below_fifteen_grid_arrays(self, profile_table, gamma):
         # the fixed MINRES vectors (8), the iterate, W''(u)/eps, the Jacobian
         # symbol, the preconditioner's denominator and the cached Neumann
         # symbol make 13; with scipy's minres and the stale references the
@@ -445,7 +445,7 @@ class TestWorkingSet:
         neumann_symbol.cache_clear()
         tracemalloc.start()
         try:
-            _, report = solve_conserved(well, grid, eps, mass, seed, long_range=gamma)
+            _, report = solve_conserved(grid, eps, mass, seed, long_range=gamma)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -453,7 +453,7 @@ class TestWorkingSet:
         assert peak <= 15 * 8 * n * n
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
-    def test_folded_solve_peaks_below_four_grid_arrays(self, well, profile_table, gamma):
+    def test_folded_solve_peaks_below_four_grid_arrays(self, profile_table, gamma):
         # the same solve, seeded as the ch-disk study seeds it: the 13 arrays
         # are of the quarter (3.25 box arrays) and the unfolding ends on the
         # box's state; an energy evaluated on that state inside the solve
@@ -464,7 +464,7 @@ class TestWorkingSet:
         neumann_symbol.cache_clear()
         tracemalloc.start()
         try:
-            _, report = solve_conserved(well, grid, eps, mass, seed, long_range=gamma)
+            _, report = solve_conserved(grid, eps, mass, seed, long_range=gamma)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -473,21 +473,21 @@ class TestWorkingSet:
 
 
 class TestBall3d:
-    def test_ball_converges_without_mass_drift(self, well, profile_table):
+    def test_ball_converges_without_mass_drift(self, profile_table):
         eps = 0.1
         grid = Grid.box((0.0,) * 3, (1.0,) * 3, (40,) * 3)
         seed = profile_table.phi0_at(
             disk_signed_distance(grid, (0.5, 0.5, 0.5), 0.3) / eps
         )
         mass = integrate(seed, grid)
-        _, report = solve_conserved(well, grid, eps, mass, seed)
+        _, report = solve_conserved(grid, eps, mass, seed)
         assert report.converged and report.stop_reason == "converged"
         assert abs(report.mass - mass) <= 1e-13
         assert report.krylov_failures == 0
 
 
 class TestPlanarLayerEnergy:
-    def test_fourth_order_remainder_of_the_k_law(self, well, profile_table):
+    def test_fourth_order_remainder_of_the_k_law(self, profile_table):
         # a solved planar layer carries 2 sigma_h, sigma_h / sigma - 1 =
         # -(h/eps)^2 / 15 + O((h/eps)^4): the remainder after the k-law must
         # fall at least 12x per halving of h (16x at fourth order)
@@ -496,9 +496,9 @@ class TestPlanarLayerEnergy:
         for k in (2, 4, 8, 16):
             grid = Grid.box((0.0,), (1.0,), (int(round(k / eps)),))
             seed = profile_table.phi0_at((grid.axis(0) - 0.5) / eps)
-            u, report = solve_conserved(well, grid, eps, integrate(seed, grid), seed)
+            u, report = solve_conserved(grid, eps, integrate(seed, grid), seed)
             assert report.converged
-            ratio = mixing_energy(u, grid, well, eps) / (2.0 * SIGMA)
+            ratio = mixing_energy(u, grid, eps) / (2.0 * SIGMA)
             remainders.append(abs(ratio - 1.0 + (grid.spacing / eps) ** 2 / 15.0))
         for coarse, fine in zip(remainders, remainders[1:]):
             assert fine <= coarse / 12.0
