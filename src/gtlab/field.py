@@ -35,8 +35,10 @@ class Grid:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise ValueError("grid spacing must be positive")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError("grid spacing must be positive and finite")
+        if not all(np.isfinite(self.origin)):
+            raise ValueError("grid origin must be finite")
         if len(self.origin) != len(self.shape):
             raise ValueError("origin and shape dimensions disagree")
         if any(n < 2 for n in self.shape):

@@ -8,10 +8,10 @@ report that is a pure function of the configuration.  Wall-clock timings
 are written to a sidecar so the canonical report stays byte-identical
 across reruns.
 
-A kind is one `STUDIES` entry: its runner, CLI defaults, default
-tolerances, metric anchors, order metrics and cross-width check.  A CLI
-command is one `_COMMANDS` entry: its help and the kind of each seed
-geometry it accepts.
+A kind is one `STUDIES` entry: its runner, default eps, grid_k and
+radius, default tolerances, metric anchors, order metrics and cross-width
+check.  A CLI command is one `_COMMANDS` entry: its help and the kind of
+each seed geometry it accepts.
 
 The solved kinds share one runner, made by `_solved(seed, measure)`: it
 solves from the kind's seed, locates the interface before any write,
@@ -114,6 +114,13 @@ _KEY_TYPES = {
 class StudyConfig:
     """One experiment kind swept over a decreasing list of widths.
 
+    Only kind is required.  eps, grid_k and radius left as None take the
+    kind's STUDIES defaults (radius 0.25 where the kind names none), the
+    same way however the config is built: by this constructor, from a
+    mapping, a study file or a CLI command.  A kind whose default grid_k is
+    a per-eps list pairs it with its default eps only, so given eps it
+    needs grid_k too.
+
     eps may be given as one number or a strictly decreasing list, and is
     stored as a tuple.  grid_k counts cells per eps: the solved kinds use
     the unit box with round(grid_k / eps) cells per side, so
@@ -127,9 +134,9 @@ class StudyConfig:
     """
 
     kind: str
-    eps: float | tuple[float, ...]
-    grid_k: int | tuple[int, ...] = 8
-    radius: float = 0.25
+    eps: float | tuple[float, ...] | None = None
+    grid_k: int | tuple[int, ...] | None = None
+    radius: float | None = None
     center: tuple[float, float] = (0.5, 0.5)
     mass: float | None = None
     force: float = 1.0
@@ -142,7 +149,15 @@ class StudyConfig:
             raise ValueError(
                 f"unknown study kind {self.kind!r}; expected one of {', '.join(STUDIES)}"
             )
-        eps = (self.eps,) if np.isscalar(self.eps) else self.eps
+        defaults = STUDIES[self.kind].defaults
+        if self.eps is not None and self.grid_k is None and not np.isscalar(defaults["grid_k"]):
+            raise ValueError(
+                f"{self.kind} pairs its default grid_k {list(defaults['grid_k'])} with its "
+                f"default eps {list(defaults['eps'])}; with another eps, give grid_k "
+                "(--grid-k on the command line)"
+            )
+        eps = defaults["eps"] if self.eps is None else self.eps
+        eps = (eps,) if np.isscalar(eps) else eps
         eps = tuple(float(e) for e in eps)
         if not eps:
             raise ValueError("eps list must not be empty")
@@ -151,13 +166,15 @@ class StudyConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps list must be strictly decreasing")
         object.__setattr__(self, "eps", eps)
-        ks = self.grid_k
+        ks = defaults["grid_k"] if self.grid_k is None else self.grid_k
         ks = (ks,) * len(eps) if np.isscalar(ks) else tuple(ks)
         if len(ks) != len(eps):
             raise ValueError("grid_k list length must match the eps list")
         if not all(np.isfinite(k) and int(k) == k and k >= 4 for k in ks):
             raise ValueError("grid_k entries must be finite integers >= 4")
         object.__setattr__(self, "grid_k", tuple(int(k) for k in ks))
+        if self.radius is None:
+            object.__setattr__(self, "radius", defaults.get("radius", 0.25))
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         center = tuple(float(c) for c in self.center)
@@ -168,14 +185,14 @@ class StudyConfig:
             raise ValueError("mass must be finite (or null to keep the seed mass)")
         if not np.isfinite(self.force) or not np.isfinite(self.coupling):
             raise ValueError("force and coupling must be finite")
-        defaults = STUDIES[self.kind].tolerances
+        tolerances = STUDIES[self.kind].tolerances
         given = dict(self.tolerances or {})
-        extra = sorted(set(given) - set(defaults))
+        extra = sorted(set(given) - set(tolerances))
         if extra:
             raise ValueError(
                 f"unknown tolerance key(s) for {self.kind}: {', '.join(extra)}"
             )
-        merged = {**defaults, **{k: float(v) for k, v in given.items()}}
+        merged = {**tolerances, **{k: float(v) for k, v in given.items()}}
         bad = sorted(k for k, v in merged.items() if not np.isfinite(v))
         if bad:
             raise ValueError(f"tolerance(s) {', '.join(bad)} must be finite")
@@ -189,8 +206,6 @@ class StudyConfig:
             raise ValueError(f"unknown config key(s): {', '.join(extra)}")
         if "kind" not in mapping:
             raise ValueError("config is missing the required key: kind")
-        if "eps" not in mapping:
-            raise ValueError("config is missing the required key: eps")
         for key, value in mapping.items():
             what, accepts = _KEY_TYPES[key]
             if not accepts(value):
@@ -319,7 +334,7 @@ def write_contour_csv(path, contour: Contour, kappa, force, sigma: float) -> Non
 PROFILE_SPACING = 4e-4
 
 
-def _study_profile(config, table, eps, k, out, index):
+def _study_profile(config, eps, k, out, index):
     well = DoubleWell()
     table = first_order_correction(optimal_profile(well, spacing=PROFILE_SPACING), well)
     # the Newton nodes against the closed form, which phi0_at evaluates
@@ -397,7 +412,8 @@ def _solved(seed, measure, coupled=False):
     and checks; lambda, h and solver_converged are added here.
     """
 
-    def run(config, table, eps, k, out, index):
+    def run(config, eps, k, out, index):
+        table = closed_form_profile()
         grid, values = seed(config, table, eps, k)
         mass = integrate(values, grid) if config.mass is None else config.mass
         gamma = config.coupling if coupled else 0.0
@@ -489,10 +505,11 @@ def _gt_check(config, table, eps, grid, u, rep, points, target, sup):
     return metrics, checks
 
 
-def _study_subsolution(config, table, eps, k, out, index):
+def _study_subsolution(config, eps, k, out, index):
     force = config.force
     if not force > 0.0:
         raise ValueError("subsolution studies need positive force")
+    table = closed_form_profile()
     curv = 2.0 * force / (3.0 * table.sigma)
     rho = config.radius
     # spherical-cap boundary height; solve_cmc_graph rejects curv*rho >= 1
@@ -549,7 +566,8 @@ def _across_subsolution(config, rows):
     }
 
 
-def _study_multiplicity(config, table, eps, k, out, index):
+def _study_multiplicity(config, eps, k, out, index):
+    table = closed_form_profile()
     grid = _unit_box(eps, k, 1)
     x = grid.axis(0)
     center = config.center[0]
@@ -575,8 +593,8 @@ def _study_multiplicity(config, table, eps, k, out, index):
     return metrics, checks
 
 
-def _study_gap(config, table, eps, k, out, index):
-    upper, lower = asymptotic_gap(table, config.force, eps)
+def _study_gap(config, eps, k, out, index):
+    upper, lower = asymptotic_gap(closed_form_profile(), config.force, eps)
     limit = config.force / 9.0
     metrics = {
         "upper_gap": upper,
@@ -596,9 +614,10 @@ def _study_gap(config, table, eps, k, out, index):
 class _Study(NamedTuple):
     """Everything one study kind declares.
 
-    run(config, table, eps, k, out, index) solves (or constructs) one
-    width and returns its (metrics, checks); defaults are the CLI config
-    values, tolerances the default gates; anchors name the balance law each
+    run(config, eps, k, out, index) solves (or constructs) one width and
+    returns its (metrics, checks); defaults, the only home of the kind's
+    default eps, grid_k and radius, fill what a StudyConfig leaves out;
+    tolerances are the default gates; anchors name the balance law each
     metric probes; orders lists the error metrics whose eps-to-eps ratios
     are reported as log2 orders; across(config, rows), given the rows that
     finished without error, returns the cross-width checks.
@@ -739,14 +758,14 @@ def _orders(names: tuple[str, ...], rows: list[EpsRow]) -> dict:
 def run_study(config: StudyConfig) -> StudyReport:
     """Execute every eps entry, collect rows, and write the report files.
 
-    Every kind reads the profile through the node-less closed-form table
-    (the well is a constant); the profile study builds its own Newton table.  A failure at
-    one eps is recorded in that row and the sweep continues.  The study
+    Every kind but the profile study, which builds its own Newton table,
+    reads the profile through the node-less closed-form table, looked up
+    where it is used (the well is a constant).  A failure at one eps is
+    recorded in that row and the sweep continues.  The study
     passes only if every row completed and every row-level and cross-eps
     check holds.
     """
     study = STUDIES[config.kind]
-    table = closed_form_profile()
     out = None
     if config.out_dir is not None:
         out = Path(config.out_dir)
@@ -757,7 +776,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
         start = time.perf_counter()
         try:
-            metrics, checks = study.run(config, table, eps, k, out, index)
+            metrics, checks = study.run(config, eps, k, out, index)
             rows.append(EpsRow(eps=eps, metrics=_plain(metrics), checks=checks))
         except Exception as exc:
             rows.append(
@@ -830,8 +849,9 @@ def write_report(report: StudyReport, out: Path) -> None:
     (out / "timings.json").write_text(json.dumps(timing, indent=2) + "\n")
 
 
-# Every subcommand: (help, {seed geometry: study kind}).  The first geometry
-# is the default; --seed-geometry exists where a command names geometries.
+# Every subcommand: (help, {seed geometry: study kind}).  A command of one
+# kind maps None to it; one that names geometries takes --seed-geometry,
+# one of those names, and defaults to the first.
 _COMMANDS = {
     "profile": (
         "transition profile table and its closed-form checks",
@@ -847,11 +867,11 @@ _COMMANDS = {
     ),
     "gt-check": (
         "curvature balance and bulk plateaus on a solved disk",
-        {"disk": "gt-check"},
+        {None: "gt-check"},
     ),
     "subsolution-check": (
         "defect certificate of the comparison field",
-        {"arc": "subsolution"},
+        {None: "subsolution"},
     ),
     "multiplicity": ("sheet counts of synthetic layer stacks", {None: "multiplicity"}),
     "gap": ("bulk-root versus plateau gap rates", {None: "gap"}),
@@ -865,28 +885,6 @@ def _parse_list(flag: str, text: str, convert, what: str) -> list:
         return [convert(p) for p in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} takes {what}, got {text!r}") from None
-
-
-def _parse_geometry(command: str, text: str) -> tuple[str, dict]:
-    geometries = _COMMANDS[command][1]
-    name, _, rest = text.partition(":")
-    if name not in geometries:
-        raise ValueError(
-            f"unknown seed geometry {name!r} for {command}; expected one of "
-            f"{', '.join(geometries)}"
-        )
-    overrides: dict = {}
-    if rest:
-        parts = _parse_list("--seed-geometry", rest, float, "numbers after NAME:")
-        if len(parts) not in (1, 3):
-            raise ValueError(
-                "--seed-geometry takes NAME, NAME:RADIUS, or NAME:RADIUS,CX,CY, "
-                f"got {text!r}"
-            )
-        overrides["radius"] = parts[0]
-        if len(parts) == 3:
-            overrides["center"] = (parts[1], parts[2])
-    return geometries[name], overrides
 
 
 def _parse_eps(text: str) -> tuple[float, ...]:
@@ -912,40 +910,28 @@ def _load_config_file(path: str) -> dict:
 
 
 def _config_from_args(args) -> StudyConfig:
+    """Route the command to its kind, apply --eps, --grid-k and --out, and
+    reject a config file whose kind the command does not run; every other
+    key, and every default, is StudyConfig's."""
     mapping = _load_config_file(args.config) if args.config else {}
     if args.command == "study":
         if not args.config:
             raise ValueError("the study command requires --config")
-        merged = mapping
     else:
-        kind = next(iter(_COMMANDS[args.command][1].values()))  # the default
-        overrides: dict = {}
-        if getattr(args, "seed_geometry", None):
-            kind, overrides = _parse_geometry(args.command, args.seed_geometry)
-        if "kind" in mapping and mapping["kind"] != kind:
+        kind = _COMMANDS[args.command][1][getattr(args, "seed_geometry", None)]
+        if mapping.get("kind", kind) != kind:
             raise ValueError(
                 f"config key kind = {mapping['kind']!r} conflicts with the "
                 f"{args.command} command (expected {kind!r})"
             )
-        merged = {**mapping, **overrides, "kind": kind}
+        mapping["kind"] = kind
     if args.eps:
-        merged["eps"] = _parse_eps(args.eps)
+        mapping["eps"] = _parse_eps(args.eps)
     if args.grid_k:
-        merged["grid_k"] = _parse_grid_k(args.grid_k)
-    if args.command != "study":
-        defaults = STUDIES[kind].defaults
-        # a per-eps default grid_k pairs with the default eps list only
-        per_eps = not np.isscalar(defaults["grid_k"])
-        if per_eps and "eps" in merged and "grid_k" not in merged:
-            raise ValueError(
-                f"{kind} pairs its default grid_k {list(defaults['grid_k'])} with "
-                f"its default eps {list(defaults['eps'])}; with another eps, give --grid-k "
-                "(or grid_k in the config file)"
-            )
-        merged = {**defaults, **merged}
+        mapping["grid_k"] = _parse_grid_k(args.grid_k)
     if args.out:
-        merged["out_dir"] = args.out
-    return StudyConfig.from_mapping(merged)
+        mapping["out_dir"] = args.out
+    return StudyConfig.from_mapping(mapping)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -969,7 +955,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--seed-geometry",
                 dest="seed_geometry",
-                help=f"NAME[:RADIUS[,CX,CY]], NAME one of: {', '.join(geometries)}",
+                choices=list(geometries),
+                default=next(iter(geometries)),
+                help="the seed, which selects the study kind (default: %(default)s)",
             )
     return parser
 

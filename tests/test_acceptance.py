@@ -21,7 +21,6 @@ from gtlab.harness import PROFILE_SPACING, StudyConfig, run_study
 from gtlab.interface import Contour, curvature, curvature_balance, extract_contours, zero_crossings_1d
 from gtlab.measure import bulk_deviation, multiplicity_estimate
 from gtlab.potential import (
-    SIGMA,
     bulk_roots,
     first_order_correction,
     optimal_profile,
@@ -96,15 +95,6 @@ def disk_states(profile_table):
             )
         )
     return states
-
-
-class TestSurfaceTensionAnchor:
-    def test_closed_form_and_runtime(self):
-        start = time.perf_counter()
-        sigma = SIGMA
-        elapsed = time.perf_counter() - start
-        assert abs(sigma - SQRT2 / 3.0) <= 1e-10
-        assert elapsed < 1.0
 
 
 @pytest.fixture(scope="module")

@@ -74,6 +74,25 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((0.0,), -0.1, (8,))
 
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: Grid.box((0.0,), (float("nan"),), (10,)), "spacing"),
+            (lambda: Grid.box((0.0,), (float("inf"),), (10,)), "spacing"),
+            (lambda: Grid.box((float("-inf"), 0.0), (1.0, 1.0), (10, 10)), "spacing"),
+            (lambda: Grid((0.0,), float("inf"), (10,)), "spacing"),
+            (lambda: Grid((0.0,), float("nan"), (10,)), "spacing"),
+            (lambda: Grid((float("nan"),), 0.1, (10,)), "origin"),
+            (lambda: Grid((0.0, float("inf")), 0.1, (10, 10)), "origin"),
+        ],
+        ids=["box-nan", "box-inf", "box-lower-inf", "inf", "nan", "origin-nan", "origin-inf"],
+    )
+    def test_non_finite_spacing_or_origin_is_refused(self, build, named):
+        # a NaN or infinite spacing or origin would put every cell centre
+        # at NaN or infinity
+        with pytest.raises(ValueError, match=f"^grid {named} must be "):
+            build()
+
     @pytest.mark.parametrize("n_cells", [(0,), (1,), (4, 0), (0, 4)])
     def test_too_few_cells_are_refused_before_the_spacing(self, n_cells):
         # a zero count must not reach the division that makes the spacing

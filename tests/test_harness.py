@@ -64,8 +64,21 @@ class TestStudyConfig:
     def test_required_keys(self):
         with pytest.raises(ValueError, match="kind"):
             StudyConfig.from_mapping({"eps": [0.01]})
-        with pytest.raises(ValueError, match="eps"):
-            StudyConfig.from_mapping({"kind": "gap"})
+
+    @pytest.mark.parametrize("kind", list(STUDIES))
+    def test_kind_alone_takes_the_kind_defaults(self, kind):
+        # STUDIES[kind].defaults is the one owner of eps, grid_k and radius,
+        # whichever way the config is built
+        defaults = STUDIES[kind].defaults
+        config = StudyConfig.from_mapping({"kind": kind})
+        assert config == StudyConfig(kind=kind) == StudyConfig(kind=kind, **defaults)
+        assert config.eps == defaults["eps"]
+        assert config.grid_k == (
+            (defaults["grid_k"],) * len(config.eps)
+            if np.isscalar(defaults["grid_k"])
+            else defaults["grid_k"]
+        )
+        assert config.radius == defaults.get("radius", 0.25)
 
     def test_unknown_kind_lists_options(self):
         with pytest.raises(ValueError, match="profile"):
@@ -237,7 +250,7 @@ class TestOneDimensionalSolves:
 class TestReportedEnergy:
     @pytest.mark.parametrize(
         "kind, settings",
-        [("ch-disk", {"eps": (0.04,)}), ("ch-planar", {"eps": (0.02,)})],
+        [("ch-disk", {"eps": (0.04,), "grid_k": 8}), ("ch-planar", {"eps": (0.02,)})],
     )
     def test_energy_is_that_of_the_written_state(self, tmp_path, kind, settings):
         # the kind measures the mixing energy of the state it writes, bit for bit
@@ -468,12 +481,17 @@ class TestCommandLine:
         assert main(["gap", "--eps", "0.3,0.2"]) == 1
 
     def test_seed_geometry_switches_kind(self, tmp_path, capsys):
+        # the flag names the seed only; its geometry comes from --config
         out = tmp_path / "lam"
+        path = tmp_path / "walls.json"
+        path.write_text(json.dumps({"radius": 0.2}))
         rc = main(
             [
                 "solve-ok",
                 "--seed-geometry",
-                "lamellar:0.2",
+                "lamellar",
+                "--config",
+                str(path),
                 "--eps",
                 "0.01",
                 "--out",
@@ -584,18 +602,66 @@ class TestCommandLine:
         assert (out / "report.json").is_file()
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--grid-k", "4.5"), ("--eps", "0.1,abc"), ("--seed-geometry", "disk:x")],
+        "flag, value, by_argparse",
+        [
+            ("--grid-k", "4.5", False),
+            ("--eps", "0.1,abc", False),
+            # --seed-geometry is a choice of names, which argparse enforces
+            ("--seed-geometry", "disk:x", True),
+        ],
         ids=["grid-k", "eps", "seed-geometry"],
     )
-    def test_unparsable_flag_named_on_stderr(self, capsys, flag, value):
-        assert main(["solve-ch", flag, value]) == 2
+    def test_unparsable_flag_named_on_stderr(self, capsys, flag, value, by_argparse):
+        if by_argparse:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["solve-ch", flag, value])
+            assert exit_info.value.code == 2
+        else:
+            assert main(["solve-ch", flag, value]) == 2
         assert flag in capsys.readouterr().err
 
     def test_bad_geometry_name(self, capsys):
-        assert main(["solve-ch", "--seed-geometry", "torus"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve-ch", "--seed-geometry", "torus"])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "disk" in err and "planar" in err
+        assert "--seed-geometry" in err and "disk" in err and "planar" in err
+
+
+class TestOneFileOneStudy:
+    # a study file names one study: every entry path resolves the keys it
+    # leaves out from the kind's defaults, the same way
+    def test_every_entry_path_writes_the_same_report(self, tmp_path, capsys):
+        mapping = {"kind": "ch-disk", "eps": [0.08]}
+        path = tmp_path / "disk.json"
+        path.write_text(json.dumps(mapping))
+        codes = [
+            main([command, "--config", str(path), "--out", str(tmp_path / command)])
+            for command in ("study", "solve-ch")
+        ]
+        report = run_study(StudyConfig.from_mapping({**mapping, "out_dir": str(tmp_path / "run")}))
+        assert codes == [0 if report.passed else 1] * 2
+        first, second, third = (
+            (tmp_path / name / "report.json").read_bytes() for name in ("study", "solve-ch", "run")
+        )
+        assert first == second == third
+        assert json.loads(first)["config"]["grid_k"] == [STUDIES["ch-disk"].defaults["grid_k"]]
+
+    def test_per_eps_default_grid_k_refused_on_every_path(self, tmp_path, capsys):
+        # subsolution's per-eps default grid_k (24, 48) belongs to its
+        # default eps (0.02, 0.01), so another eps needs its own grid_k
+        mapping = {"kind": "subsolution", "eps": [0.04]}
+        with pytest.raises(ValueError, match="grid_k"):
+            StudyConfig.from_mapping(mapping)
+        with pytest.raises(ValueError, match="grid_k"):
+            StudyConfig(kind="subsolution", eps=(0.04,))
+        out = tmp_path / "never"
+        path = tmp_path / "arc.json"
+        path.write_text(json.dumps(mapping))
+        for command in ("study", "subsolution-check"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+            assert "grid_k" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _routed(argv):
@@ -615,9 +681,10 @@ class TestCommandRouting:
             (["solve-ok", "--seed-geometry", "disk"], "ok-disk", (0.02,), (4,)),
             (["solve-ok", "--seed-geometry", "lamellar"], "ok-lamellar", (0.01,), (8,)),
             (["gt-check"], "gt-check", (0.02,), (4,)),
-            (["gt-check", "--seed-geometry", "disk"], "gt-check", (0.02,), (4,)),
+            # --grid-k alone keeps the default eps
+            (["gt-check", "--grid-k", "6"], "gt-check", (0.02,), (6,)),
             (["subsolution-check"], "subsolution", (0.02, 0.01), (24, 48)),
-            (["subsolution-check", "--seed-geometry", "arc"], "subsolution", (0.02, 0.01), (24, 48)),
+            (["subsolution-check", "--grid-k", "30,60"], "subsolution", (0.02, 0.01), (30, 60)),
             (["multiplicity"], "multiplicity", (0.01,), (8,)),
             (["gap"], "gap", (0.01, 0.005, 0.0025), (8, 8, 8)),
         ],
@@ -653,16 +720,13 @@ class TestCommandRouting:
         # a scalar default grid_k still applies to any eps
         assert _routed(["solve-ch", "--eps", "0.05"]).grid_k == (4,)
 
-    def test_geometry_radius_override(self):
-        config = _routed(["subsolution-check", "--seed-geometry", "arc:0.5"])
-        assert config.kind == "subsolution"
-        assert config.radius == 0.5
-
     def test_command_without_geometries_rejects_the_flag(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["profile", "--seed-geometry", "disk"])
-        assert exit_info.value.code == 2
-        assert "--seed-geometry" in capsys.readouterr().err
+        # gt-check and subsolution-check run one seed each, so they name none
+        for command, name in (("profile", "disk"), ("gt-check", "disk"), ("subsolution-check", "arc")):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--seed-geometry", name])
+            assert exit_info.value.code == 2
+            assert "--seed-geometry" in capsys.readouterr().err
 
     def test_python_dash_m_runs_the_cli(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -772,7 +836,7 @@ def build(*args, **kwargs):
     return traced_build(*args, **kwargs)
 harness.build_subsolution = build
 before = dict(counts)
-config = harness.StudyConfig(kind="subsolution", eps=(0.04, 0.03), grid_k=8)
+config = harness.StudyConfig(kind="subsolution", eps=(0.04, 0.03), grid_k=8, radius=0.25)
 sub = harness.run_study(config)
 subsolution = {key: counts[key] - before.get(key, 0.0) for key in counts}
 report = reports[0]
@@ -934,7 +998,9 @@ class TestSubsolutionSnapshots:
         built = []
         self._gather(monkeypatch, built, fail=True)
         out = tmp_path / "f"
-        config = StudyConfig(kind="subsolution", eps=(0.04,), grid_k=16, out_dir=str(out))
+        config = StudyConfig(
+            kind="subsolution", eps=(0.04,), grid_k=16, radius=0.25, out_dir=str(out)
+        )
         report = run_study(config)
         assert report.rows[0].error == "RuntimeError: stopped after one block"
         assert len(built[0][1]) == 1
