@@ -8,10 +8,14 @@ report that is a pure function of the configuration.  Wall-clock timings
 are written to a sidecar so the canonical report stays byte-identical
 across reruns.
 
-A kind is one `STUDIES` entry: its runner, default eps, grid_k and
-radius, default tolerances, metric anchors, order metrics and cross-width
-check.  A CLI command is one `_COMMANDS` entry: its help and the kind of
-each seed geometry it accepts.
+A kind is one `STUDIES` entry: its runner, its config keys with their
+defaults, default tolerances, metric anchors, order metrics and
+cross-width check.  A config names kind, eps, tolerances and out_dir, and
+only those of grid_k, radius, center, mass, force and coupling that its
+kind reads; `StudyConfig` refuses any other, so a report records exactly
+the experiment it ran.  A CLI command is one `_COMMANDS` entry: its help
+and the kind of each seed geometry it accepts; it takes --grid-k when a
+kind it runs reads grid_k.
 
 The solved kinds share one runner, made by `_solved(seed, measure)`: it
 solves from the kind's seed, locates the interface before any write,
@@ -95,6 +99,10 @@ def _tolerance_map(value) -> bool:
     return isinstance(value, dict) and _numbers(list(value.values()))
 
 
+# The config keys every kind takes; any other key belongs to the kinds
+# whose STUDIES defaults name it.
+_COMMON_KEYS = ("kind", "eps", "tolerances", "out_dir")
+
 # The JSON type each config key accepts: (description, predicate).
 _KEY_TYPES = {
     "kind": ("a string", _string),
@@ -114,11 +122,14 @@ _KEY_TYPES = {
 class StudyConfig:
     """One experiment kind swept over a decreasing list of widths.
 
-    Only kind is required.  eps, grid_k and radius left as None take the
-    kind's STUDIES defaults (radius 0.25 where the kind names none), the
-    same way however the config is built: by this constructor, from a
-    mapping, a study file or a CLI command.  A kind whose default grid_k is
-    a per-eps list pairs it with its default eps only, so given eps it
+    Only kind is required.  kind, eps, tolerances and out_dir belong to
+    every kind; grid_k, radius, center, mass, force and coupling belong to
+    the kinds whose STUDIES defaults name them.  A key the kind does not
+    name is refused unless it is None, so a config states only what the
+    kind reads.  Every named key left as None takes the kind's default,
+    the same way however the config is built: by this constructor, from a
+    mapping, a study file or a CLI command.  A kind whose default grid_k
+    is a per-eps list pairs it with its default eps only, so given eps it
     needs grid_k too.
 
     eps may be given as one number or a strictly decreasing list, and is
@@ -128,19 +139,21 @@ class StudyConfig:
     h = eps / grid_k.  grid_k may be given as one integer or a per-eps
     list, and is stored, like eps, as a tuple with one entry per eps.
     Geometry means the seed disk (radius, center) for the 2D solves, the
-    wall positions center[0] +- radius for the lamellar case, and the
-    graph base radius for the subsolution study.  A mass of None keeps the
-    mass of the seed.
+    layer at center[0] for ch-planar, the wall positions
+    center[0] +- radius for the lamellar case, the stack centre for the
+    multiplicity study and the graph base radius for the subsolution
+    study; center has one coordinate per dimension of the kind.  A mass
+    of None keeps the mass of the seed.
     """
 
     kind: str
     eps: float | tuple[float, ...] | None = None
     grid_k: int | tuple[int, ...] | None = None
     radius: float | None = None
-    center: tuple[float, float] = (0.5, 0.5)
+    center: tuple[float, ...] | None = None
     mass: float | None = None
-    force: float = 1.0
-    coupling: float = 1.0
+    force: float | None = None
+    coupling: float | None = None
     tolerances: dict | None = None
     out_dir: str | None = None
 
@@ -150,14 +163,30 @@ class StudyConfig:
                 f"unknown study kind {self.kind!r}; expected one of {', '.join(STUDIES)}"
             )
         defaults = STUDIES[self.kind].defaults
-        if self.eps is not None and self.grid_k is None and not np.isscalar(defaults["grid_k"]):
+        unread = sorted(
+            f.name
+            for f in fields(self)
+            if f.name not in _COMMON_KEYS
+            and f.name not in defaults
+            and getattr(self, f.name) is not None
+        )
+        if unread:
+            raise ValueError(
+                f"{self.kind} does not read the config key(s): {', '.join(unread)}"
+            )
+        # the pairing rule looks at the grid_k the caller gave, before the
+        # kind's default fills it
+        per_eps = isinstance(defaults.get("grid_k"), tuple)
+        if per_eps and self.eps is not None and self.grid_k is None:
             raise ValueError(
                 f"{self.kind} pairs its default grid_k {list(defaults['grid_k'])} with its "
                 f"default eps {list(defaults['eps'])}; with another eps, give grid_k "
                 "(--grid-k on the command line)"
             )
-        eps = defaults["eps"] if self.eps is None else self.eps
-        eps = (eps,) if np.isscalar(eps) else eps
+        for key, value in defaults.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
+        eps = (self.eps,) if np.isscalar(self.eps) else self.eps
         eps = tuple(float(e) for e in eps)
         if not eps:
             raise ValueError("eps list must not be empty")
@@ -166,25 +195,26 @@ class StudyConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps list must be strictly decreasing")
         object.__setattr__(self, "eps", eps)
-        ks = defaults["grid_k"] if self.grid_k is None else self.grid_k
-        ks = (ks,) * len(eps) if np.isscalar(ks) else tuple(ks)
-        if len(ks) != len(eps):
-            raise ValueError("grid_k list length must match the eps list")
-        if not all(np.isfinite(k) and int(k) == k and k >= 4 for k in ks):
-            raise ValueError("grid_k entries must be finite integers >= 4")
-        object.__setattr__(self, "grid_k", tuple(int(k) for k in ks))
-        if self.radius is None:
-            object.__setattr__(self, "radius", defaults.get("radius", 0.25))
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
+        if self.grid_k is not None:
+            ks = (self.grid_k,) * len(eps) if np.isscalar(self.grid_k) else tuple(self.grid_k)
+            if len(ks) != len(eps):
+                raise ValueError("grid_k list length must match the eps list")
+            if not all(np.isfinite(k) and int(k) == k and k >= 4 for k in ks):
+                raise ValueError("grid_k entries must be finite integers >= 4")
+            object.__setattr__(self, "grid_k", tuple(int(k) for k in ks))
+        if self.radius is not None and not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
-        center = tuple(float(c) for c in self.center)
-        if len(center) != 2 or not all(np.isfinite(center)):
-            raise ValueError("center must be two finite coordinates")
-        object.__setattr__(self, "center", center)
+        if self.center is not None:
+            center = tuple(float(c) for c in self.center)
+            ndim = len(defaults["center"])
+            if len(center) != ndim or not all(np.isfinite(center)):
+                raise ValueError(f"center of {self.kind} must be {ndim} finite coordinate(s)")
+            object.__setattr__(self, "center", center)
         if self.mass is not None and not np.isfinite(self.mass):
             raise ValueError("mass must be finite (or null to keep the seed mass)")
-        if not np.isfinite(self.force) or not np.isfinite(self.coupling):
-            raise ValueError("force and coupling must be finite")
+        for key in ("force", "coupling"):
+            if getattr(self, key) is not None and not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         tolerances = STUDIES[self.kind].tolerances
         given = dict(self.tolerances or {})
         extra = sorted(set(given) - set(tolerances))
@@ -213,11 +243,11 @@ class StudyConfig:
         return cls(**mapping)
 
     def to_mapping(self) -> dict:
-        """Canonical mapping for reports; omits the output location so the
-        report content does not depend on where it is written."""
-        mapping = asdict(self)
-        del mapping["out_dir"]
-        return mapping
+        """Canonical mapping for reports: kind, eps, tolerances and the
+        kind's own keys.  It omits the output location so the report
+        content does not depend on where it is written."""
+        keys = {*_COMMON_KEYS, *STUDIES[self.kind].defaults} - {"out_dir"}
+        return {key: value for key, value in asdict(self).items() if key in keys}
 
 
 @dataclass(frozen=True)
@@ -615,9 +645,11 @@ class _Study(NamedTuple):
     """Everything one study kind declares.
 
     run(config, eps, k, out, index) solves (or constructs) one width and
-    returns its (metrics, checks); defaults, the only home of the kind's
-    default eps, grid_k and radius, fill what a StudyConfig leaves out;
-    tolerances are the default gates; anchors name the balance law each
+    returns its (metrics, checks), with k None for a kind that reads no
+    grid_k; defaults is the kind's config schema: it names eps and every
+    other key the kind reads, each with its default, which fills what a
+    StudyConfig leaves out, and a StudyConfig refuses any key it does not
+    name; tolerances are the default gates; anchors name the balance law each
     metric probes; orders lists the error metrics whose eps-to-eps ratios
     are reported as log2 orders; across(config, rows), given the rows that
     finished without error, returns the cross-width checks.
@@ -641,10 +673,13 @@ _BULK = "|u - lambda_pm| <= eps^2 off the interface"
 _DEFECT = "defect <= (7/9) * force"
 _SHEETS = "ball mass / (2 sigma omega r) -> sheet count"
 
+# The keys a solved disk kind reads besides eps.
+_DISK = {"grid_k": 4, "radius": 0.25, "center": (0.5, 0.5), "mass": None}
+
 STUDIES = {
     "profile": _Study(
         _study_profile,
-        defaults={"eps": (0.02,), "grid_k": 8},
+        defaults={"eps": (0.02,)},
         tolerances={
             "sigma": 1e-10,
             "residual": 1e-8,
@@ -663,7 +698,7 @@ STUDIES = {
     ),
     "ch-disk": _Study(
         _solved(_disk, _ch_disk),
-        defaults={"eps": (0.08, 0.04, 0.02), "grid_k": 4},
+        defaults={"eps": (0.08, 0.04, 0.02), **_DISK},
         tolerances={"ratio_first": 0.15, "ratio_last": 0.05},
         anchors={
             "lambda": _GT,
@@ -678,7 +713,7 @@ STUDIES = {
     ),
     "ch-planar": _Study(
         _solved(_planar, _ch_planar),
-        defaults={"eps": (0.02,), "grid_k": 8},
+        defaults={"eps": (0.02,), "grid_k": 8, "center": (0.5,), "mass": None},
         tolerances={"energy": 1e-3},
         anchors={
             "lambda": "flat layer: lambda -> 0",
@@ -689,25 +724,32 @@ STUDIES = {
     ),
     "ok-disk": _Study(
         _solved(_disk, _ok_disk, coupled=True),
-        defaults={"eps": (0.02,), "grid_k": 4},
+        defaults={"eps": (0.02,), **_DISK, "coupling": 1.0},
         tolerances={"balance": 0.1},
         anchors={"lambda": _OK, "ok_sup": _OK, "ok_scale": _OK},
     ),
     "ok-lamellar": _Study(
         _solved(_lamellar, _ok_lamellar, coupled=True),
-        defaults={"eps": (0.01,), "grid_k": 8},
+        defaults={
+            "eps": (0.01,),
+            "grid_k": 8,
+            "radius": 0.25,
+            "center": (0.5,),
+            "mass": None,
+            "coupling": 1.0,
+        },
         tolerances={"flat": 0.05},
         anchors={"lambda": _FLAT, "flat_sup": _FLAT, "n_crossings": _FLAT},
     ),
     "gt-check": _Study(
         _solved(_disk, _gt_check),
-        defaults={"eps": (0.02,), "grid_k": 4},
+        defaults={"eps": (0.02,), **_DISK},
         tolerances={"balance": 0.1},
         anchors={"lambda": _GT, "gt_sup": _GT, "bulk_dev": _BULK, "bulk_bound": _BULK},
     ),
     "subsolution": _Study(
         _study_subsolution,
-        defaults={"eps": (0.02, 0.01), "grid_k": (24, 48), "radius": 0.6},
+        defaults={"eps": (0.02, 0.01), "grid_k": (24, 48), "radius": 0.6, "force": 1.0},
         tolerances={"slack": 0.05},
         anchors={
             "max_defect": _DEFECT,
@@ -719,13 +761,13 @@ STUDIES = {
     ),
     "multiplicity": _Study(
         _study_multiplicity,
-        defaults={"eps": (0.01,), "grid_k": 8},
+        defaults={"eps": (0.01,), "grid_k": 8, "center": (0.5,)},
         tolerances={"estimate": 0.1},
         anchors={"est_1": _SHEETS, "est_2": _SHEETS, "est_3": _SHEETS},
     ),
     "gap": _Study(
         _study_gap,
-        defaults={"eps": (0.01, 0.005, 0.0025), "grid_k": 8},
+        defaults={"eps": (0.01, 0.005, 0.0025), "force": 1.0},
         tolerances={"window_low": 0.08, "window_high": 0.14},
         anchors={
             "upper_gap": "(lambda_plus - beta_plus) / eps -> force/9",
@@ -773,7 +815,8 @@ def run_study(config: StudyConfig) -> StudyReport:
     rows: list[EpsRow] = []
     seconds: list[float] = []
     peak_rss_mb: list[float] = []
-    for index, (eps, k) in enumerate(zip(config.eps, config.grid_k)):
+    ks = config.grid_k or (None,) * len(config.eps)
+    for index, (eps, k) in enumerate(zip(config.eps, ks)):
         start = time.perf_counter()
         try:
             metrics, checks = study.run(config, eps, k, out, index)
@@ -911,11 +954,15 @@ def _load_config_file(path: str) -> dict:
 
 def _config_from_args(args) -> StudyConfig:
     """Route the command to its kind, apply --eps, --grid-k and --out, and
-    reject a config file whose kind the command does not run; every other
-    key, and every default, is StudyConfig's."""
-    mapping = _load_config_file(args.config) if args.config else {}
+    reject an empty flag value or a config file whose kind the command
+    does not run; every other key, and every default, is StudyConfig's."""
+    for name in ("config", "eps", "grid_k", "out"):
+        if getattr(args, name, None) == "":
+            raise ValueError(f"--{name.replace('_', '-')} must not be empty")
+    grid_k = getattr(args, "grid_k", None)
+    mapping = _load_config_file(args.config) if args.config is not None else {}
     if args.command == "study":
-        if not args.config:
+        if args.config is None:
             raise ValueError("the study command requires --config")
     else:
         kind = _COMMANDS[args.command][1][getattr(args, "seed_geometry", None)]
@@ -925,11 +972,11 @@ def _config_from_args(args) -> StudyConfig:
                 f"{args.command} command (expected {kind!r})"
             )
         mapping["kind"] = kind
-    if args.eps:
+    if args.eps is not None:
         mapping["eps"] = _parse_eps(args.eps)
-    if args.grid_k:
-        mapping["grid_k"] = _parse_grid_k(args.grid_k)
-    if args.out:
+    if grid_k is not None:
+        mapping["grid_k"] = _parse_grid_k(grid_k)
+    if args.out is not None:
         mapping["out_dir"] = args.out
     return StudyConfig.from_mapping(mapping)
 
@@ -948,9 +995,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON study configuration file")
         p.add_argument("--out", help="output directory for reports and snapshots")
         p.add_argument("--eps", help="comma-separated decreasing eps list")
-        p.add_argument(
-            "--grid-k", dest="grid_k", help="cells per eps: one integer or a comma list"
-        )
+        # a command takes --grid-k when a kind it can run reads grid_k
+        if any("grid_k" in STUDIES[kind].defaults for kind in geometries.values() or STUDIES):
+            p.add_argument(
+                "--grid-k", dest="grid_k", help="cells per eps: one integer or a comma list"
+            )
         if any(geometries):
             p.add_argument(
                 "--seed-geometry",

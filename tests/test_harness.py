@@ -2,8 +2,10 @@
 
 import ast
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -34,11 +36,11 @@ from gtlab.solve import disk_signed_distance, long_range_potential
 
 class TestStudyConfig:
     def test_minimal_mapping(self):
-        config = StudyConfig.from_mapping({"kind": "gap", "eps": [0.01, 0.005]})
-        assert config.kind == "gap"
+        config = StudyConfig.from_mapping({"kind": "multiplicity", "eps": [0.01, 0.005]})
+        assert config.kind == "multiplicity"
         assert config.eps == (0.01, 0.005)
         assert config.grid_k == (8, 8)
-        assert config.tolerances == STUDIES["gap"].tolerances
+        assert config.tolerances == STUDIES["multiplicity"].tolerances
 
     def test_round_trip_through_mapping(self):
         config = StudyConfig.from_mapping(
@@ -67,18 +69,16 @@ class TestStudyConfig:
 
     @pytest.mark.parametrize("kind", list(STUDIES))
     def test_kind_alone_takes_the_kind_defaults(self, kind):
-        # STUDIES[kind].defaults is the one owner of eps, grid_k and radius,
-        # whichever way the config is built
+        # STUDIES[kind].defaults is the one owner of every key the kind
+        # reads, whichever way the config is built; a key it does not read
+        # stays None
         defaults = STUDIES[kind].defaults
         config = StudyConfig.from_mapping({"kind": kind})
         assert config == StudyConfig(kind=kind) == StudyConfig(kind=kind, **defaults)
         assert config.eps == defaults["eps"]
-        assert config.grid_k == (
-            (defaults["grid_k"],) * len(config.eps)
-            if np.isscalar(defaults["grid_k"])
-            else defaults["grid_k"]
-        )
-        assert config.radius == defaults.get("radius", 0.25)
+        k = defaults.get("grid_k")
+        assert config.grid_k == ((k,) * len(config.eps) if np.isscalar(k) else k)
+        assert config.radius == defaults.get("radius")
 
     def test_unknown_kind_lists_options(self):
         with pytest.raises(ValueError, match="profile"):
@@ -99,22 +99,22 @@ class TestStudyConfig:
         assert config.eps == (0.01,)
 
     def test_grid_k_broadcast_and_per_eps(self):
-        one = StudyConfig(kind="gap", eps=(0.01, 0.005), grid_k=16)
+        one = StudyConfig(kind="multiplicity", eps=(0.01, 0.005), grid_k=16)
         assert one.grid_k == (16, 16)
         assert one.to_mapping()["grid_k"] == (16, 16)
-        two = StudyConfig(kind="gap", eps=(0.01, 0.005), grid_k=(8, 16))
+        two = StudyConfig(kind="multiplicity", eps=(0.01, 0.005), grid_k=(8, 16))
         assert two.grid_k == (8, 16)
         assert two == StudyConfig.from_mapping(
-            {"kind": "gap", "eps": [0.01, 0.005], "grid_k": [8, 16]}
+            {"kind": "multiplicity", "eps": [0.01, 0.005], "grid_k": [8, 16]}
         )
 
     def test_grid_k_validation(self):
         with pytest.raises(ValueError, match="match the eps list"):
-            StudyConfig(kind="gap", eps=(0.01,), grid_k=(8, 16))
+            StudyConfig(kind="multiplicity", eps=(0.01,), grid_k=(8, 16))
         with pytest.raises(ValueError, match=">= 4"):
-            StudyConfig(kind="gap", eps=(0.01,), grid_k=3)
+            StudyConfig(kind="multiplicity", eps=(0.01,), grid_k=3)
         with pytest.raises(ValueError, match=">= 4"):
-            StudyConfig(kind="gap", eps=(0.01, 0.005), grid_k=(8, 4.5))
+            StudyConfig(kind="multiplicity", eps=(0.01, 0.005), grid_k=(8, 4.5))
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="radius"):
@@ -132,6 +132,91 @@ class TestStudyConfig:
         assert config.tolerances["ratio_first"] == 0.15
         with pytest.raises(ValueError, match="windw_low"):
             StudyConfig(kind="gap", eps=(0.01,), tolerances={"windw_low": 0.1})
+
+
+# The config the kinds do not read: ch-planar reads grid_k, center (one
+# coordinate) and mass, not radius, force or coupling
+_UNREAD = {
+    "kind": "ch-planar",
+    "eps": [0.04],
+    "radius": 0.3,
+    "force": 5.0,
+    "coupling": 9.0,
+    "center": [0.5, 0.9],
+}
+
+# How the converse test moves each key off the value its run used (a mass
+# of None keeps the seed's mass)
+_PERTURB = {
+    "grid_k": lambda ks: tuple(k + 2 for k in ks),
+    "radius": lambda radius: 0.8 * radius,
+    "center": lambda center: tuple(c + 0.05 for c in center),
+    "mass": lambda mass: -0.5,
+    "force": lambda force: 0.5 * force,
+    "coupling": lambda coupling: 2.0 * coupling,
+}
+
+# Cheap widths for the converse test: the 2D solves at eps 0.08 and k 4,
+# but gt-check at 0.04, where its bulk margin leaves cells to check; the
+# certificate at 0.04; every other kind at its defaults
+_CHEAP = {
+    "ch-disk": {"eps": (0.08,)},
+    "ok-disk": {"eps": (0.08,)},
+    "gt-check": {"eps": (0.04,)},
+    "subsolution": {"eps": (0.04,), "grid_k": 8},
+}
+
+
+class TestKindKeys:
+    # STUDIES[kind].defaults names every key the kind reads; any other key
+    # is refused, so a report's config states only what the run used
+    def test_unread_keys_refused_on_every_path(self, tmp_path, capsys):
+        named = "ch-planar does not read the config key(s): coupling, force, radius"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            StudyConfig(**_UNREAD)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            StudyConfig.from_mapping(_UNREAD)
+        path = tmp_path / "planar.json"
+        path.write_text(json.dumps(_UNREAD))
+        out = tmp_path / "never"
+        for command in (["study"], ["solve-ch", "--seed-geometry", "planar"]):
+            assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+            assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_center_has_the_kinds_dimension(self):
+        with pytest.raises(ValueError, match="center of ok-lamellar must be 1 finite"):
+            StudyConfig(kind="ok-lamellar", center=(0.5, 0.5))
+        with pytest.raises(ValueError, match="center of ok-lamellar must be 1 finite"):
+            StudyConfig.from_mapping({"kind": "ok-lamellar", "center": [0.45, 0.5]})
+        assert StudyConfig(kind="ok-lamellar", center=(0.45,)).center == (0.45,)
+
+    def test_grid_k_flag_only_where_the_kind_reads_it(self, capsys):
+        for command in ("profile", "gap"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--grid-k", "8"])
+            assert exit_info.value.code == 2
+            assert "--grid-k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [(kind, key) for kind in STUDIES for key in STUDIES[kind].defaults if key != "eps"],
+    )
+    def test_every_declared_key_is_read(self, tmp_path, kind, key):
+        # the converse: a key a kind declares changes its rows or its files
+        base = StudyConfig(kind=kind, **_CHEAP.get(kind, {}))
+        moved = dataclasses.replace(base, **{key: _PERTURB[key](getattr(base, key))})
+
+        def outputs(config, name):
+            out = tmp_path / name
+            report = run_study(dataclasses.replace(config, out_dir=str(out)))
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".json"}
+            return [dataclasses.asdict(row) for row in report.rows], files
+
+        rows, files = outputs(base, "base")
+        moved_rows, moved_files = outputs(moved, "moved")
+        assert [row["error"] for row in rows + moved_rows] == [None] * (2 * len(rows))
+        assert (moved_rows, moved_files) != (rows, files)
 
 
 class TestGapStudy:
@@ -336,15 +421,17 @@ class TestOkDiskStudy:
     # the runner measures sigma * kappa = lambda - gamma * v once for every
     # solved kind; each kind's sup metric is that residual's largest value
     @pytest.mark.parametrize(
-        "kind, metric",
-        [("ch-disk", "gt_sup"), ("gt-check", "gt_sup"), ("ok-disk", "ok_sup")],
+        "kind, metric, settings",
+        [
+            ("ch-disk", "gt_sup", {}),
+            ("gt-check", "gt_sup", {}),
+            ("ok-disk", "ok_sup", {"coupling": 2.5}),
+        ],
         ids=["ch-disk", "gt-check", "ok-disk"],
     )
-    def test_ok_sup_is_the_interface_csv_max(self, tmp_path, kind, metric):
+    def test_ok_sup_is_the_interface_csv_max(self, tmp_path, kind, metric, settings):
         out = tmp_path / kind
-        config = StudyConfig(
-            kind=kind, eps=(0.04, 0.02), grid_k=4, coupling=2.5, out_dir=str(out)
-        )
+        config = StudyConfig(kind=kind, eps=(0.04, 0.02), grid_k=4, out_dir=str(out), **settings)
         run_study(config)
         report = json.loads((out / "report.json").read_text())
         for index, row in enumerate(report["rows"]):
@@ -362,7 +449,7 @@ class TestOkDiskStudy:
             eps=(0.02, 0.01),
             coupling=2.5,
             radius=0.2,
-            center=(0.45, 0.5),
+            center=(0.45,),
             out_dir=str(out),
         )
         report = run_study(config)
@@ -564,15 +651,16 @@ class TestCommandLine:
             ("eps", [float("inf")], "eps"),
             ("grid_k", float("nan"), "grid_k"),
             ("grid_k", float("inf"), "grid_k"),
-            ("tolerances", {"window_low": float("nan")}, "window_low"),
+            ("tolerances", {"estimate": float("nan")}, "estimate"),
         ],
         ids=["eps-nan", "eps-inf", "grid_k-nan", "grid_k-inf", "tolerance-nan"],
     )
     def test_non_finite_value_named_on_stderr(self, tmp_path, capsys, key, value, named):
-        # json writes these as NaN and Infinity, which json.loads reads back
+        # json writes these as NaN and Infinity, which json.loads reads
+        # back; multiplicity reads every key named here
         out = tmp_path / "never"
         path = tmp_path / "bad.json"
-        config = {"kind": "gap", "eps": [0.01], "out_dir": str(out), key: value}
+        config = {"kind": "multiplicity", "eps": [0.01], "out_dir": str(out), key: value}
         path.write_text(json.dumps(config))
         assert main(["study", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
@@ -619,6 +707,24 @@ class TestCommandLine:
         else:
             assert main(["solve-ch", flag, value]) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--eps", ""],
+            ["multiplicity", "--grid-k", ""],
+            ["gap", "--out", ""],
+            ["solve-ch", "--config", ""],
+            ["study", "--config", ""],
+        ],
+        ids=["eps", "grid-k", "out", "config", "study-config"],
+    )
+    def test_empty_flag_value_refused(self, tmp_path, monkeypatch, capsys, argv):
+        # an empty value is refused, not taken for a flag left out
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert f"{argv[1]} must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_geometry_name(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -673,7 +779,7 @@ class TestCommandRouting:
     @pytest.mark.parametrize(
         "argv, kind, eps, grid_k",
         [
-            (["profile"], "profile", (0.02,), (8,)),
+            (["profile"], "profile", (0.02,), None),
             (["solve-ch"], "ch-disk", (0.08, 0.04, 0.02), (4, 4, 4)),
             (["solve-ch", "--seed-geometry", "disk"], "ch-disk", (0.08, 0.04, 0.02), (4, 4, 4)),
             (["solve-ch", "--seed-geometry", "planar"], "ch-planar", (0.02,), (8,)),
@@ -686,7 +792,7 @@ class TestCommandRouting:
             (["subsolution-check"], "subsolution", (0.02, 0.01), (24, 48)),
             (["subsolution-check", "--grid-k", "30,60"], "subsolution", (0.02, 0.01), (30, 60)),
             (["multiplicity"], "multiplicity", (0.01,), (8,)),
-            (["gap"], "gap", (0.01, 0.005, 0.0025), (8, 8, 8)),
+            (["gap"], "gap", (0.01, 0.005, 0.0025), None),
         ],
         ids=lambda value: ":".join(value) if isinstance(value, list) else None,
     )
